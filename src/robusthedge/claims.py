@@ -44,23 +44,32 @@ def make_claim(tree: MarketTree, spec: Mapping, exact: bool = False) -> dict:
         raise ClaimError(f"unknown claim kind {kind!r}")
     strike = spec.get("strike", 0)
     k = rat(strike) if exact else float(strike)
+    conv = rat if exact else float
+    if kind in ("lookback", "asian"):
+        # running max / running sum of the path spots, top-down in id order
+        # (parents first); same comparisons and additions as max() and sum()
+        # over the root-to-leaf spot list
+        run = [None] * len(tree.nodes)
+        for n in tree.nodes:
+            s = conv(n.x[0])
+            if n.parent is None:
+                run[n.id] = s if kind == "lookback" else 0 + s
+            elif kind == "lookback":
+                prev = run[n.parent]
+                run[n.id] = s if s > prev else prev
+            else:
+                run[n.id] = run[n.parent] + s
     out = {}
     for leaf in tree.leaves:
-        path = tree.path_to(leaf)
-        spots = [tree.spot(n)[0] for n in path]
-        if exact:
-            spots = [rat(s) for s in spots]
-        else:
-            spots = [float(s) for s in spots]
-        terminal = spots[-1]
+        terminal = conv(tree.spot(leaf)[0])
         if kind == "call":
             out[leaf] = _pos(terminal - k)
         elif kind == "abs":
             out[leaf] = abs(terminal)
         elif kind == "lookback":
-            out[leaf] = _pos(max(spots) - k)
+            out[leaf] = _pos(run[leaf] - k)
         elif kind == "asian":
-            avg = sum(spots) / len(spots)
+            avg = run[leaf] / (tree.node(leaf).t + 1)
             out[leaf] = _pos(avg - k)
         elif kind == "digital":
             one = rat(1) if exact else 1.0

@@ -126,6 +126,7 @@ def run_solve(cfg, path, out, exact):
         report_hedge = None
         digest = None
         X0 = "-inf"
+        polar = polar_paths(tree, fam, xi)
     else:
         if not oracle_skipped:
             gaps["dp_minus_oracle"] = float(dp - lp)
@@ -138,6 +139,7 @@ def run_solve(cfg, path, out, exact):
         digest = _strategy_digest(H)
         X0 = _value_doc(dp, exact)
         rep = verify_superhedge(tree, dp, H, xi, fam)
+        polar = rep.polar
         hedge_ok = rep.ok and (rep.min_slack is None or rep.min_slack >= -GAP_TOL)
         report_hedge = {
             "ok": hedge_ok,
@@ -147,7 +149,6 @@ def run_solve(cfg, path, out, exact):
             # pathwise domination is a martingale-cone statement; the
             # var-bounded value needs variance instruments, checked in primal_lp
             ok = ok and hedge_ok
-    polar = polar_paths(tree, fam, xi)
     report = {
         "schema_version": SCHEMA_VERSION,
         "exact": exact,
@@ -228,7 +229,7 @@ def run_hedge(cfg, path, out, exact):
             "schema_version": SCHEMA_VERSION,
             "X0": "-inf",
             "strategy": {},
-            "verification": {"min_slack": None, "polar_paths": len(tree.paths())},
+            "verification": {"min_slack": None, "polar_paths": len(tree.leaves)},
         })
         print("value is -inf: every path is polar, no hedge")
         return 0

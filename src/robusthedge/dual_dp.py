@@ -24,8 +24,8 @@ from .measure_families import (
     Kernel,
     MeasureError,
     TreeMeasure,
-    chargeable_children,
     in_family,
+    martingale_chargeable_1d,
 )
 
 FEAS_TOL = 1e-12
@@ -117,10 +117,10 @@ def one_step_sup(tree: MarketTree, nid: int, child_values: Mapping, fam: FamilyS
         deltas = {c: tree.spot1(c) - xn for c in tree.children(nid)}
         if exact:
             deltas = {c: simplex.rat(v) for c, v in deltas.items()}
-        candidates = []
+        candidates = []  # (value, support) of the vertex kernels
         for c in fin:
             if deltas[c] == 0:
-                candidates.append((child_values[c], (c,), {c: 1}))
+                candidates.append((child_values[c], (c,)))
         for a in fin:
             if deltas[a] >= 0:
                 continue
@@ -130,16 +130,21 @@ def one_step_sup(tree: MarketTree, nid: int, child_values: Mapping, fam: FamilyS
                 da, db = deltas[a], deltas[b]
                 pa = db / (db - da)
                 pb = -da / (db - da)
-                val = pa * child_values[a] + pb * child_values[b]
-                candidates.append((val, (a, b), {a: pa, b: pb}))
+                candidates.append((pa * child_values[a] + pb * child_values[b], (a, b)))
         if not candidates:
             return _infeasible(d)
-        best_val = max(v for v, _, _ in candidates)
-        value, support, probs = min(
+        best_val = max(v for v, _ in candidates)
+        value, support = min(
             (cand for cand in candidates if cand[0] == best_val),
             key=lambda cand: (len(cand[1]), cand[1]),
         )
-        chargeable = chargeable_children(tree, nid, fam.unrestricted())
+        if len(support) == 1:
+            probs = {support[0]: 1}
+        else:
+            a, b = support
+            da, db = deltas[a], deltas[b]
+            probs = {a: db / (db - da), b: -da / (db - da)}
+        chargeable = martingale_chargeable_1d(deltas)
         h1 = _h_interval_midpoint(deltas, child_values, value, chargeable)
         if not exact:
             value = float(value)

@@ -4,11 +4,19 @@ A tree models the discrete market: each node carries a spot vector, the
 root spot is zero, and every leaf sits at the terminal time N.  Trees are
 non-recombining, so a node id identifies the whole path prefix and any
 path-dependent payoff is a function of the leaf id alone.
+
+Node ids are breadth-first: the root is 0, every parent id is smaller than
+its children's ids, and the children of a node carry consecutive ids.  The
+top-down passes (path-dependent claims, hedge wealth, polar flags) visit
+every parent before its children by walking the ids in increasing order, so
+they take O(N) time without building a root-to-leaf path per leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 NEG_INF = float("-inf")
@@ -18,7 +26,7 @@ class TreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: int
     t: int
@@ -57,15 +65,16 @@ class MarketTree:
     def is_leaf(self, nid: int) -> bool:
         return not self.nodes[nid].children
 
-    @property
+    # cached in the instance __dict__, which a frozen dataclass still has
+    @cached_property
     def depth(self) -> int:
         return max(n.t for n in self.nodes)
 
-    @property
+    @cached_property
     def leaves(self) -> tuple:
         return tuple(n.id for n in self.nodes if not n.children)
 
-    @property
+    @cached_property
     def internal_nodes(self) -> tuple:
         return tuple(n.id for n in self.nodes if n.children)
 
@@ -98,11 +107,11 @@ class MarketTree:
 
     def subtree_nodes(self, nid: int) -> list:
         """All ids weakly below `nid`, breadth-first."""
-        out, queue = [], [nid]
-        while queue:
-            cur = queue.pop(0)
-            out.append(cur)
-            queue.extend(self.nodes[cur].children)
+        out = [nid]
+        i = 0
+        while i < len(out):  # `out` doubles as the queue, read by a cursor
+            out.extend(self.nodes[out[i]].children)
+            i += 1
         return out
 
     def leaves_below(self, nid: int) -> list:
@@ -134,8 +143,12 @@ def build_tree(spec: Mapping) -> MarketTree:
     """Build a tree from a JSON-style spec.
 
     Schema: {"dim": d, "depth": N, "generator": {"kind": "binomial"|"trinomial"
-    |"explicit", ...}}.  The same child offsets are applied at every non-leaf
-    node; node ids are assigned breadth-first so outputs are reproducible.
+    |"explicit", ...}}.  The same k child offsets are applied at every non-leaf
+    node.  Node ids are breadth-first, so outputs are reproducible and the
+    module's id invariant holds: parent id < child id, and the children of
+    node i are the k consecutive ids k*i + 1 .. k*i + k.  One int object per
+    id is shared by the node's `id`, its children's `parent` and its parent's
+    `children`.
     """
     dim = int(spec.get("dim", 1))
     depth = int(spec["depth"])
@@ -149,23 +162,20 @@ def build_tree(spec: Mapping) -> MarketTree:
             if isinstance(v, float) and not (v == v and abs(v) != float("inf")):
                 raise TreeError(f"non-finite spot offset {v}")
 
-    nodes = [dict(id=0, t=0, x=tuple(0 for _ in range(dim)), parent=None, children=[])]
-    frontier = [0]
-    for t in range(1, depth + 1):
-        nxt = []
-        for pid in frontier:
-            px = nodes[pid]["x"]
-            for off in offsets:
-                nid = len(nodes)
-                x = tuple(px[k] + off[k] for k in range(dim))
-                nodes.append(dict(id=nid, t=t, x=x, parent=pid, children=[]))
-                nodes[pid]["children"].append(nid)
-                nxt.append(nid)
-        frontier = nxt
-    frozen = tuple(
-        Node(n["id"], n["t"], n["x"], n["parent"], tuple(n["children"])) for n in nodes
-    )
-    return MarketTree(dim=dim, nodes=frozen, spec=dict(spec))
+    k = len(offsets)
+    n_internal = sum(k**t for t in range(depth))
+    ids = list(range(n_internal + k**depth))
+    nodes = [Node(ids[0], 0, tuple(0 for _ in range(dim)), None, tuple(ids[1 : k + 1]))]
+    for pid in range(n_internal):
+        parent = nodes[pid]
+        t = parent.t + 1
+        for off in offsets:
+            first = k * len(nodes) + 1  # past the last id for a leaf: no children
+            nodes.append(
+                Node(ids[len(nodes)], t, tuple(map(add, parent.x, off)), parent.id,
+                     tuple(ids[first : first + k]))
+            )
+    return MarketTree(dim=dim, nodes=tuple(nodes), spec=dict(spec))
 
 
 def tree_spec(tree: MarketTree) -> dict:

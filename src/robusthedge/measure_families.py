@@ -326,6 +326,18 @@ def truncate_kernels(tree: MarketTree, P: TreeMeasure, tau: Iterable[int], nu: M
 # -- chargeability and polar paths ---------------------------------------
 
 
+def martingale_chargeable_1d(deltas: Mapping) -> set:
+    """Children some d = 1 martingale kernel charges, from the spot steps
+    child -> x_c - x_n: c is chargeable iff its step is 0, or it is negative
+    and some step is positive, or it is positive and some step is negative."""
+    up = max(deltas.values()) > 0
+    down = min(deltas.values()) < 0
+    return {
+        c for c, dc in deltas.items()
+        if dc == 0 or (dc < 0 and up) or (dc > 0 and down)
+    }
+
+
 def chargeable_children(tree: MarketTree, nid: int, fam: FamilySpec) -> set:
     """Children that some family kernel at `nid` charges.
 
@@ -340,14 +352,7 @@ def chargeable_children(tree: MarketTree, nid: int, fam: FamilySpec) -> set:
         return set(children)
     if fam.cls == MARTINGALE and tree.dim == 1:
         xn = tree.spot1(nid)
-        deltas = {c: tree.spot1(c) - xn for c in children}
-        out = set()
-        for c, dc in deltas.items():
-            if dc == 0:
-                out.add(c)
-            elif any(dc * do < 0 for do in deltas.values()):
-                out.add(c)
-        return out
+        return martingale_chargeable_1d({c: tree.spot1(c) - xn for c in children})
     from . import oracle_lp  # local import: oracle_lp depends on this module
 
     out = set()
@@ -357,40 +362,38 @@ def chargeable_children(tree: MarketTree, nid: int, fam: FamilySpec) -> set:
 
 
 def polar_paths(tree: MarketTree, fam: FamilySpec, xi: Optional[Mapping] = None) -> list:
-    """Paths charged by no family measure.
+    """Paths charged by no family measure, sorted by leaf.
 
-    Chargeability factorizes over steps for node-local families; the claim
-    filter is applied last: with the restriction active, a surviving path is
-    kept only if some family measure charges its leaf while avoiding every
-    -inf leaf (a per-leaf feasibility LP, exact).
+    Chargeability factorizes over steps for node-local families, so a "dead"
+    flag (some edge above is not chargeable) is propagated top-down in id
+    order.  The claim filter is applied last: with the restriction active, a
+    surviving leaf is kept only if some family measure charges it while
+    avoiding every -inf leaf (a per-leaf feasibility LP, exact).
     """
     if xi is None:
         xi = fam.claim
-    charge = {n: chargeable_children(tree, n, fam) for n in tree.internal_nodes}
+    dead = bytearray(len(tree.nodes))
+    for n in tree.internal_nodes:
+        charge = () if dead[n] else chargeable_children(tree, n, fam)
+        for c in tree.children(n):
+            dead[c] = c not in charge
     polar, alive = [], []
-    for path in tree.paths():
-        dead = any(
-            path[i + 1] not in charge[path[i]] for i in range(len(path) - 1)
-        )
-        if dead:
-            polar.append(path)
-        elif xi is not None and xi.get(path[-1]) == NEG_INF:
-            polar.append(path)
+    for leaf in tree.leaves:
+        if dead[leaf] or (xi is not None and xi.get(leaf) == NEG_INF):
+            polar.append(leaf)
         else:
-            alive.append(path)
+            alive.append(leaf)
     if xi is not None and fam.claim is not None and any(
         v == NEG_INF for v in xi.values()
     ):
         from . import oracle_lp
 
-        still_alive = []
-        for path in alive:
-            if oracle_lp.leaf_chargeable(tree, fam.with_claim(xi), path[-1]):
-                still_alive.append(path)
-            else:
-                polar.append(path)
-        alive = still_alive
-    return sorted(polar, key=lambda p: p[-1])
+        restricted = fam.with_claim(xi)
+        polar += [
+            leaf for leaf in alive
+            if not oracle_lp.leaf_chargeable(tree, restricted, leaf)
+        ]
+    return [tree.path_to(leaf) for leaf in sorted(polar)]
 
 
 # -- serialization -------------------------------------------------------

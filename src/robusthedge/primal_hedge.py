@@ -15,13 +15,10 @@ from . import simplex
 from .market_tree import NEG_INF, MarketTree
 from .measure_families import (
     ALL,
-    MARTINGALE,
     VAR_BOUNDED,
     FamilySpec,
     MeasureError,
     TreeMeasure,
-    chargeable_children,
-    in_family,
     polar_paths,
 )
 
@@ -86,25 +83,36 @@ def wealth(tree: MarketTree, X0, H: Strategy, path: Sequence[int]):
 def verify_superhedge(tree: MarketTree, X0, H: Strategy, xi: Mapping, fam: FamilySpec, tol: float = HEDGE_TOL) -> HedgeReport:
     """Wealth >= claim on every non-polar path (the quasi-sure inequality).
 
-    Polar paths are excluded from the check and listed in the report.
+    Polar paths are excluded from the check and listed in the report.  The
+    wealth is accumulated top-down in id order (parents first), with the
+    same additions as `wealth` along each root-to-leaf path.
     """
     polar = polar_paths(tree, fam, xi)
     polar_leaves = {p[-1] for p in polar}
+    W = [None] * len(tree.nodes)
+    W[tree.root] = X0
+    for n in tree.internal_nodes:
+        hn, xn, wn = H.h[n], tree.spot(n), W[n]
+        for c in tree.children(n):
+            xc = tree.spot(c)
+            w = wn
+            for k in range(tree.dim):
+                w += hn[k] * (xc[k] - xn[k])
+            W[c] = w
     slacks, violations = {}, []
     min_slack = None
-    for path in tree.paths():
-        leaf = path[-1]
+    for leaf in tree.leaves:
         if leaf in polar_leaves:
             continue
         if xi[leaf] == NEG_INF:
             # non-polar -inf leaf: dominated trivially, not a constraint
             continue
-        s = wealth(tree, X0, H, path) - xi[leaf]
+        s = W[leaf] - xi[leaf]
         slacks[leaf] = s
         if min_slack is None or s < min_slack:
             min_slack = s
         if s < -tol:
-            violations.append(path)
+            violations.append(tree.path_to(leaf))
     return HedgeReport(
         ok=not violations,
         min_slack=min_slack,

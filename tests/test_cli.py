@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
+from jsonschema import Draft202012Validator
+from referencing import Registry, Resource
 
 from robusthedge.cli import main
+
+SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -143,3 +148,61 @@ def test_malformed_config_is_reported(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--config", str(path), "--out", str(tmp_path)])
     assert "line" in str(exc.value)
+
+
+# -- reports against docs/schemas ------------------------------------------
+
+
+def schema_validator(schema_id):
+    """Validator for one schema, every schema registered by its $id (the
+    config schema refers to the tree, claim and family schemas)."""
+    schemas = [json.loads(p.read_text()) for p in sorted(SCHEMA_DIR.glob("*.schema.json"))]
+    for schema in schemas:
+        Draft202012Validator.check_schema(schema)
+    registry = Registry().with_resources(
+        (schema["$id"], Resource.from_contents(schema)) for schema in schemas
+    )
+    by_id = {schema["$id"]: schema for schema in schemas}
+    return Draft202012Validator(by_id[schema_id], registry=registry)
+
+
+NEG_INF_CONFIG = {
+    "tree": {"dim": 1, "depth": 1, "generator": {"kind": "trinomial"}},
+    "claim": {"kind": "table", "values": {"1": "-inf", "2": "-inf", "3": 1}},
+    "family": {"class": "martingale", "claim_restricted": True},
+}
+
+
+def test_config_matches_schema():
+    config = schema_validator("robusthedge/config/v1")
+    config.validate(BASE_CONFIG)
+    config.validate(NEG_INF_CONFIG)
+    bad = dict(BASE_CONFIG, tree={"dim": 1, "depth": 0, "generator": {"kind": "binomial"}})
+    assert not config.is_valid(bad)  # the tree reference is followed
+    assert not config.is_valid(dict(BASE_CONFIG, claim={"kind": "put"}))
+
+
+@pytest.mark.parametrize("doc", [BASE_CONFIG, NEG_INF_CONFIG], ids=["finite", "neg-inf"])
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_solve_and_hedge_reports_match_schema(tmp_path, doc, exact):
+    cfg = write_config(tmp_path, doc)
+    flags = ["--exact"] if exact else []
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)] + flags) == 0
+    assert main(["hedge", "--config", str(cfg), "--out", str(tmp_path)] + flags) == 0
+    schema_validator("robusthedge/solve-report/v1").validate(
+        json.loads((tmp_path / "solve_report.json").read_text())
+    )
+    hedge = json.loads((tmp_path / "hedge.json").read_text())
+    schema_validator("robusthedge/hedge-report/v1").validate(hedge)
+    if doc is NEG_INF_CONFIG:
+        assert hedge["X0"] == "-inf" and hedge["verification"]["polar_paths"] == 3
+
+
+def test_proptest_report_matches_schema(tmp_path):
+    counts = {"closure": 1, "truncation": 1, "tower": 1, "supermartingale": 2,
+              "ess_sup": 1, "upward": 1, "envelope": 2}
+    cfg = write_config(tmp_path, {"seed": 5, "suites": counts})
+    assert main(["proptest", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    schema_validator("robusthedge/proptest-report/v1").validate(
+        json.loads((tmp_path / "proptest.json").read_text())
+    )

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -54,6 +56,42 @@ def test_build_tree_rejects_bad_specs():
                 "generator": {"kind": "explicit", "offsets": [float("nan"), 1.0]},
             }
         )
+
+
+# (spec, children per internal node)
+INVARIANT_SPECS = (
+    ({"dim": 1, "depth": 3, "generator": {"kind": "binomial"}}, 2),
+    ({"dim": 1, "depth": 4, "generator": {"kind": "trinomial", "step": 0.5}}, 3),
+    ({"dim": 1, "depth": 3, "generator": {"kind": "explicit", "offsets": [1]}}, 1),
+    ({"dim": 2, "depth": 2, "generator": {"kind": "explicit", "offsets": [[1, 0], [-1, 0], [0, 1], [0, -1]]}}, 4),
+)
+
+
+@pytest.mark.parametrize("spec,k", INVARIANT_SPECS)
+def test_build_tree_id_invariant(spec, k):
+    """Breadth-first ids: children consecutive and after their parent."""
+    tree = build_tree(spec)
+    assert len(tree.nodes) == sum(k**t for t in range(spec["depth"] + 1))
+    for node in tree.nodes:
+        assert tree.node(node.id) is node
+        kids = node.children
+        if not kids:
+            assert node.t == spec["depth"]
+            continue
+        assert list(kids) == list(range(kids[0], kids[0] + k))
+        assert kids[0] > node.id
+        assert all(tree.parent(c) == node.id and tree.node(c).t == node.t + 1 for c in kids)
+    assert tree.subtree_nodes(tree.root) == list(range(len(tree.nodes)))
+
+
+@pytest.mark.parametrize("spec,k", INVARIANT_SPECS)
+def test_tree_pickle_round_trip(spec, k):
+    tree = build_tree(spec)
+    cached = (tree.leaves, tree.internal_nodes, tree.depth)
+    clone = pickle.loads(pickle.dumps(tree))
+    assert clone == tree and clone.spec == tree.spec
+    assert (clone.leaves, clone.internal_nodes, clone.depth) == cached
+    assert pickle.loads(pickle.dumps(build_tree(spec))) == tree  # before caching
 
 
 def test_spec_round_trip(trinomial2):

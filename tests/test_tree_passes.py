@@ -1,0 +1,220 @@
+"""The linear-time tree passes against the per-path definitions they replace.
+
+Each oracle below walks one root-to-leaf path per leaf (or pops a BFS queue
+from the front), as the package did before its passes became top-down over
+the breadth-first ids.  The passes must reproduce them exactly: `==` on
+floats and on rationals, not a tolerance.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from robusthedge.claims import NAMED_KINDS, make_claim
+from robusthedge.dual_dp import backward_value
+from robusthedge.market_tree import NEG_INF, build_tree
+from robusthedge.measure_families import (
+    ALL,
+    MARTINGALE,
+    VAR_BOUNDED,
+    FamilySpec,
+    chargeable_children,
+    polar_paths,
+)
+from robusthedge.primal_hedge import Strategy, extract_strategy, verify_superhedge, wealth
+from robusthedge.random_instances import random_claim, random_tree
+from robusthedge.simplex import rat
+
+from conftest import seeded
+
+# -- per-path oracles -------------------------------------------------------
+
+
+def naive_subtree(tree, nid):
+    out, queue = [], [nid]
+    while queue:
+        cur = queue.pop(0)
+        out.append(cur)
+        queue.extend(tree.children(cur))
+    return out
+
+
+def naive_chargeable(tree, nid, fam):
+    if fam.cls == MARTINGALE and tree.dim == 1:
+        xn = tree.spot1(nid)
+        deltas = {c: tree.spot1(c) - xn for c in tree.children(nid)}
+        return {
+            c for c, dc in deltas.items()
+            if dc == 0 or any(dc * do < 0 for do in deltas.values())
+        }
+    return chargeable_children(tree, nid, fam)
+
+
+def naive_polar_paths(tree, fam, xi=None):
+    from robusthedge import oracle_lp
+
+    if xi is None:
+        xi = fam.claim
+    charge = {n: naive_chargeable(tree, n, fam) for n in tree.internal_nodes}
+    polar, alive = [], []
+    for path in tree.paths():
+        if any(path[i + 1] not in charge[path[i]] for i in range(len(path) - 1)):
+            polar.append(path)
+        elif xi is not None and xi.get(path[-1]) == NEG_INF:
+            polar.append(path)
+        else:
+            alive.append(path)
+    if xi is not None and fam.claim is not None and NEG_INF in xi.values():
+        for path in alive:
+            if not oracle_lp.leaf_chargeable(tree, fam.with_claim(xi), path[-1]):
+                polar.append(path)
+    return sorted(polar, key=lambda p: p[-1])
+
+
+def _pos(v):
+    return v if v > 0 else 0 * v
+
+
+def naive_claim(tree, kind, strike, exact):
+    """Named payoff from the root-to-leaf spot list.  The asian sum is a
+    left fold from 0, which is what sum() does on Python 3.11."""
+    k = rat(strike) if exact else float(strike)
+    conv = rat if exact else float
+    out = {}
+    for leaf in tree.leaves:
+        spots = [conv(tree.spot(n)[0]) for n in tree.path_to(leaf)]
+        terminal = spots[-1]
+        if kind == "call":
+            out[leaf] = _pos(terminal - k)
+        elif kind == "abs":
+            out[leaf] = abs(terminal)
+        elif kind == "lookback":
+            out[leaf] = _pos(max(spots) - k)
+        elif kind == "asian":
+            total = 0
+            for s in spots:
+                total = total + s
+            out[leaf] = _pos(total / len(spots) - k)
+        elif kind == "digital":
+            one = rat(1) if exact else 1.0
+            out[leaf] = one if terminal >= k else 0 * one
+        elif kind == "linear":
+            out[leaf] = terminal
+    return out
+
+
+# -- instances --------------------------------------------------------------
+
+# every step moves both coordinates, so wealth sums two nonzero terms per
+# edge; (2, -1) is charged by no martingale kernel
+D2_TREE = {"dim": 2, "depth": 2, "generator": {"kind": "explicit", "offsets": [[1, 1], [-1, -1], [2, -1], [-0.5, -0.5]]}}
+# d = 1 trees whose martingale family leaves some or all children uncharged
+ONE_SIDED_TREES = (
+    {"dim": 1, "depth": 3, "generator": {"kind": "explicit", "offsets": [0, 1, 2]}},
+    {"dim": 1, "depth": 2, "generator": {"kind": "explicit", "offsets": [1, 2]}},
+)
+
+
+def instances():
+    """(label, tree, claim, family) covering random trees, a d = 2 tree,
+    one-sided trees, -inf table claims and claim-restricted families."""
+    out = []
+    for i in range(12):
+        rng = seeded(700 + i)
+        tree = random_tree(rng, max_depth=3, max_branch=4)
+        exact = i % 2 == 0
+        xi = random_claim(tree, rng, exact=exact)
+        if i % 3 == 0:
+            for leaf in rng.sample(tree.leaves, max(1, len(tree.leaves) // 4)):
+                xi[leaf] = NEG_INF
+        for fam in (FamilySpec(cls=MARTINGALE), FamilySpec(cls=ALL)):
+            out.append((f"random{i}-{fam.cls}", tree, xi, fam))
+            out.append((f"random{i}-{fam.cls}-restricted", tree, xi, fam.with_claim(xi)))
+    d2 = build_tree(D2_TREE)
+    xi = make_claim(d2, {"kind": "call", "strike": 0.5})
+    xi[d2.leaves[3]] = NEG_INF
+    out.append(("d2", d2, xi, FamilySpec(cls=MARTINGALE)))
+    out.append(("d2-restricted", d2, xi, FamilySpec(cls=MARTINGALE).with_claim(xi)))
+    for j, spec in enumerate(ONE_SIDED_TREES):
+        tree = build_tree(spec)
+        xi = make_claim(tree, {"kind": "lookback", "strike": 1}, exact=True)
+        out.append((f"one-sided{j}", tree, xi, FamilySpec(cls=MARTINGALE)))
+    tree = build_tree({"dim": 1, "depth": 2, "generator": {"kind": "trinomial"}})
+    xi = make_claim(tree, {"kind": "abs"}, exact=True)
+    fam = FamilySpec(cls=VAR_BOUNDED, var_lo=Fraction(1, 5), var_hi=Fraction(3, 5))
+    out.append(("var-bounded", tree, xi, fam))
+    return out
+
+
+INSTANCES = instances()
+IDS = [label for label, *_ in INSTANCES]
+
+
+def strategies(tree, rng):
+    """A float and a rational hedge with nonzero entries at every node."""
+    return (
+        Strategy(h={n: tuple(rng.uniform(-2, 2) for _ in range(tree.dim)) for n in tree.internal_nodes}),
+        Strategy(h={n: tuple(Fraction(rng.randint(-9, 9), 4) for _ in range(tree.dim)) for n in tree.internal_nodes}),
+    )
+
+
+# -- tests ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("label,tree,xi,fam", INSTANCES, ids=IDS)
+def test_polar_paths_match_per_path_definition(label, tree, xi, fam):
+    assert polar_paths(tree, fam, xi) == naive_polar_paths(tree, fam, xi)
+    assert polar_paths(tree, fam) == naive_polar_paths(tree, fam)
+
+
+@pytest.mark.parametrize("label,tree,xi,fam", INSTANCES, ids=IDS)
+def test_chargeable_children_match_pairwise_rule(label, tree, xi, fam):
+    for n in tree.internal_nodes:
+        assert chargeable_children(tree, n, fam) == naive_chargeable(tree, n, fam)
+
+
+@pytest.mark.parametrize("label,tree,xi,fam", INSTANCES, ids=IDS)
+def test_verify_slacks_equal_pathwise_wealth(label, tree, xi, fam):
+    rng = random.Random(label)
+    hedges = list(strategies(tree, rng))
+    Y = backward_value(tree, xi, fam)
+    if Y[tree.root] != NEG_INF and fam.cls != VAR_BOUNDED:
+        hedges.append(extract_strategy(tree, Y, fam))
+    X0s = (Fraction(3, 2), 0.25)
+    polar = naive_polar_paths(tree, fam, xi)
+    polar_leaves = {p[-1] for p in polar}
+    for H in hedges:
+        for X0 in X0s:
+            rep = verify_superhedge(tree, X0, H, xi, fam)
+            assert rep.polar == polar
+            expected = {
+                p[-1]: wealth(tree, X0, H, p) - xi[p[-1]]
+                for p in tree.paths()
+                if p[-1] not in polar_leaves and xi[p[-1]] != NEG_INF
+            }
+            assert repr(rep.slacks) == repr(expected)  # bitwise, in leaf order
+            assert rep.min_slack == (min(expected.values()) if expected else None)
+            assert rep.violations == [
+                p for p in tree.paths() if p[-1] in expected and expected[p[-1]] < -1e-9
+            ]
+            assert rep.ok == (not rep.violations)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("kind", NAMED_KINDS)
+def test_make_claim_matches_per_path_formula(kind, exact):
+    trees = [random_tree(seeded(900 + i), max_depth=4, max_branch=3) for i in range(6)]
+    trees += [build_tree(D2_TREE), build_tree(ONE_SIDED_TREES[0])]
+    trees.append(build_tree({"dim": 1, "depth": 3, "generator": {"kind": "explicit", "offsets": [-0.3, 0.1, 0.7]}}))
+    for tree in trees:
+        for strike in (-1.5, 0, 0.5, 2):
+            got = make_claim(tree, {"kind": kind, "strike": strike}, exact=exact)
+            want = naive_claim(tree, kind, strike, exact)
+            assert repr(got) == repr(want)  # values bitwise, types and leaf order
+
+
+@pytest.mark.parametrize("label,tree,xi,fam", INSTANCES[::4], ids=IDS[::4])
+def test_subtree_nodes_match_naive_bfs(label, tree, xi, fam):
+    for n in range(len(tree.nodes)):
+        assert tree.subtree_nodes(n) == naive_subtree(tree, n)
