@@ -77,13 +77,3 @@ def make_claim(tree: MarketTree, spec: Mapping, exact: bool = False) -> dict:
         elif kind == "linear":
             out[leaf] = terminal
     return out
-
-
-def claim_to_doc(xi: Mapping) -> dict:
-    return {
-        "kind": "table",
-        "values": {
-            str(leaf): ("-inf" if v == NEG_INF else float(v))
-            for leaf, v in sorted(xi.items())
-        },
-    }

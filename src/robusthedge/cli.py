@@ -12,10 +12,10 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 from .claims import make_claim
@@ -25,22 +25,11 @@ from .market_tree import NEG_INF, build_tree
 from .measure_families import family_from_doc, polar_paths
 from .oracle_lp import OracleScaleError, global_sup_lp
 from .primal_hedge import extract_strategy, primal_lp, verify_superhedge
-from .random_instances import random_claim, random_family, random_tree
 from . import suites as suites_mod
 
 SCHEMA_VERSION = 1
 GAP_TOL = 1e-9
 DEFAULT_SEED = 0
-
-
-def _worker_count(requested):
-    cap = os.environ.get("ROBUSTHEDGE_THREADS")
-    cap = int(cap) if cap else None
-    if requested is None:
-        requested = cap or 1
-    if cap is not None:
-        requested = min(requested, cap)
-    return max(1, requested)
 
 
 def _load_config(path):
@@ -174,43 +163,32 @@ def run_solve(cfg, path, out, exact):
 # -- oracle --------------------------------------------------------------
 
 
-def _oracle_instance(args):
-    idx, seed, exact = args
-    import random
-
-    rng = random.Random(seed)
-    tree = random_tree(rng)
-    xi = random_claim(tree, rng, exact=exact)
-    fam = random_family(tree, rng, exact=exact)
-    Y = backward_value(tree, xi, fam)
-    dp = Y[tree.root]
-    lp, _ = global_sup_lp(tree, xi, fam, exact=exact)
-    if dp == NEG_INF or lp == NEG_INF:
-        gap = 0.0 if dp == lp else float("inf")
-        return idx, seed, "-inf" if dp == NEG_INF else repr(float(dp)), \
-            "-inf" if lp == NEG_INF else repr(float(lp)), repr(gap)
-    gap = float(abs(dp - lp))
-    return idx, seed, repr(float(dp)), repr(float(lp)), repr(gap)
+def _oracle_value(v):
+    return "-inf" if v == NEG_INF else repr(float(v))
 
 
 def run_oracle(cfg, out, exact, seed, threads):
     n = int(cfg.get("instances", 100))
     seed = seed if seed is not None else int(cfg.get("seed", DEFAULT_SEED))
-    tasks = [(i, seed + i, exact) for i in range(n)]
+    seeds = range(seed, seed + n)
     t0 = time.perf_counter()
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_oracle_instance, tasks, chunksize=4))
+            results = list(pool.map(suites_mod.duality_instance, seeds, repeat(exact), chunksize=4))
     else:
-        rows = [_oracle_instance(t) for t in tasks]
-    rows.sort(key=lambda r: r[0])  # merge deterministically by instance index
+        results = [suites_mod.duality_instance(s, exact) for s in seeds]
     worst = 0.0
     with open(out / "oracle.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["seed", "dp_value", "lp_value", "gap"])
-        for _idx, s, dp, lp, gap in rows:
-            w.writerow([s, dp, lp, gap])
-            worst = max(worst, float(gap))
+        for s, (tree, _xi, _fam, Y, lp) in zip(seeds, results):
+            dp = Y[tree.root]
+            if dp == NEG_INF or lp == NEG_INF:
+                gap = 0.0 if dp == lp else float("inf")
+            else:
+                gap = float(abs(dp - lp))
+            w.writerow([s, _oracle_value(dp), _oracle_value(lp), repr(gap)])
+            worst = max(worst, gap)
     _write_timings(out, {"oracle_suite": time.perf_counter() - t0, "instances": n})
     ok = worst <= (0.0 if exact else GAP_TOL)
     print(f"oracle: {n} instances, worst gap {worst!r}, ok={ok}")
@@ -323,19 +301,33 @@ def run_proptest(cfg, out, seed):
 # -- entry point ---------------------------------------------------------
 
 
+# the flags each subcommand reads
+COMMAND_FLAGS = {
+    "solve": ("--config", "--exact", "--out"),
+    "oracle": ("--config", "--exact", "--seed", "--threads", "--out"),
+    "hedge": ("--config", "--exact", "--out"),
+    "counterexample": ("--config", "--out"),
+    "proptest": ("--config", "--seed", "--out"),
+}
+FLAG_OPTIONS = {
+    "--config": {"type": Path, "help": "experiment config (JSON)"},
+    "--exact": {"action": "store_true", "help": "rational arithmetic"},
+    "--seed": {"type": int, "default": None},
+    "--threads": {"type": int, "default": 1, "help": "worker processes"},
+    "--out": {"type": Path, "default": Path("out")},
+}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="robusthedge",
         description="Robust superhedging on finite scenario trees",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "oracle", "hedge", "counterexample", "proptest"):
+    for name, flags in COMMAND_FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, help="experiment config (JSON)")
-        p.add_argument("--exact", action="store_true", help="rational arithmetic")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=Path, default=Path("out"))
-        p.add_argument("--threads", type=int, default=None)
+        for flag in flags:
+            p.add_argument(flag, **FLAG_OPTIONS[flag])
     args = parser.parse_args(argv)
 
     cfg = _load_config(args.config) if args.config else {}
@@ -343,12 +335,11 @@ def main(argv=None):
         raise SystemExit(f"{args.command} requires --config")
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    threads = _worker_count(args.threads)
 
     if args.command == "solve":
         return run_solve(cfg, args.config, out, args.exact)
     if args.command == "oracle":
-        return run_oracle(cfg, out, args.exact, args.seed, threads)
+        return run_oracle(cfg, out, args.exact, args.seed, max(1, args.threads))
     if args.command == "hedge":
         return run_hedge(cfg, args.config, out, args.exact)
     if args.command == "counterexample":

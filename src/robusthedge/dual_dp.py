@@ -19,29 +19,26 @@ from .market_tree import NEG_INF, MarketTree
 from .measure_families import (
     ALL,
     MARTINGALE,
-    VAR_BOUNDED,
     FamilySpec,
     Kernel,
     MeasureError,
     TreeMeasure,
     in_family,
     martingale_chargeable_1d,
+    one_step_rows,
 )
 
-FEAS_TOL = 1e-12
 OPT_TOL = 1e-10
 PROP_TOL = 1e-9
 
 
 @dataclass
 class OneStepSolution:
-    """Value, optimizing kernel, and the dual certificate of one node solve."""
+    """Value, optimizing kernel, and the hedge multiplier of one node solve."""
 
     value: object
     kernel: Optional[Kernel]
     h: tuple
-    slack: dict
-    var_duals: Optional[tuple] = None
 
 
 def _is_exact(values) -> bool:
@@ -49,12 +46,13 @@ def _is_exact(values) -> bool:
 
 
 def _finite_children(tree, nid, child_values):
-    fin, dead = [], []
+    fin = []
     for c in tree.children(nid):
         if c not in child_values:
             raise MeasureError(f"missing child value for node {c}")
-        (dead if child_values[c] == NEG_INF else fin).append(c)
-    return fin, dead
+        if child_values[c] != NEG_INF:
+            fin.append(c)
+    return fin
 
 
 def _as_mode(x, exact):
@@ -64,7 +62,7 @@ def _as_mode(x, exact):
 
 
 def _infeasible(d):
-    return OneStepSolution(NEG_INF, None, tuple([0.0] * d), {})
+    return OneStepSolution(NEG_INF, None, tuple([0.0] * d))
 
 
 def _h_interval_midpoint(deltas, values, value, chargeable):
@@ -89,15 +87,15 @@ def _h_interval_midpoint(deltas, values, value, chargeable):
     return 0
 
 
-def one_step_sup(tree: MarketTree, nid: int, child_values: Mapping, fam: FamilySpec, tol: float = FEAS_TOL) -> OneStepSolution:
+def one_step_sup(tree: MarketTree, nid: int, child_values: Mapping, fam: FamilySpec) -> OneStepSolution:
     """Maximize the expected child value over family kernels at `nid`.
 
     Mass is forced to zero on -inf children.  The returned h is a dual
     multiplier: value + h.(x_c - x_n) >= V_c at every chargeable child
-    (plus variance-dual terms for VAR_BOUNDED, reported in var_duals).
+    (plus variance-dual terms for VAR_BOUNDED).
     """
     d = tree.dim
-    fin, _dead = _finite_children(tree, nid, child_values)
+    fin = _finite_children(tree, nid, child_values)
     exact = _is_exact([child_values[c] for c in fin]) and _is_exact(
         [v for c in fin for v in tree.spot(c)]
     )
@@ -109,8 +107,7 @@ def one_step_sup(tree: MarketTree, nid: int, child_values: Mapping, fam: FamilyS
         value = child_values[best]
         h = tuple([0] * d) if exact else tuple([0.0] * d)
         kernel = Kernel(nid, {best: 1 if exact else 1.0})
-        slack = {c: value - child_values[c] for c in fin}
-        return OneStepSolution(_as_mode(value, exact), kernel, h, slack)
+        return OneStepSolution(_as_mode(value, exact), kernel, h)
 
     if fam.cls == MARTINGALE and d == 1:
         xn = tree.spot1(nid)
@@ -150,35 +147,16 @@ def one_step_sup(tree: MarketTree, nid: int, child_values: Mapping, fam: FamilyS
             value = float(value)
             h1 = float(h1)
             probs = {c: float(p) for c, p in probs.items()}
-        slack = {
-            c: value + h1 * deltas[c] - child_values[c]
-            for c in fin
-        }
-        return OneStepSolution(value, Kernel(nid, probs), (h1,), slack)
+        return OneStepSolution(value, Kernel(nid, probs), (h1,))
 
     return _one_step_lp(tree, nid, child_values, fam, fin, exact)
 
 
 def _one_step_lp(tree, nid, child_values, fam, fin, exact):
     d = tree.dim
-    xn = tree.spot(nid)
-    deltas = {c: tuple(tree.spot(c)[k] - xn[k] for k in range(d)) for c in fin}
     c_obj = [simplex.rat(child_values[c]) for c in fin]
-    A_eq = [[1] * len(fin)]
-    b_eq = [1]
-    for k in range(d):
-        A_eq.append([deltas[c][k] for c in fin])
-        b_eq.append(0)
-    A_ub, b_ub = [], []
-    if fam.cls == VAR_BOUNDED:
-        if d != 1:
-            raise MeasureError("VAR_BOUNDED is implemented for d = 1 only")
-        g = [deltas[c][0] ** 2 for c in fin]
-        A_ub.append(g)
-        b_ub.append(fam.var_hi)
-        A_ub.append([-v for v in g])
-        b_ub.append(-fam.var_lo)
-    res = simplex.solve_lp(c_obj, A_eq, b_eq, A_ub or None, b_ub or None)
+    A_eq, b_eq, A_ub, b_ub = one_step_rows(tree, nid, fin, fam)
+    res = simplex.solve(c_obj, A_eq, b_eq, A_ub, b_ub, exact=True)
     if res.status == "infeasible":
         return _infeasible(d)
     if res.status != "optimal":  # pragma: no cover
@@ -186,23 +164,11 @@ def _one_step_lp(tree, nid, child_values, fam, fin, exact):
     value = res.value
     probs = {c: p for c, p in zip(fin, res.x) if p > 0}
     h = tuple(res.y_eq[1 + k] for k in range(d))
-    var_duals = tuple(res.y_ub) if A_ub else None
     if not exact:
         value = float(value)
         probs = {c: float(p) for c, p in probs.items()}
         h = tuple(float(v) for v in h)
-        if var_duals:
-            var_duals = tuple(float(v) for v in var_duals)
-    slack = {}
-    for c in fin:
-        s = value - child_values[c]
-        for k in range(d):
-            s += h[k] * deltas[c][k]
-        if var_duals:
-            s += (var_duals[0] - var_duals[1]) * deltas[c][0] ** 2
-            s -= var_duals[0] * fam.var_hi - var_duals[1] * fam.var_lo
-        slack[c] = s
-    return OneStepSolution(value, Kernel(nid, probs), h, slack, var_duals)
+    return OneStepSolution(value, Kernel(nid, probs), h)
 
 
 def backward_solve(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: Optional[int] = None) -> tuple:
@@ -302,20 +268,3 @@ def check_tower(tree: MarketTree, xi: Mapping, fam: FamilySpec, sigma, tau, tol:
         elif abs(lhs - rhs) > tol:
             return False
     return True
-
-
-def eps_optimal_selection(tree: MarketTree, Y: Mapping, fam: FamilySpec, eps=0) -> dict:
-    """Per-node kernels achieving at least Y(n) - eps (exact optimum here).
-
-    Nodes with Y = -inf are absent: no kernel can be selected there.
-    """
-    if eps < 0:
-        raise MeasureError("eps must be >= 0")
-    out = {}
-    for nid in tree.internal_nodes:
-        if Y[nid] == NEG_INF:
-            continue
-        sol = one_step_sup(tree, nid, {c: Y[c] for c in tree.children(nid)}, fam)
-        if sol.kernel is not None:
-            out[nid] = sol.kernel
-    return out

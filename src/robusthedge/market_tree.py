@@ -7,14 +7,15 @@ path-dependent payoff is a function of the leaf id alone.
 
 Node ids are breadth-first: the root is 0, every parent id is smaller than
 its children's ids, and the children of a node carry consecutive ids.  The
-top-down passes (path-dependent claims, hedge wealth, polar flags) visit
-every parent before its children by walking the ids in increasing order, so
-they take O(N) time without building a root-to-leaf path per leaf.
+top-down passes (path-dependent claims, hedge wealth, polar flags,
+stopping-time checks) visit every parent before its children by walking the
+ids in increasing order, so they take O(N) time without building a
+root-to-leaf path per leaf.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
@@ -42,7 +43,6 @@ class MarketTree:
     dim: int
     nodes: tuple
     root: int = 0
-    spec: Optional[dict] = field(default=None, compare=False)
 
     # -- basic accessors -------------------------------------------------
 
@@ -175,14 +175,7 @@ def build_tree(spec: Mapping) -> MarketTree:
                 Node(ids[len(nodes)], t, tuple(map(add, parent.x, off)), parent.id,
                      tuple(ids[first : first + k]))
             )
-    return MarketTree(dim=dim, nodes=tuple(nodes), spec=dict(spec))
-
-
-def tree_spec(tree: MarketTree) -> dict:
-    """Round-trip companion of build_tree."""
-    if tree.spec is None:
-        raise TreeError("tree was not built from a spec document")
-    return dict(tree.spec)
+    return MarketTree(dim=dim, nodes=tuple(nodes))
 
 
 def concat_path(tree: MarketTree, prefix: Sequence[int], suffix: Sequence[int]) -> list:
@@ -213,29 +206,49 @@ def validate_stopping_time(tree: MarketTree, members: Iterable[int]) -> tuple:
     """Check the antichain / exactly-one-hit-per-path property.
 
     Returns (ok, report); report is None when ok, otherwise a short string
-    naming the first violation.
+    naming the first violation: an unknown id; else the ancestor pair (a, b)
+    smallest in (a, b) order; else the first leaf whose path does not meet
+    the set exactly once.  Two O(N) passes over the breadth-first ids.
     """
     S = set(members)
     for nid in S:
         if not (0 <= nid < len(tree.nodes)):
             return False, f"unknown node id {nid}"
+    n_nodes = len(tree.nodes)
+    # smallest member strictly below each node (n_nodes when there is none)
+    below = [n_nodes] * n_nodes
+    for n in reversed(tree.internal_nodes):
+        m = n_nodes
+        for c in tree.children(n):
+            m = min(m, below[c], c if c in S else n_nodes)
+        below[n] = m
     for a in sorted(S):
-        for b in sorted(S):
-            if a != b and tree.is_ancestor(a, b):
-                return False, f"{a} is an ancestor of {b}"
-    for path in tree.paths():
-        hits = [n for n in path if n in S]
-        if len(hits) != 1:
-            return False, f"path to leaf {path[-1]} meets the set {len(hits)} times"
+        if below[a] < n_nodes:
+            return False, f"{a} is an ancestor of {below[a]}"
+    # members met on the path from the root, parents first
+    hits = [0] * n_nodes
+    for node in tree.nodes:
+        up = 0 if node.parent is None else hits[node.parent]
+        hits[node.id] = up + (node.id in S)
+    for leaf in tree.leaves:
+        if hits[leaf] != 1:
+            return False, f"path to leaf {leaf} meets the set {hits[leaf]} times"
     return True, None
 
 
 def stopping_time_below(tree: MarketTree, sigma: Iterable[int], tau: Iterable[int]) -> bool:
-    """True iff every path meets sigma at or before tau."""
+    """True iff every path meets sigma at or before tau.  One top-down pass:
+    a node is marked once a path down to it has met tau strictly before
+    sigma."""
     sig, ta = set(sigma), set(tau)
-    for path in tree.paths():
-        i_s = next(i for i, n in enumerate(path) if n in sig)
-        i_t = next(i for i, n in enumerate(path) if n in ta)
-        if i_s > i_t:
-            return False
-    return True
+    met_sigma = bytearray(len(tree.nodes))
+    late = bytearray(len(tree.nodes))
+    for node in tree.nodes:
+        p = node.parent
+        if p is not None and (met_sigma[p] or late[p]):
+            met_sigma[node.id], late[node.id] = met_sigma[p], late[p]
+        elif node.id in sig:
+            met_sigma[node.id] = 1
+        elif node.id in ta:
+            late[node.id] = 1
+    return not any(late[leaf] for leaf in tree.leaves)

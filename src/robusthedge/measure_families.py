@@ -323,6 +323,34 @@ def truncate_kernels(tree: MarketTree, P: TreeMeasure, tau: Iterable[int], nu: M
     return nu_n, E_n
 
 
+# -- the one-step kernel polytope ----------------------------------------
+
+
+def one_step_rows(tree: MarketTree, nid: int, children, fam: FamilySpec) -> tuple:
+    """(A_eq, b_eq, A_ub, b_ub) of the family's kernels at `nid` restricted to
+    `children`, over their probabilities in the given order: total mass 1,
+    zero mean step for the martingale classes, and the conditional variance
+    in [var_lo, var_hi] for VAR_BOUNDED.  The claim filter is not applied."""
+    d = tree.dim
+    xn = tree.spot(nid)
+    A_eq = [[1] * len(children)]
+    b_eq = [1]
+    if fam.cls in (MARTINGALE, VAR_BOUNDED):
+        for k in range(d):
+            A_eq.append([tree.spot(c)[k] - xn[k] for c in children])
+            b_eq.append(0)
+    A_ub, b_ub = [], []
+    if fam.cls == VAR_BOUNDED:
+        if d != 1:
+            raise MeasureError("VAR_BOUNDED is implemented for d = 1 only")
+        g = [(tree.spot1(c) - xn[0]) ** 2 for c in children]
+        A_ub.append(g)
+        b_ub.append(fam.var_hi)
+        A_ub.append([-v for v in g])
+        b_ub.append(-fam.var_lo)
+    return A_eq, b_eq, A_ub, b_ub
+
+
 # -- chargeability and polar paths ---------------------------------------
 
 
@@ -397,31 +425,6 @@ def polar_paths(tree: MarketTree, fam: FamilySpec, xi: Optional[Mapping] = None)
 
 
 # -- serialization -------------------------------------------------------
-
-
-def measure_to_doc(P: TreeMeasure) -> dict:
-    return {
-        "kernels": {
-            str(n): {str(c): float(p) for c, p in sorted(k.probs.items())}
-            for n, k in sorted(P.kernels.items())
-        }
-    }
-
-
-def measure_from_doc(doc: Mapping) -> TreeMeasure:
-    kernels = {}
-    for n, probs in doc["kernels"].items():
-        nid = int(n)
-        kernels[nid] = Kernel(nid, {int(c): p for c, p in probs.items()})
-    return TreeMeasure(kernels)
-
-
-def family_to_doc(fam: FamilySpec) -> dict:
-    doc = {"class": fam.cls, "claim_restricted": fam.claim is not None}
-    if fam.cls == VAR_BOUNDED:
-        doc["var_lo"] = float(fam.var_lo)
-        doc["var_hi"] = float(fam.var_hi)
-    return doc
 
 
 def family_from_doc(doc: Mapping, claim: Optional[Mapping] = None) -> FamilySpec:

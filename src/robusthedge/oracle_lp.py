@@ -10,12 +10,11 @@ the main acceptance gate.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from . import simplex
 from .market_tree import NEG_INF, MarketTree, shift_claim
 from .measure_families import (
-    ALL,
     MARTINGALE,
     VAR_BOUNDED,
     FamilySpec,
@@ -23,6 +22,7 @@ from .measure_families import (
     MeasureError,
     TreeMeasure,
     in_family,
+    one_step_rows,
 )
 from .simplex import RAT, rat
 
@@ -112,27 +112,6 @@ def enumerate_polytope_vertices(n: int, A_eq, b_eq, A_ub=(), b_ub=(), max_active
 # -- one-step vertex oracle ----------------------------------------------
 
 
-def _one_step_rows(tree, nid, children, fam):
-    d = tree.dim
-    xn = tree.spot(nid)
-    A_eq = [[1] * len(children)]
-    b_eq = [1]
-    if fam.cls in (MARTINGALE, VAR_BOUNDED):
-        for k in range(d):
-            A_eq.append([tree.spot(c)[k] - xn[k] for c in children])
-            b_eq.append(0)
-    A_ub, b_ub = [], []
-    if fam.cls == VAR_BOUNDED:
-        if d != 1:
-            raise MeasureError("VAR_BOUNDED is implemented for d = 1 only")
-        g = [(tree.spot1(c) - tree.spot1(nid)) ** 2 for c in children]
-        A_ub.append(g)
-        b_ub.append(fam.var_hi)
-        A_ub.append([-v for v in g])
-        b_ub.append(-fam.var_lo)
-    return A_eq, b_eq, A_ub, b_ub
-
-
 def enumerate_vertex_kernels(tree: MarketTree, nid: int, fam: FamilySpec) -> list:
     """All vertices of the one-step kernel polytope at `nid`, exact, sorted
     lexicographically by probability vector over child-id order."""
@@ -143,7 +122,7 @@ def enumerate_vertex_kernels(tree: MarketTree, nid: int, fam: FamilySpec) -> lis
         raise OracleScaleError(
             f"{len(children)} children exceeds the oracle limit {ORACLE_MAX_CHILDREN}"
         )
-    A_eq, b_eq, A_ub, b_ub = _one_step_rows(tree, nid, children, fam)
+    A_eq, b_eq, A_ub, b_ub = one_step_rows(tree, nid, children, fam)
     verts = enumerate_polytope_vertices(len(children), A_eq, b_eq, A_ub, b_ub)
     return [
         Kernel(nid, {c: p for c, p in zip(children, v) if p > 0}) for v in verts
@@ -167,7 +146,7 @@ def leaf_chargeable(tree: MarketTree, fam: FamilySpec, leaf: int) -> bool:
     if leaf not in leaves:
         return False
     c = [1 if l == leaf else 0 for l in leaves]
-    res = simplex.solve_lp(c, A_eq, b_eq, A_ub or None, b_ub or None)
+    res = simplex.solve(c, A_eq, b_eq, A_ub, b_ub, exact=True)
     return res.status == "optimal" and res.value > 0
 
 
@@ -252,7 +231,7 @@ def global_sup_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: Optiona
     """sup of E[xi] over the family below `start` plus an optimal measure.
 
     Returns (value, TreeMeasure); (-inf, None) when no family measure avoids
-    the -inf leaves.  Exact mode solves in rationals; float mode uses scipy.
+    the -inf leaves.  Exact mode solves in rationals; float mode uses HiGHS.
     """
     start = tree.root if start is None else start
     if len(tree.leaves_below(start)) > ORACLE_MAX_LEAVES:
@@ -261,39 +240,17 @@ def global_sup_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: Optiona
     leaves, A_eq, b_eq, A_ub, b_ub, c_obj = _build_path_lp(tree, xi_sub, fam, start)
     if not leaves:
         return NEG_INF, None
-    if exact:
-        res = simplex.solve_lp(c_obj, A_eq, b_eq, A_ub or None, b_ub or None)
-        if res.status == "infeasible":
-            return NEG_INF, None
-        if res.status != "optimal":  # pragma: no cover
-            raise MeasureError(f"path LP status {res.status}")
-        q, value = res.x, res.value
-    else:
-        import numpy as np
-        from scipy.optimize import linprog
-
-        res = linprog(
-            c=[-float(v) for v in c_obj],
-            A_eq=np.array([[float(v) for v in row] for row in A_eq]),
-            b_eq=[float(v) for v in b_eq],
-            A_ub=np.array([[float(v) for v in row] for row in A_ub]) if A_ub else None,
-            b_ub=[float(v) for v in b_ub] if A_ub else None,
-            bounds=(0, None),
-            method="highs",
-            options={
-                "primal_feasibility_tolerance": 1e-10,
-                "dual_feasibility_tolerance": 1e-10,
-            },
-        )
-        if res.status == 2:
-            return NEG_INF, None
-        if not res.success:  # pragma: no cover
-            raise MeasureError(f"path LP failed: {res.message}")
+    res = simplex.solve(c_obj, A_eq, b_eq, A_ub, b_ub, exact=exact)
+    if res.status == "infeasible":
+        return NEG_INF, None
+    if res.status != "optimal":  # pragma: no cover
+        raise MeasureError(f"path LP status {res.status}")
+    q, value = res.x, res.value
+    if not exact:
         # clamp solver noise so the factorized kernels stay well conditioned
-        q = [rat(v) if v > 1e-11 else RAT(0) for v in res.x]
+        q = [rat(v) if v > 1e-11 else RAT(0) for v in q]
         total = sum(q)
         q = [v / total for v in q]
-        value = float(-res.fun)
     measure = _factorize_leaf_law(tree, fam, leaves, q, start)
     if not exact:
         measure = TreeMeasure(

@@ -198,7 +198,10 @@ def primal_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, exact: bool = True
                 b_ub.append(0)
     c_obj = [0] * nv
     c_obj[0] = 1
-    x = _solve_min(c_obj, A_ub, b_ub, list(range(nv)), exact)
+    res = simplex.solve(c_obj, None, None, A_ub, b_ub, maximize=False, free_vars=range(nv), exact=exact)
+    if res.status != "optimal":
+        raise HedgeError(f"primal LP status {res.status}")
+    x = res.x
     X0 = x[0]
     h = {}
     flagged = set()
@@ -251,7 +254,10 @@ def _primal_lp_var_bounded(tree, xi, fam, exact):
             b_ub.append(rhs)
     c_obj = [0] * nv
     c_obj[var_index[("W", tree.root)]] = 1
-    x = _solve_min(c_obj, A_ub, b_ub, free, exact)
+    res = simplex.solve(c_obj, None, None, A_ub, b_ub, maximize=False, free_vars=free, exact=exact)
+    if res.status != "optimal":
+        raise HedgeError(f"primal LP status {res.status}")
+    x = res.x
     X0 = x[var_index[("W", tree.root)]]
     h, flagged = {}, set()
     zero = tuple([0.0] * tree.dim)
@@ -262,35 +268,6 @@ def _primal_lp_var_bounded(tree, xi, fam, exact):
             h[n] = zero
             flagged.add(n)
     return X0, Strategy(h=h, flagged=flagged)
-
-
-def _solve_min(c_obj, A_ub, b_ub, free, exact):
-    if exact:
-        res = simplex.solve_lp(
-            c_obj, A_ub=A_ub, b_ub=b_ub, maximize=False, free_vars=free
-        )
-        if res.status != "optimal":
-            raise HedgeError(f"primal LP status {res.status}")
-        return res.x
-    import numpy as np
-    from scipy.optimize import linprog
-
-    freeset = set(free)
-    bounds = [(None, None) if j in freeset else (0, None) for j in range(len(c_obj))]
-    res = linprog(
-        c=[float(v) for v in c_obj],
-        A_ub=np.array([[float(v) for v in row] for row in A_ub]),
-        b_ub=[float(v) for v in b_ub],
-        bounds=bounds,
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if not res.success:
-        raise HedgeError(f"primal LP failed: {res.message}")
-    return list(res.x)
 
 
 # -- Doob-Meyer and admissibility ----------------------------------------

@@ -1,7 +1,7 @@
 """Exact-rational simplex solver on a dense tableau with sparse updates.
 
-Solves  max/min c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0 (selected
-variables may be free).  All arithmetic is exact over rationals (gmpy2.mpq
+`solve_lp` solves  max/min c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0
+(selected variables may be free).  All arithmetic is exact over rationals (gmpy2.mpq
 when available, fractions.Fraction otherwise), so oracle comparisons are
 bit-reproducible.  Dantzig pivoting with a Bland's-rule fallback guarantees
 termination on degenerate instances.
@@ -11,6 +11,12 @@ it is built once per phase and eliminated in each pivot like any other row,
 and at the end of phase 2 its artificial columns hold the row duals.  A
 pivot scales the pivot row once and updates the other rows only on that
 row's nonzero columns, since most tableau entries are zero.
+
+`solve` is the one LP entry point of the package, and its `exact` keyword
+picks the arithmetic.  Exact mode is `solve_lp` above.  Float mode makes the
+package's single call to HiGHS (`scipy.optimize.linprog`, looked up when
+called): per-variable bounds from `free_vars`, primal and dual feasibility
+tolerances 1e-10, and no duals in the result.
 
 Scale target: a few hundred rows/columns.  Not a general-purpose LP code.
 """
@@ -220,3 +226,43 @@ def solve_lp(
         y_eq = [-v for v in y_eq]
         y_ub = [-v for v in y_ub]
     return LPResult(status="optimal", x=x, value=value, y_eq=y_eq, y_ub=y_ub)
+
+
+_HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *, maximize=True, free_vars=(), exact) -> LPResult:
+    """Solve the LP exactly (`solve_lp`, with duals) or in floats by HiGHS.
+
+    The float result carries status, x and value only.  A HiGHS outcome
+    other than optimal, infeasible or unbounded is reported as status
+    "error: <solver message>"; callers raise their own error types for every
+    non-optimal status they do not handle.
+    """
+    if exact:
+        return solve_lp(c, A_eq, b_eq, A_ub, b_ub, maximize=maximize, free_vars=free_vars)
+    import numpy as np
+    from scipy.optimize import linprog
+
+    def matrix(rows):
+        return np.array([[float(v) for v in row] for row in rows]) if rows else None
+
+    free = set(free_vars)
+    res = linprog(
+        c=[-float(v) for v in c] if maximize else [float(v) for v in c],
+        A_ub=matrix(A_ub),
+        b_ub=[float(v) for v in b_ub] if A_ub else None,
+        A_eq=matrix(A_eq),
+        b_eq=[float(v) for v in b_eq] if A_eq else None,
+        bounds=[(None, None) if j in free else (0, None) for j in range(len(c))],
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        },
+    )
+    status = _HIGHS_STATUS.get(res.status, f"error: {res.message}")
+    if status != "optimal":
+        return LPResult(status=status)
+    value = float(-res.fun) if maximize else float(res.fun)
+    return LPResult(status="optimal", x=list(res.x), value=value)

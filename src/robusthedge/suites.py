@@ -73,6 +73,18 @@ def _record(result, instance, detail):
 # -- duality / oracle agreement ------------------------------------------
 
 
+def duality_instance(seed: int, exact: bool) -> tuple:
+    """The random instance drawn from `seed`, with its DP value field and
+    its global-LP value: (tree, xi, fam, Y, lp)."""
+    rng = random.Random(seed)
+    tree = random_tree(rng)
+    xi = random_claim(tree, rng, exact=exact)
+    fam = random_family(tree, rng, exact=exact)
+    Y = backward_value(tree, xi, fam)
+    lp, _ = global_sup_lp(tree, xi, fam, exact=exact)
+    return tree, xi, fam, Y, lp
+
+
 def duality_suite(seed: int, n: int = 100, exact: bool = False) -> SuiteResult:
     """DP root value == global measure LP == primal hedging LP.
 
@@ -82,14 +94,9 @@ def duality_suite(seed: int, n: int = 100, exact: bool = False) -> SuiteResult:
     """
     res = SuiteResult("duality", n)
     for i in range(n):
-        rng = random.Random(seed + i)
-        tree = random_tree(rng)
-        xi = random_claim(tree, rng, exact=exact)
-        fam = random_family(tree, rng, exact=exact)
+        tree, xi, fam, Y, lp = duality_instance(seed + i, exact)
         inst = {"seed": seed + i, "family": fam.cls, "exact": exact}
-        Y = backward_value(tree, xi, fam)
         dp = Y[tree.root]
-        lp, _ = global_sup_lp(tree, xi, fam, exact=exact)
         pv, _ = primal_lp(tree, xi, fam, exact=exact)
         vals = (dp, lp, pv)
         if NEG_INF in vals:

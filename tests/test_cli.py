@@ -135,6 +135,33 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_oracle_csv_does_not_depend_on_threads(tmp_path, exact):
+    cfg = write_config(tmp_path, dict(BASE_CONFIG, instances=9))
+    flags = ["--exact"] if exact else []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["oracle", "--config", str(cfg), "--threads", threads, "--out", str(out)] + flags) == 0
+    assert (tmp_path / "1" / "oracle.csv").read_bytes() == (tmp_path / "2" / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "--exact"],
+        ["counterexample", "--seed", "3"],
+        ["proptest", "--exact"],
+        ["proptest", "--threads", "2"],
+        ["solve", "--seed", "3"],
+        ["hedge", "--threads", "2"],
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2  # argparse usage error
+
+
 def test_missing_config_field_is_reported(tmp_path):
     cfg = write_config(tmp_path, {"tree": BASE_CONFIG["tree"]})
     with pytest.raises(SystemExit) as exc:

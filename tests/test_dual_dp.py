@@ -6,7 +6,6 @@ from robusthedge.dual_dp import (
     backward_value,
     check_supermartingale,
     check_tower,
-    eps_optimal_selection,
     one_step_sup,
     optimizer_measure,
 )
@@ -220,22 +219,15 @@ def test_tower_rejects_unordered_pair(trinomial2):
 # -- selections ----------------------------------------------------------
 
 
-def test_eps_zero_selection_attains_values(trinomial2):
+def test_optimizer_kernels_attain_node_values(trinomial2):
     rng = seeded(14)
     xi = random_claim(trinomial2, rng)
     Y = backward_value(trinomial2, xi, MART)
-    sel = eps_optimal_selection(trinomial2, Y, MART)
-    for nid, k in sel.items():
+    P = optimizer_measure(trinomial2, xi, MART)
+    assert set(P.kernels) == set(trinomial2.internal_nodes)
+    for nid, k in P.kernels.items():
         got = sum(p * Y[c] for c, p in k.probs.items())
         assert got == pytest.approx(Y[nid], abs=1e-12)
-
-
-def test_selection_skips_infeasible_nodes():
-    tree = one_step_tree([1, 2])
-    Y = backward_value(tree, {leaf: 1.0 for leaf in tree.leaves}, MART)
-    assert eps_optimal_selection(tree, Y, MART) == {}
-    with pytest.raises(MeasureError):
-        eps_optimal_selection(tree, Y, MART, eps=-1)
 
 
 # -- float/exact agreement ----------------------------------------------

@@ -10,7 +10,6 @@ from robusthedge.market_tree import (
     shift_claim,
     split_path,
     stopping_time_below,
-    tree_spec,
     validate_stopping_time,
 )
 from robusthedge.random_instances import random_stopping_time, random_tree
@@ -89,14 +88,9 @@ def test_tree_pickle_round_trip(spec, k):
     tree = build_tree(spec)
     cached = (tree.leaves, tree.internal_nodes, tree.depth)
     clone = pickle.loads(pickle.dumps(tree))
-    assert clone == tree and clone.spec == tree.spec
+    assert clone == tree
     assert (clone.leaves, clone.internal_nodes, clone.depth) == cached
     assert pickle.loads(pickle.dumps(build_tree(spec))) == tree  # before caching
-
-
-def test_spec_round_trip(trinomial2):
-    rebuilt = build_tree(tree_spec(trinomial2))
-    assert rebuilt.nodes == trinomial2.nodes
 
 
 def test_concat_identity_cases(trinomial2):

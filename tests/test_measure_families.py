@@ -14,13 +14,11 @@ from robusthedge.measure_families import (
     chargeable_children,
     conditional_abs_terminal,
     family_from_doc,
-    family_to_doc,
     in_family,
     is_martingale_kernel,
     kernel_mean,
     kernel_variance,
-    measure_from_doc,
-    measure_to_doc,
+    one_step_rows,
     paste,
     polar_paths,
     rcpd,
@@ -114,6 +112,24 @@ def test_variance_floor_rejects_low_dispersion_kernel(trinomial1):
 
 
 # -- conditioning --------------------------------------------------------
+
+
+def test_one_step_rows_cases(trinomial1):
+    root = trinomial1.root
+    kids = trinomial1.children(root)
+    assert one_step_rows(trinomial1, root, kids, FamilySpec(cls=ALL)) == ([[1, 1, 1]], [1], [], [])
+    var = FamilySpec(cls=VAR_BOUNDED, var_lo=0.5, var_hi=2)
+    assert one_step_rows(trinomial1, root, kids[::-1], var) == (
+        [[1, 1, 1], [1, 0, -1]],
+        [1, 0],
+        [[1, 0, 1], [-1, 0, -1]],
+        [2, -0.5],
+    )
+    d2 = build_tree({"dim": 2, "depth": 1, "generator": {"kind": "explicit", "offsets": [[1, 0], [-1, 0], [0, 1], [0, -1]]}})
+    A_eq, _, A_ub, _ = one_step_rows(d2, d2.root, d2.children(d2.root), FamilySpec(cls=MARTINGALE))
+    assert A_eq[1:] == [[1, -1, 0, 0], [0, 0, 1, -1]] and A_ub == []
+    with pytest.raises(MeasureError, match="d = 1 only"):
+        one_step_rows(d2, d2.root, d2.children(d2.root), var)
 
 
 def test_rcpd_at_root_is_identity(binomial2):
@@ -324,25 +340,20 @@ def test_random_vertex_mixture_is_martingale(seed):
 # -- serialization -------------------------------------------------------
 
 
-def test_measure_doc_round_trip(trinomial2):
-    P = fair_measure(trinomial2)
-    back = measure_from_doc(measure_to_doc(P))
-    for n in P.kernels:
-        for c, p in P.kernels[n].probs.items():
-            assert back.prob(n, c) == pytest.approx(p)
-
-
-def test_family_doc_round_trip():
-    for fam in (
-        FamilySpec(cls=ALL),
-        FamilySpec(cls=MARTINGALE),
-        FamilySpec(cls=VAR_BOUNDED, var_lo=0.2, var_hi=0.6),
+def test_family_from_doc():
+    for doc, fam in (
+        ({"class": "all"}, FamilySpec(cls=ALL)),
+        ({"class": "martingale", "claim_restricted": False}, FamilySpec(cls=MARTINGALE)),
+        (
+            {"class": "var_bounded", "var_lo": 0.2, "var_hi": 0.6},
+            FamilySpec(cls=VAR_BOUNDED, var_lo=0.2, var_hi=0.6),
+        ),
     ):
-        back = family_from_doc(family_to_doc(fam))
-        assert back.cls == fam.cls
-        assert back.var_lo == fam.var_lo and back.var_hi == fam.var_hi
-    doc = family_to_doc(FamilySpec(cls=MARTINGALE, claim={1: 1.0}))
-    assert doc["claim_restricted"]
+        assert family_from_doc(doc, claim={1: 1.0}) == fam
+        assert family_from_doc(doc, claim={1: 1.0}).claim is None
+    claim = {1: 1.0}
+    restricted = family_from_doc({"class": "martingale", "claim_restricted": True}, claim)
+    assert restricted.claim is claim
 
 
 def test_family_spec_validation():

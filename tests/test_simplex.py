@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from robusthedge.simplex import RAT, rat, solve_lp
+from robusthedge.simplex import RAT, rat, solve, solve_lp
 
 
 def test_max_over_simplex_picks_best_coordinate():
@@ -54,14 +54,36 @@ def test_free_variable_minimization():
     assert -res.value == 2 and res.x[1] == 1
 
 
-def test_equality_duals_match_scipy():
+def random_lp_draws():
+    """25 draws of (c, mean_row, second LP): max c.q over the probability
+    vectors q with mean_row.q = 0, and the same polytope plus a
+    variance-style A_ub pair lo <= sq.q <= hi (the lower row has a negative
+    rhs, so it is flipped) and a free variable t = w.q carried in a third
+    equality row, as (cc, A_eq, b_eq, A_ub, b_ub).  The second LP's draws
+    come from their own generator."""
     rng = random.Random(7)
     rng_ub = random.Random(8)
-    checked_ub = 0
     for _ in range(25):
         n = rng.randint(2, 5)
         c = [RAT(rng.randint(-8, 8), 4) for _ in range(n)]
         mean_row = [RAT(rng.randint(-2, 2)) for _ in range(n)]
+        sq = [v * v for v in mean_row]
+        lo = RAT(rng_ub.randint(1, 4), 4)
+        hi = lo + RAT(rng_ub.randint(0, 8), 4)
+        w = [RAT(rng_ub.randint(-3, 3)) for _ in range(n)]
+        ct = RAT(rng_ub.randint(-4, 4), 4)
+        cc = c + [ct]
+        A_eq = [[1] * n + [0], mean_row + [0], [-v for v in w] + [1]]
+        b_eq = [1, 0, 0]
+        A_ub = [sq + [0], [-v for v in sq] + [0]]
+        b_ub = [hi, -lo]
+        yield c, mean_row, (cc, A_eq, b_eq, A_ub, b_ub)
+
+
+def test_equality_duals_match_scipy():
+    checked_ub = 0
+    for c, mean_row, (cc, A_eq, b_eq, A_ub, b_ub) in random_lp_draws():
+        n = len(c)
         res = solve_lp(c, [[1] * n, mean_row], [1, 0])
         ref = linprog(
             [-float(v) for v in c],
@@ -81,19 +103,7 @@ def test_equality_duals_match_scipy():
         for j in range(n):
             assert y[0] + y[1] * float(mean_row[j]) >= float(c[j]) - 1e-9
 
-        # Same polytope plus a variance-style A_ub pair lo <= sq.q <= hi
-        # (the lower row has a negative rhs, so it is flipped) and a free
-        # variable t = w.q carried in a third equality row.
-        sq = [v * v for v in mean_row]
-        lo = RAT(rng_ub.randint(1, 4), 4)
-        hi = lo + RAT(rng_ub.randint(0, 8), 4)
-        w = [RAT(rng_ub.randint(-3, 3)) for _ in range(n)]
-        ct = RAT(rng_ub.randint(-4, 4), 4)
-        cc = c + [ct]
-        A_eq = [[1] * n + [0], mean_row + [0], [-v for v in w] + [1]]
-        b_eq = [1, 0, 0]
-        A_ub = [sq + [0], [-v for v in sq] + [0]]
-        b_ub = [hi, -lo]
+        # the second LP of the draw, with inequality rows and a free variable
         res = solve_lp(cc, A_eq, b_eq, A_ub, b_ub, free_vars=(n,))
         ref = linprog(
             [-float(v) for v in cc],
@@ -127,6 +137,41 @@ def test_equality_duals_match_scipy():
             else:
                 assert aty >= cc[j]
     assert checked_ub > 0
+
+
+def seam_cases():
+    """(c, A_eq, b_eq, A_ub, b_ub, maximize, free_vars) for the seam test:
+    the random draws above, the fixed LPs of this module, and an unbounded
+    LP in each direction."""
+    for c, mean_row, (cc, A_eq, b_eq, A_ub, b_ub) in random_lp_draws():
+        yield c, [[1] * len(c), mean_row], [1, 0], None, None, True, ()
+        yield cc, A_eq, b_eq, A_ub, b_ub, True, (len(c),)
+        yield cc, A_eq, b_eq, A_ub, b_ub, False, (len(c),)
+    yield [1, 3, 2], [[1, 1, 1]], [1], None, None, True, ()
+    yield [1, 1], [[1, 1], [1, 1]], [1, 2], None, None, True, ()
+    yield [1, 0], None, None, [[-1, 1], [-1, -2]], [-1, -4], False, (0, 1)
+    yield [1, 0], [[1, -1]], [0], None, None, True, ()
+    yield [0, 1], None, None, [[1, 1]], [2], False, (1,)
+
+
+def test_float_solve_matches_exact():
+    statuses = set()
+    for c, A_eq, b_eq, A_ub, b_ub, maximize, free in seam_cases():
+        ex = solve(c, A_eq, b_eq, A_ub, b_ub, maximize=maximize, free_vars=free, exact=True)
+        fl = solve(c, A_eq, b_eq, A_ub, b_ub, maximize=maximize, free_vars=free, exact=False)
+        assert fl.status == ex.status
+        statuses.add(ex.status)
+        assert fl.y_eq is None and fl.y_ub is None
+        if ex.status == "optimal":
+            assert isinstance(fl.value, float)
+            assert fl.value == pytest.approx(float(ex.value), abs=1e-9)
+            assert len(fl.x) == len(c)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_solve_needs_explicit_mode():
+    with pytest.raises(TypeError):
+        solve([1, 3, 2], [[1, 1, 1]], [1])
 
 
 def test_rat_conversion():

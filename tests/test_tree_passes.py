@@ -13,7 +13,12 @@ import pytest
 
 from robusthedge.claims import NAMED_KINDS, make_claim
 from robusthedge.dual_dp import backward_value
-from robusthedge.market_tree import NEG_INF, build_tree
+from robusthedge.market_tree import (
+    NEG_INF,
+    build_tree,
+    stopping_time_below,
+    validate_stopping_time,
+)
 from robusthedge.measure_families import (
     ALL,
     MARTINGALE,
@@ -23,7 +28,12 @@ from robusthedge.measure_families import (
     polar_paths,
 )
 from robusthedge.primal_hedge import Strategy, extract_strategy, verify_superhedge, wealth
-from robusthedge.random_instances import random_claim, random_tree
+from robusthedge.random_instances import (
+    random_claim,
+    random_ordered_stopping_pair,
+    random_stopping_time,
+    random_tree,
+)
 from robusthedge.simplex import rat
 
 from conftest import seeded
@@ -102,6 +112,33 @@ def naive_claim(tree, kind, strike, exact):
         elif kind == "linear":
             out[leaf] = terminal
     return out
+
+
+def naive_validate_stopping_time(tree, members):
+    """Pairwise antichain test, then one hit count per root-to-leaf path."""
+    S = set(members)
+    for nid in S:
+        if not (0 <= nid < len(tree.nodes)):
+            return False, f"unknown node id {nid}"
+    for a in sorted(S):
+        for b in sorted(S):
+            if a != b and tree.is_ancestor(a, b):
+                return False, f"{a} is an ancestor of {b}"
+    for path in tree.paths():
+        hits = [n for n in path if n in S]
+        if len(hits) != 1:
+            return False, f"path to leaf {path[-1]} meets the set {len(hits)} times"
+    return True, None
+
+
+def naive_stopping_time_below(tree, sigma, tau):
+    sig, ta = set(sigma), set(tau)
+    for path in tree.paths():
+        i_s = next(i for i, n in enumerate(path) if n in sig)
+        i_t = next(i for i, n in enumerate(path) if n in ta)
+        if i_s > i_t:
+            return False
+    return True
 
 
 # -- instances --------------------------------------------------------------
@@ -218,3 +255,41 @@ def test_make_claim_matches_per_path_formula(kind, exact):
 def test_subtree_nodes_match_naive_bfs(label, tree, xi, fam):
     for n in range(len(tree.nodes)):
         assert tree.subtree_nodes(n) == naive_subtree(tree, n)
+
+
+def stopping_time_cases(tree, rng):
+    """Valid stopping times and sets that break them in every way the
+    validator reports: ancestor pairs, missed paths, unknown ids."""
+    n = len(tree.nodes)
+    cases = [{tree.root}, set(tree.leaves), set()]
+    for _ in range(6):
+        tau = random_stopping_time(tree, rng)
+        cases.append(tau)
+        nodes = sorted(tau)
+        cases.append(tau - {rng.choice(nodes)})  # some path is missed
+        cases.append(tau | {rng.randrange(n)})  # maybe an ancestor pair
+        cases.append(tau | {tree.parent(m) for m in nodes if m != tree.root})
+        cases.append(set(rng.sample(range(n), rng.randint(1, min(n, 8)))))
+    cases.append({tree.root, n + 3})
+    cases.append({-1} | set(tree.leaves))
+    return cases
+
+
+@pytest.mark.parametrize("i", range(12))
+def test_stopping_time_checks_match_pairwise_and_per_path(i):
+    rng = seeded(700 + i)
+    if i < 10:
+        tree = random_tree(rng, max_depth=4, max_branch=4)
+    else:
+        tree = build_tree(D2_TREE if i == 10 else ONE_SIDED_TREES[0])
+    seen = set()
+    for members in stopping_time_cases(tree, rng):
+        got = validate_stopping_time(tree, members)
+        assert got == naive_validate_stopping_time(tree, members)
+        seen.add(got[0])
+    assert seen == {True, False}
+    for _ in range(8):
+        sigma, tau = random_ordered_stopping_pair(tree, rng)
+        other = random_stopping_time(tree, rng)
+        for a, b in ((sigma, tau), (tau, sigma), (sigma, other), (other, tau), (tau, tau)):
+            assert stopping_time_below(tree, a, b) == naive_stopping_time_below(tree, a, b)
