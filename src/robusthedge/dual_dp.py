@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import simplex
-from .market_tree import NEG_INF, MarketTree
+from .market_tree import NEG_INF, MarketTree, stopping_time_below, validate_stopping_time
 from .measure_families import (
     ALL,
     MARTINGALE,
@@ -171,41 +171,49 @@ def _one_step_lp(tree, nid, child_values, fam, fin, exact):
     return OneStepSolution(value, Kernel(nid, probs), h)
 
 
-def backward_solve(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: Optional[int] = None) -> tuple:
-    """Run the recursion below `start`; returns (values, solutions)."""
+class ValueField(dict):
+    """The dual value field, node id -> value, as built by `backward_value`.
+
+    `hedge` maps each internal node to the multiplier h of its one-step
+    solve; `tree` and `fam` record what the field was built for.
+    """
+
+    def __init__(self, tree: MarketTree, fam: FamilySpec):
+        super().__init__()
+        self.tree, self.fam = tree, fam
+        self.hedge = {}
+
+
+def backward_value(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: Optional[int] = None) -> ValueField:
+    """The dual value field below `start`: node id -> sup over the family
+    below that node, with the one-step multipliers in `.hedge`."""
     start = tree.root if start is None else start
-    order = tree.subtree_nodes(start)
-    values, solutions = {}, {}
-    for nid in reversed(order):
+    Y = ValueField(tree, fam)
+    for nid in reversed(tree.subtree_nodes(start)):
         if tree.is_leaf(nid):
-            values[nid] = xi[nid]
+            Y[nid] = xi[nid]
         else:
-            sol = one_step_sup(tree, nid, values, fam)
-            values[nid] = sol.value
-            solutions[nid] = sol
-    return values, solutions
-
-
-def backward_value(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: Optional[int] = None) -> dict:
-    """The dual value field: node id -> sup over the family below that node."""
-    values, _ = backward_solve(tree, xi, fam, start)
-    return values
+            sol = one_step_sup(tree, nid, Y, fam)
+            Y[nid] = sol.value
+            Y.hedge[nid] = sol.h
+    return Y
 
 
 def optimizer_measure(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> Optional[TreeMeasure]:
     """Measure built from the per-node optimizing kernels (None if root -inf).
 
+    The kernels come from re-solving each node against the value field.
     Kernels at -inf nodes are completed arbitrarily only when the node is
     unreachable under the optimizer; reachable nodes always have one.
     """
-    values, solutions = backward_solve(tree, xi, fam)
-    if values[tree.root] == NEG_INF:
+    Y = backward_value(tree, xi, fam)
+    if Y[tree.root] == NEG_INF:
         return None
     kernels = {}
     for nid in tree.internal_nodes:
-        sol = solutions[nid]
-        if sol.kernel is not None:
-            kernels[nid] = sol.kernel
+        kernel = one_step_sup(tree, nid, Y, fam).kernel
+        if kernel is not None:
+            kernels[nid] = kernel
     return TreeMeasure(kernels)
 
 
@@ -240,8 +248,6 @@ def check_supermartingale(tree: MarketTree, Y: Mapping, P: TreeMeasure, fam: Fam
 
 def check_tower(tree: MarketTree, xi: Mapping, fam: FamilySpec, sigma, tau, tol: float = OPT_TOL) -> bool:
     """Re-optimizing from sigma with terminal data Y|tau reproduces Y|sigma."""
-    from .market_tree import stopping_time_below, validate_stopping_time
-
     for S in (sigma, tau):
         ok, why = validate_stopping_time(tree, S)
         if not ok:

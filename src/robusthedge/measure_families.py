@@ -70,9 +70,6 @@ class TreeMeasure:
         mass = self.node_mass(tree, start)
         return {leaf: mass[leaf] for leaf in tree.leaves_below(start)}
 
-    def charges(self, tree: MarketTree, nid: int) -> bool:
-        return self.node_mass(tree)[nid] > 0
-
     def expectation(self, tree: MarketTree, xi: Mapping, start: Optional[int] = None):
         """E[xi]; -inf as soon as a -inf leaf is charged (never 0 * inf)."""
         law = self.leaf_law(tree, start)

@@ -21,6 +21,7 @@ from .measure_families import (
     Kernel,
     MeasureError,
     TreeMeasure,
+    bifurcate,
     in_family,
     one_step_rows,
 )
@@ -328,8 +329,6 @@ def ess_sup_check(tree: MarketTree, xi: Mapping, fam: FamilySpec, tau, P: TreeMe
 
 def upward_directed_check(tree: MarketTree, xi: Mapping, fam: FamilySpec, nid: int, P1: TreeMeasure, P2: TreeMeasure, tol: float = 1e-12) -> bool:
     """Bifurcating toward the better conditional expectation dominates both."""
-    from .measure_families import bifurcate
-
     level = tree.node(nid).t
     tau = tree.nodes_at(level)
     e1 = {m: P1.expectation(tree, xi, start=m) for m in tau}

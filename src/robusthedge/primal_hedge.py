@@ -2,8 +2,10 @@
 
 The primal LP minimizes the initial capital subject to terminal wealth
 dominating the claim on every non-polar path; its optimum matches the dual
-DP value (strong duality on finite trees).  The strategy extracted from the
-DP dual multipliers achieves that optimum path by path.
+DP value (strong duality on finite trees).  The extracted strategy is read
+from the one-step dual multipliers that the DP keeps in its value field, so
+the hedge comes from the same backward pass as the value, and it achieves
+that optimum path by path.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from . import simplex
+from .dual_dp import ValueField
 from .market_tree import NEG_INF, MarketTree
 from .measure_families import (
     ALL,
@@ -21,6 +24,7 @@ from .measure_families import (
     TreeMeasure,
     polar_paths,
 )
+from .oracle_lp import enumerate_vertex_kernels
 
 HEDGE_TOL = 1e-9
 
@@ -37,9 +41,6 @@ class Strategy:
     h: dict
     flagged: set = field(default_factory=set)
 
-    def at(self, nid: int) -> tuple:
-        return self.h[nid]
-
 
 @dataclass
 class HedgeReport:
@@ -50,10 +51,11 @@ class HedgeReport:
     slacks: dict
 
 
-def extract_strategy(tree: MarketTree, Y: Mapping, fam: FamilySpec) -> Strategy:
-    """One-step dual multipliers of the value field as a hedge."""
-    from .dual_dp import one_step_sup
-
+def extract_strategy(tree: MarketTree, Y: ValueField, fam: FamilySpec) -> Strategy:
+    """The hedge read from the one-step dual multipliers that
+    `backward_value` kept in `Y.hedge`; -inf nodes are flagged."""
+    if not isinstance(Y, ValueField) or Y.tree is not tree or Y.fam != fam or tree.root not in Y:
+        raise HedgeError("Y is not the DP value field of this tree and family")
     if Y[tree.root] == NEG_INF:
         raise HedgeError("family is empty below the root: no hedge is defined")
     h, flagged = {}, set()
@@ -62,9 +64,8 @@ def extract_strategy(tree: MarketTree, Y: Mapping, fam: FamilySpec) -> Strategy:
         if Y[nid] == NEG_INF:
             h[nid] = zero
             flagged.add(nid)
-            continue
-        sol = one_step_sup(tree, nid, {c: Y[c] for c in tree.children(nid)}, fam)
-        h[nid] = sol.h
+        else:
+            h[nid] = Y.hedge[nid]
     return Strategy(h=h, flagged=flagged)
 
 
@@ -128,8 +129,6 @@ def verify_superhedge(tree: MarketTree, X0, H: Strategy, xi: Mapping, fam: Famil
 def _alive_nodes(tree, xi, fam):
     """Nodes below which some family kernel avoids the -inf region, computed
     without the dual recursion (vertex-based feasibility, bottom-up)."""
-    from .oracle_lp import enumerate_vertex_kernels
-
     alive = set()
     for nid in reversed(range(len(tree.nodes))):
         if tree.is_leaf(nid):
@@ -306,8 +305,6 @@ def doob_meyer(tree: MarketTree, Y: Mapping, H: Strategy, P: TreeMeasure, tol: f
 def check_admissible(tree: MarketTree, H: Strategy, fam: FamilySpec, xi: Optional[Mapping] = None, tol: float = 1e-12) -> bool:
     """Conditional hedge gains are non-positive under a vertex-generated set
     of family measures (the supermartingale requirement on wealth)."""
-    from .oracle_lp import enumerate_vertex_kernels
-
     verts = {
         n: enumerate_vertex_kernels(tree, n, fam.unrestricted())
         for n in tree.internal_nodes

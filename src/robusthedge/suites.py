@@ -23,6 +23,7 @@ from .measure_families import (
     bifurcate,
     conditional_abs_terminal,
     in_family,
+    kernel_in_class,
     paste,
     rcpd,
     truncate_kernels,
@@ -162,8 +163,6 @@ def conditioning_closure_suite(seed: int, n: int = 200, cls: str = MARTINGALE) -
         for nid in tree.internal_nodes:
             piece = rcpd(tree, P, nid)
             for sub_nid, k in piece.kernels.items():
-                from .measure_families import kernel_in_class
-
                 ok, why = kernel_in_class(tree, k, fam, tol=1e-9)
                 if not ok:
                     bad = (nid, why)

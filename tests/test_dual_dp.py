@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robusthedge.dual_dp import (
-    backward_solve,
     backward_value,
     check_supermartingale,
     check_tower,
@@ -117,18 +116,19 @@ def test_constant_claim_propagates(trinomial2):
 def test_skewed_binomial_square_claim():
     tree = one_step_tree([-1, 2])
     xi = {leaf: tree.spot1(leaf) ** 2 for leaf in tree.leaves}
-    values, solutions = backward_solve(tree, xi, MART)
-    assert values[tree.root] == 2
-    assert solutions[tree.root].h == (1,)
+    Y = backward_value(tree, xi, MART)
+    assert Y[tree.root] == 2
+    assert Y.hedge == {tree.root: (1,)}
 
 
 def test_linear_claim_replicates():
     tree = build_tree({"dim": 1, "depth": 3, "generator": {"kind": "trinomial"}})
     xi = {leaf: tree.spot1(leaf) for leaf in tree.leaves}
-    values, solutions = backward_solve(tree, xi, MART)
+    Y = backward_value(tree, xi, MART)
+    assert set(Y.hedge) == set(tree.internal_nodes)
     for nid in tree.internal_nodes:
-        assert values[nid] == tree.spot1(nid)
-        assert solutions[nid].h == (1,)
+        assert Y[nid] == tree.spot1(nid)
+        assert Y.hedge[nid] == (1,)
 
 
 # -- value-field properties ----------------------------------------------
@@ -228,6 +228,45 @@ def test_optimizer_kernels_attain_node_values(trinomial2):
     for nid, k in P.kernels.items():
         got = sum(p * Y[c] for c, p in k.probs.items())
         assert got == pytest.approx(Y[nid], abs=1e-12)
+
+
+def recorded_kernels(tree, xi, fam):
+    """The kernels the backward loop found, recorded as it went, in node
+    order (None if the root is -inf): each node solved once, against the
+    values below it."""
+    values, kernels = {}, {}
+    for nid in reversed(tree.subtree_nodes(tree.root)):
+        if tree.is_leaf(nid):
+            values[nid] = xi[nid]
+            continue
+        sol = one_step_sup(tree, nid, values, fam)
+        values[nid] = sol.value
+        if sol.kernel is not None:
+            kernels[nid] = sol.kernel
+    if values[tree.root] == NEG_INF:
+        return None
+    return {n: kernels[n] for n in tree.internal_nodes if n in kernels}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_optimizer_kernels_equal_recorded_kernels(exact):
+    seen = set()
+    for i in range(24):
+        rng = seeded(300 + i)
+        tree = random_tree(rng, max_depth=3, max_branch=3)
+        xi = random_claim(tree, rng, exact=exact)
+        if i % 3 == 0:
+            for leaf in rng.sample(tree.leaves, max(1, len(tree.leaves) // 3)):
+                xi[leaf] = NEG_INF
+        fam = FamilySpec(cls=ALL) if i % 4 == 0 else random_family(tree, rng, exact=exact)
+        want = recorded_kernels(tree, xi, fam)
+        P = optimizer_measure(tree, xi, fam)
+        if want is None:
+            assert P is None
+            continue
+        assert repr(P.kernels) == repr(want)  # probabilities bitwise, node order
+        seen.add(fam.cls)
+    assert seen == {ALL, MARTINGALE, VAR_BOUNDED}
 
 
 # -- float/exact agreement ----------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from robusthedge import dual_dp, simplex
 from robusthedge.dual_dp import backward_value, optimizer_measure
 from robusthedge.market_tree import NEG_INF, build_tree
 from robusthedge.measure_families import (
@@ -102,6 +103,35 @@ def test_extract_strategy_requires_finite_root():
     Y = backward_value(tree, {leaf: 1.0 for leaf in tree.leaves}, MART)
     with pytest.raises(HedgeError):
         extract_strategy(tree, Y, MART)
+
+
+def test_extract_strategy_rejects_other_fields(trinomial2):
+    xi = {leaf: abs(trinomial2.spot1(leaf)) for leaf in trinomial2.leaves}
+    Y = backward_value(trinomial2, xi, MART)
+    twin = build_tree({"dim": 1, "depth": 2, "generator": {"kind": "trinomial"}})
+    others = (
+        dict(Y),  # same values, no multipliers
+        backward_value(trinomial2, xi, FamilySpec(cls=ALL)),
+        backward_value(twin, xi, MART),  # an equal tree, not this one
+        backward_value(trinomial2, xi, MART, start=trinomial2.children(0)[0]),
+    )
+    for other in others:
+        with pytest.raises(HedgeError):
+            extract_strategy(trinomial2, other, MART)
+    assert extract_strategy(trinomial2, Y, FamilySpec(cls=MARTINGALE)).h == extract_strategy(trinomial2, Y, MART).h
+
+
+def test_extract_strategy_solves_nothing(trinomial2, monkeypatch):
+    xi = random_claim(trinomial2, seeded(21))
+    Y = backward_value(trinomial2, xi, MART)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("extract_strategy solved a one-step problem")
+
+    monkeypatch.setattr(dual_dp, "one_step_sup", fail)
+    monkeypatch.setattr(simplex, "solve", fail)
+    H = extract_strategy(trinomial2, Y, MART)
+    assert H.h == {n: Y.hedge[n] for n in trinomial2.internal_nodes}
 
 
 # -- primal LP -----------------------------------------------------------

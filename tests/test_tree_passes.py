@@ -2,8 +2,10 @@
 
 Each oracle below walks one root-to-leaf path per leaf (or pops a BFS queue
 from the front), as the package did before its passes became top-down over
-the breadth-first ids.  The passes must reproduce them exactly: `==` on
-floats and on rationals, not a tolerance.
+the breadth-first ids; the hedge oracle solves every node's one-step problem
+a second time, as extraction did before the DP kept its multipliers.  The
+passes must reproduce them exactly: `==` on floats and on rationals, not a
+tolerance.
 """
 
 import random
@@ -12,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from robusthedge.claims import NAMED_KINDS, make_claim
-from robusthedge.dual_dp import backward_value
+from robusthedge.dual_dp import backward_value, one_step_sup
 from robusthedge.market_tree import (
     NEG_INF,
     build_tree,
@@ -27,7 +29,13 @@ from robusthedge.measure_families import (
     chargeable_children,
     polar_paths,
 )
-from robusthedge.primal_hedge import Strategy, extract_strategy, verify_superhedge, wealth
+from robusthedge.primal_hedge import (
+    HedgeError,
+    Strategy,
+    extract_strategy,
+    verify_superhedge,
+    wealth,
+)
 from robusthedge.random_instances import (
     random_claim,
     random_ordered_stopping_pair,
@@ -114,6 +122,19 @@ def naive_claim(tree, kind, strike, exact):
     return out
 
 
+def resolved_hedge(tree, Y, fam):
+    """(h, flagged) from a second one-step solve per finite internal node."""
+    h, flagged = {}, set()
+    zero = tuple([0.0] * tree.dim)
+    for nid in tree.internal_nodes:
+        if Y[nid] == NEG_INF:
+            h[nid] = zero
+            flagged.add(nid)
+            continue
+        h[nid] = one_step_sup(tree, nid, {c: Y[c] for c in tree.children(nid)}, fam).h
+    return h, flagged
+
+
 def naive_validate_stopping_time(tree, members):
     """Pairwise antichain test, then one hit count per root-to-leaf path."""
     S = set(members)
@@ -169,8 +190,14 @@ def instances():
             out.append((f"random{i}-{fam.cls}", tree, xi, fam))
             out.append((f"random{i}-{fam.cls}-restricted", tree, xi, fam.with_claim(xi)))
     d2 = build_tree(D2_TREE)
-    xi = make_claim(d2, {"kind": "call", "strike": 0.5})
-    xi[d2.leaves[3]] = NEG_INF
+
+    def d2_claim(exact):
+        xi = make_claim(d2, {"kind": "call", "strike": 0.5}, exact=exact)
+        # leaf 9 is node 2's only upward child, so node 2 is worth -inf
+        xi[d2.leaves[3]] = xi[9] = NEG_INF
+        return xi
+
+    xi = d2_claim(exact=False)
     out.append(("d2", d2, xi, FamilySpec(cls=MARTINGALE)))
     out.append(("d2-restricted", d2, xi, FamilySpec(cls=MARTINGALE).with_claim(xi)))
     for j, spec in enumerate(ONE_SIDED_TREES):
@@ -181,6 +208,12 @@ def instances():
     xi = make_claim(tree, {"kind": "abs"}, exact=True)
     fam = FamilySpec(cls=VAR_BOUNDED, var_lo=Fraction(1, 5), var_hi=Fraction(3, 5))
     out.append(("var-bounded", tree, xi, fam))
+    xi = make_claim(tree, {"kind": "abs"})
+    fam = FamilySpec(cls=VAR_BOUNDED, var_lo=0.2, var_hi=0.6)
+    out.append(("var-bounded-float", tree, xi, fam))
+    xi = d2_claim(exact=True)
+    out.append(("d2-exact", d2, xi, FamilySpec(cls=MARTINGALE)))
+    out.append(("d2-exact-restricted", d2, xi, FamilySpec(cls=MARTINGALE).with_claim(xi)))
     return out
 
 
@@ -236,6 +269,35 @@ def test_verify_slacks_equal_pathwise_wealth(label, tree, xi, fam):
                 p for p in tree.paths() if p[-1] in expected and expected[p[-1]] < -1e-9
             ]
             assert rep.ok == (not rep.violations)
+
+
+@pytest.mark.parametrize("label,tree,xi,fam", INSTANCES, ids=IDS)
+def test_extracted_hedge_equals_resolved_multipliers(label, tree, xi, fam):
+    Y = backward_value(tree, xi, fam)
+    if Y[tree.root] == NEG_INF:
+        with pytest.raises(HedgeError):
+            extract_strategy(tree, Y, fam)
+        return
+    H = extract_strategy(tree, Y, fam)
+    h, flagged = resolved_hedge(tree, Y, fam)
+    assert repr(H.h) == repr(h)  # values bitwise, types and node order
+    assert H.flagged == flagged
+
+
+def test_hedge_instances_cover_classes_modes_and_neg_inf_nodes():
+    """The comparison above sees every family class in both numeric modes
+    with a finite root, and -inf internal nodes below a finite root."""
+    seen, flagged = set(), set()
+    for label, tree, xi, fam in INSTANCES:
+        Y = backward_value(tree, xi, fam)
+        if Y[tree.root] == NEG_INF:
+            continue
+        exact = not any(isinstance(v, float) for v in xi.values())
+        seen.add((fam.cls, exact))
+        if any(Y[n] == NEG_INF for n in tree.internal_nodes):
+            flagged.add((fam.cls, fam.claim is not None, tree.dim))
+    assert seen == {(cls, exact) for cls in (ALL, MARTINGALE, VAR_BOUNDED) for exact in (False, True)}
+    assert (MARTINGALE, True, 1) in flagged and (MARTINGALE, True, 2) in flagged
 
 
 @pytest.mark.parametrize("exact", [False, True])
