@@ -9,9 +9,7 @@ from .market_tree import (
     NEG_INF,
     MarketTree,
     build_tree,
-    concat_path,
     shift_claim,
-    split_path,
     validate_stopping_time,
 )
 from .measure_families import (

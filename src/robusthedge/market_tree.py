@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 NEG_INF = float("-inf")
 
@@ -96,15 +96,6 @@ class MarketTree:
     def paths(self) -> list:
         return [self.path_to(leaf) for leaf in self.leaves]
 
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """True iff `a` is a weak ancestor of `b` (a == b counts)."""
-        cur: Optional[int] = b
-        while cur is not None:
-            if cur == a:
-                return True
-            cur = self.nodes[cur].parent
-        return False
-
     def subtree_nodes(self, nid: int) -> list:
         """All ids weakly below `nid`, breadth-first."""
         out = [nid]
@@ -176,25 +167,6 @@ def build_tree(spec: Mapping) -> MarketTree:
                      tuple(ids[first : first + k]))
             )
     return MarketTree(dim=dim, nodes=tuple(nodes))
-
-
-def concat_path(tree: MarketTree, prefix: Sequence[int], suffix: Sequence[int]) -> list:
-    """Concatenate a root-to-n prefix with a path starting at n."""
-    if not prefix or not suffix:
-        raise TreeError("empty path segment")
-    if prefix[-1] != suffix[0]:
-        raise TreeError(
-            f"suffix starts at node {suffix[0]}, expected {prefix[-1]}"
-        )
-    return list(prefix) + list(suffix[1:])
-
-
-def split_path(tree: MarketTree, path: Sequence[int], nid: int) -> tuple:
-    """Inverse of concat_path: cut a path at node `nid` (which must lie on it)."""
-    if nid not in path:
-        raise TreeError(f"node {nid} not on path")
-    i = list(path).index(nid)
-    return list(path[: i + 1]), list(path[i:])
 
 
 def shift_claim(tree: MarketTree, xi: Mapping, nid: int) -> dict:

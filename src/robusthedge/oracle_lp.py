@@ -5,10 +5,19 @@ optimizes directly over leaf probabilities subject to the linear rows that
 characterize induced laws of family measures, and vertex enumeration solves
 square subsystems exactly in rationals.  Agreement between the two routes is
 the main acceptance gate.
+
+Vertex enumeration is memoised: one module-level LRU cache of 256 entries,
+keyed on the exact rational rows of the polytope, stores the sorted vertices
+as tuples.  This is safe because the vertices are a pure function of those
+exact rows and the stored values are immutable; callers get fresh lists.
+Node-local families repeat the same one-step polytope at every node of a
+`build_tree` tree, so nearly every call after the first at a tree shape is a
+hit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Mapping, Optional
 
@@ -68,24 +77,43 @@ def _solve_unique(A, b):
     return x
 
 
-def enumerate_polytope_vertices(n: int, A_eq, b_eq, A_ub=(), b_ub=(), max_active_ub: Optional[int] = None):
-    """All vertices of {x >= 0, A_eq x = b_eq, A_ub x <= b_ub}, exact.
+def enumerate_polytope_vertices(n: int, A_eq, b_eq, A_ub=(), b_ub=()) -> list:
+    """All vertices of {x >= 0, A_eq x = b_eq, A_ub x <= b_ub}, exact, sorted.
 
     Enumerates supports and active inequality subsets; intended for small
-    instances only (oracle scale).
+    instances only (oracle scale).  Memoised: after `rat` conversion the
+    exact rows (n, A_eq, b_eq, A_ub, b_ub) key a 256-entry LRU cache of
+    vertex tuples.  Equal keys mean identical polytopes; float rows enter
+    through their exact binary values, so steps that differ in the last bit
+    stay apart.  This is safe because the vertices are a pure function of
+    the exact rows and the stored tuples are immutable; each call returns
+    fresh lists.
     """
-    A_eq = [[rat(v) for v in row] for row in A_eq]
-    b_eq = [rat(v) for v in b_eq]
-    A_ub = [[rat(v) for v in row] for row in A_ub]
-    b_ub = [rat(v) for v in b_ub]
+    key = (
+        n,
+        tuple(tuple(map(rat, row)) for row in A_eq),
+        tuple(map(rat, b_eq)),
+        tuple(tuple(map(rat, row)) for row in A_ub),
+        tuple(map(rat, b_ub)),
+    )
+    return [list(v) for v in _polytope_vertices(*key)]
+
+
+@functools.lru_cache(maxsize=256)
+def _polytope_vertices(n: int, A_eq: tuple, b_eq: tuple, A_ub: tuple, b_ub: tuple) -> tuple:
+    """Sorted vertex tuples of the polytope given by exact rational rows.
+
+    On the trees `build_tree` makes every node has the same child steps, so
+    the same rows recur node after node and tree after tree.  256 entries
+    hold that working set while the one-shot keys of float variance bounds
+    (2**52 denominators) cannot pile up.
+    """
     n_ub = len(A_ub)
-    if max_active_ub is None:
-        max_active_ub = n_ub
-    seen, out = set(), []
-    for k_act in range(min(n_ub, max_active_ub) + 1):
+    verts = set()
+    for k_act in range(n_ub + 1):
         for act in itertools.combinations(range(n_ub), k_act):
-            rows = A_eq + [A_ub[i] for i in act]
-            rhs = b_eq + [b_ub[i] for i in act]
+            rows = A_eq + tuple(A_ub[i] for i in act)
+            rhs = b_eq + tuple(b_ub[i] for i in act)
             r = len(rows)
             for size in range(1, min(n, r) + 1):
                 for support in itertools.combinations(range(n), size):
@@ -100,14 +128,9 @@ def enumerate_polytope_vertices(n: int, A_eq, b_eq, A_ub=(), b_ub=(), max_active
                         sum(a * xx for a, xx in zip(A_ub[i], x)) <= b_ub[i]
                         for i in range(n_ub)
                     )
-                    if not ok:
-                        continue
-                    key = tuple(x)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(x)
-    out.sort()
-    return out
+                    if ok:
+                        verts.add(tuple(x))
+    return tuple(sorted(verts))
 
 
 # -- one-step vertex oracle ----------------------------------------------

@@ -68,6 +68,19 @@ def test_solve_reports_polar_path(tmp_path):
     assert report["polar_path_count"] == 1
 
 
+def test_solve_skips_the_oracle_beyond_its_leaf_limit(tmp_path, capsys):
+    doc = dict(BASE_CONFIG)
+    doc["tree"] = {"dim": 1, "depth": 7, "generator": {"kind": "trinomial"}}  # 2,187 leaves
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert "oracle scale exceeded, LP cross-check skipped" in capsys.readouterr().err
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["oracle_skipped"] and report["oracle_value"] is None
+    assert report["gaps"]["dp_minus_oracle"] is None
+    assert report["dual_value"] == pytest.approx(report["primal_value"], abs=1e-9)
+    assert report["verification"]["ok"]
+
+
 def test_hedge_outputs(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["hedge", "--config", str(cfg), "--out", str(tmp_path)]) == 0

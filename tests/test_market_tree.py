@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 from robusthedge.market_tree import (
     TreeError,
     build_tree,
-    concat_path,
     shift_claim,
-    split_path,
     stopping_time_below,
     validate_stopping_time,
 )
@@ -93,27 +91,6 @@ def test_tree_pickle_round_trip(spec, k):
     assert pickle.loads(pickle.dumps(build_tree(spec))) == tree  # before caching
 
 
-def test_concat_identity_cases(trinomial2):
-    p = trinomial2.paths()[0]
-    assert concat_path(trinomial2, [trinomial2.root], p) == p
-    assert concat_path(trinomial2, p, [p[-1]]) == p
-
-
-def test_concat_mid_tree_splice(trinomial2):
-    path = trinomial2.paths()[4]
-    mid = path[1]
-    prefix, suffix = split_path(trinomial2, path, mid)
-    assert concat_path(trinomial2, prefix, suffix) == path
-
-
-def test_concat_rejects_mismatch(trinomial2):
-    p = trinomial2.paths()
-    with pytest.raises(TreeError):
-        concat_path(trinomial2, p[0][:2], p[-1][1:])
-    with pytest.raises(TreeError):
-        concat_path(trinomial2, [], p[0])
-
-
 def test_shift_claim_root_and_leaf(trinomial2):
     xi = {leaf: abs(trinomial2.spot1(leaf)) for leaf in trinomial2.leaves}
     assert shift_claim(trinomial2, xi, trinomial2.root) == xi
@@ -156,13 +133,3 @@ def test_random_stopping_times_are_valid(seed):
     tau = random_stopping_time(tree, rng)
     ok, why = validate_stopping_time(tree, tau)
     assert ok, why
-
-
-@given(st.integers(0, 200))
-def test_split_concat_round_trip(seed):
-    rng = seeded(seed)
-    tree = random_tree(rng, max_depth=3, max_branch=3)
-    path = tree.paths()[rng.randrange(len(tree.paths()))]
-    nid = path[rng.randrange(len(path))]
-    prefix, suffix = split_path(tree, path, nid)
-    assert concat_path(tree, prefix, suffix) == path

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,9 +11,15 @@ from robusthedge.measure_families import (
     VAR_BOUNDED,
     FamilySpec,
     in_family,
+    one_step_rows,
 )
 from robusthedge.oracle_lp import (
+    ORACLE_MAX_CHILDREN,
+    ORACLE_MAX_LEAVES,
     OracleScaleError,
+    _polytope_vertices,
+    _solve_unique,
+    enumerate_polytope_vertices,
     enumerate_vertex_kernels,
     ess_sup_check,
     global_sup_lp,
@@ -25,7 +33,7 @@ from robusthedge.random_instances import (
     random_stopping_time,
     random_tree,
 )
-from robusthedge.simplex import RAT
+from robusthedge.simplex import RAT, rat
 
 from conftest import seeded
 
@@ -73,6 +81,100 @@ def test_lex_smallest_kernel_is_deterministic():
     k1 = lex_smallest_kernel(tree, 0, MART)
     k2 = lex_smallest_kernel(tree, 0, MART)
     assert k1.probs == k2.probs
+
+
+# -- memoised vertex enumeration -----------------------------------------
+
+
+def uncached_vertices(n, A_eq, b_eq, A_ub=(), b_ub=()):
+    """The enumeration loop as it ran before the memo, solved afresh."""
+    A_eq = [[rat(v) for v in row] for row in A_eq]
+    b_eq = [rat(v) for v in b_eq]
+    A_ub = [[rat(v) for v in row] for row in A_ub]
+    b_ub = [rat(v) for v in b_ub]
+    seen, out = set(), []
+    for k_act in range(len(A_ub) + 1):
+        for act in itertools.combinations(range(len(A_ub)), k_act):
+            rows = A_eq + [A_ub[i] for i in act]
+            rhs = b_eq + [b_ub[i] for i in act]
+            for size in range(1, min(n, len(rows)) + 1):
+                for support in itertools.combinations(range(n), size):
+                    sol = _solve_unique([[row[j] for j in support] for row in rows], rhs)
+                    if sol is None or any(v < 0 for v in sol):
+                        continue
+                    x = [RAT(0)] * n
+                    for j, v in zip(support, sol):
+                        x[j] = v
+                    if all(sum(a * xx for a, xx in zip(r, x)) <= bb for r, bb in zip(A_ub, b_ub)):
+                        if tuple(x) not in seen:
+                            seen.add(tuple(x))
+                            out.append(x)
+    out.sort()
+    return out
+
+
+def node_vertex_lists(tree, fam):
+    """(memoised, uncached) vertex lists of every internal node's polytope."""
+    out = []
+    for nid in tree.internal_nodes:
+        k = len(tree.children(nid))
+        rows = one_step_rows(tree, nid, tree.children(nid), fam)
+        out.append((enumerate_polytope_vertices(k, *rows), uncached_vertices(k, *rows)))
+    return out
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_memoised_vertices_match_uncached_on_random_trees(exact):
+    classes = set()
+    for i in range(12):
+        rng = seeded(700 + i)
+        tree = random_tree(rng, max_depth=3, max_branch=4)
+        fam = random_family(tree, rng, exact=exact)
+        classes.add(fam.cls)
+        for cached, fresh in node_vertex_lists(tree, fam):
+            assert cached == fresh
+    assert classes == {MARTINGALE, VAR_BOUNDED}
+
+
+def test_memoised_vertices_match_uncached_in_two_dimensions():
+    tree = build_tree(
+        {"dim": 2, "depth": 2, "generator": {"kind": "explicit", "offsets": [[1, 1], [-1, -1], [2, -1], [-1, 2], [-0.5, -0.5]]}}
+    )
+    pairs = node_vertex_lists(tree, MART)
+    assert pairs[0][0]  # a martingale kernel exists
+    for cached, fresh in pairs:
+        assert cached == fresh
+
+
+def test_float_steps_that_differ_in_the_last_bit_are_separate_keys():
+    tree = build_tree(
+        {"dim": 1, "depth": 3, "generator": {"kind": "explicit", "offsets": [-0.2, 0.1, 0.3]}}
+    )
+    steps = {tuple(tree.step(n, c) for c in tree.children(n)) for n in tree.internal_nodes}
+    assert len(steps) > 1  # (x + 0.1) - x != 0.1 at some node
+    for fam in (MART, FamilySpec(cls=VAR_BOUNDED, var_lo=0.01, var_hi=0.05)):
+        pairs = node_vertex_lists(tree, fam)
+        for cached, fresh in pairs:
+            assert cached == fresh
+        assert len({repr(cached) for cached, _ in pairs}) > 1
+
+
+def test_mutating_returned_vertices_leaves_the_memo_intact():
+    rows = one_step_rows(one_step_tree([-1, 0, 1]), 0, (1, 2, 3), MART)
+    first = enumerate_polytope_vertices(3, *rows)
+    expected = [list(v) for v in first]
+    first[0][0] = RAT(7)
+    first.append([RAT(1)] * 3)
+    assert enumerate_polytope_vertices(3, *rows) == expected
+
+
+def test_memo_stays_within_its_bound():
+    for k in range(1, 300):
+        verts = enumerate_polytope_vertices(2, [[1, 1], [-1, k]], [1, 0])
+        assert verts == [[RAT(k, k + 1), RAT(1, k + 1)]]
+    info = _polytope_vertices.cache_info()
+    assert info.maxsize == 256
+    assert info.currsize <= 256
 
 
 # -- global LP oracle ----------------------------------------------------
@@ -124,11 +226,20 @@ def test_global_lp_optimizer_stays_in_family():
 
 
 def test_oracle_scale_guard():
-    tree = build_tree(
-        {"dim": 1, "depth": 1, "generator": {"kind": "explicit", "offsets": list(range(-6, 8))}}
-    )
+    assert ORACLE_MAX_CHILDREN == 12
+    verts = enumerate_vertex_kernels(one_step_tree(list(range(-6, 6))), 0, MART)
+    assert len(verts) == 1 + 6 * 5  # the Dirac at 0 and one pair per (down, up)
+    for hi in (7, 8):  # 13 and 14 children
+        with pytest.raises(OracleScaleError):
+            enumerate_vertex_kernels(one_step_tree(list(range(-6, hi))), 0, MART)
+
+
+def test_oracle_leaf_limit():
+    tree = build_tree({"dim": 1, "depth": 7, "generator": {"kind": "trinomial"}})
+    assert len(tree.leaves) == 2187 > ORACLE_MAX_LEAVES
+    xi = {leaf: abs(tree.spot1(leaf)) for leaf in tree.leaves}
     with pytest.raises(OracleScaleError):
-        enumerate_vertex_kernels(tree, 0, MART)
+        global_sup_lp(tree, xi, MART, exact=False)
 
 
 # -- concave envelope ----------------------------------------------------

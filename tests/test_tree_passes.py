@@ -135,6 +135,16 @@ def resolved_hedge(tree, Y, fam):
     return h, flagged
 
 
+def is_ancestor(tree, a, b):
+    """True iff `a` is a weak ancestor of `b` (a == b counts)."""
+    cur = b
+    while cur is not None:
+        if cur == a:
+            return True
+        cur = tree.parent(cur)
+    return False
+
+
 def naive_validate_stopping_time(tree, members):
     """Pairwise antichain test, then one hit count per root-to-leaf path."""
     S = set(members)
@@ -143,7 +153,7 @@ def naive_validate_stopping_time(tree, members):
             return False, f"unknown node id {nid}"
     for a in sorted(S):
         for b in sorted(S):
-            if a != b and tree.is_ancestor(a, b):
+            if a != b and is_ancestor(tree, a, b):
                 return False, f"{a} is an ancestor of {b}"
     for path in tree.paths():
         hits = [n for n in path if n in S]
