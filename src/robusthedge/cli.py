@@ -25,6 +25,7 @@ from .market_tree import NEG_INF, build_tree
 from .measure_families import family_from_doc, polar_paths
 from .oracle_lp import OracleScaleError, global_sup_lp
 from .primal_hedge import extract_strategy, primal_lp, verify_superhedge
+from .simplex import rat
 from . import suites as suites_mod
 
 SCHEMA_VERSION = 1
@@ -46,14 +47,29 @@ def _require(cfg, field, path):
     return cfg[field]
 
 
+def _exact_tree_spec(spec):
+    """A copy of the tree spec whose generator numbers (`up`, `step`, and
+    `offsets`, scalar or vector) are exact rationals, so that every spot of
+    an exact run is rational."""
+    gen = dict(spec["generator"])
+    for key in ("up", "step"):
+        if key in gen:
+            gen[key] = rat(gen[key])
+    if gen.get("offsets"):
+        gen["offsets"] = [
+            [rat(v) for v in off] if isinstance(off, (list, tuple)) else rat(off)
+            for off in gen["offsets"]
+        ]
+    return dict(spec, generator=gen)
+
+
 def _instance_from_config(cfg, path, exact):
-    tree = build_tree(_require(cfg, "tree", path))
+    tree_spec = _require(cfg, "tree", path)
+    tree = build_tree(_exact_tree_spec(tree_spec) if exact else tree_spec)
     xi = make_claim(tree, _require(cfg, "claim", path), exact=exact)
     fam_doc = _require(cfg, "family", path)
     fam = family_from_doc(fam_doc, claim=xi)
     if exact and fam.var_lo is not None:
-        from .simplex import rat
-
         fam = type(fam)(cls=fam.cls, var_lo=rat(fam.var_lo), var_hi=rat(fam.var_hi), claim=fam.claim)
     return tree, xi, fam
 

@@ -1,16 +1,28 @@
-"""Exact-rational simplex solver on a dense tableau with sparse updates.
+"""Exact-rational simplex solver on an integer tableau, one denominator per row.
 
 `solve_lp` solves  max/min c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0
-(selected variables may be free).  All arithmetic is exact over rationals (gmpy2.mpq
-when available, fractions.Fraction otherwise), so oracle comparisons are
-bit-reproducible.  Dantzig pivoting with a Bland's-rule fallback guarantees
-termination on degenerate instances.
+(selected variables may be free).  All arithmetic is exact, so oracle
+comparisons are bit-reproducible.  Dantzig pivoting with a Bland's-rule
+fallback guarantees termination on degenerate instances.
 
-The reduced-cost row (rhs entry included) is carried alongside the tableau:
-it is built once per phase and eliminated in each pivot like any other row,
-and at the end of phase 2 its artificial columns hold the row duals.  A
-pivot scales the pivot row once and updates the other rows only on that
-row's nonzero columns, since most tableau entries are zero.
+The tableau holds Python ints: row i is a list of numerators N_i and one
+denominator D_i > 0 with gcd(N_i, D_i) = 1, and its entries are N_i / D_i.
+Inputs (int, float, Fraction, mpq) become integer rows through
+`as_integer_ratio`, and rational objects (`RAT`: gmpy2.mpq when available,
+fractions.Fraction otherwise) are built only for the returned x, value and
+duals.  A pivot on (r, k) with p = N_r[k] leaves the pivot row's
+numerators as they are (up to sign and a common factor), so D_r becomes
+|p|.  Another row with f = N_i[k] becomes N_i q - (f/g) N_r over D_i q,
+where g = gcd(f, p) and q = p/g, and is reduced by one gcd; when q = 1
+only the pivot row's nonzero columns change.  Like the fraction-free
+elimination of Edmonds (1967) and Bareiss (1968), this works on integers
+with no per-entry gcds, and it yields the same rationals as a Fraction
+tableau pivoting on the same entries.
+
+The reduced-cost row (rhs entry included) is the tableau's last row: it is
+built once per phase and eliminated in each pivot like any other row, and
+at the end of phase 2 its artificial columns hold the row duals and its
+rhs entry minus the objective value.
 
 `solve` is the one LP entry point of the package, and its `exact` keyword
 picks the arithmetic.  Exact mode is `solve_lp` above.  Float mode makes the
@@ -24,6 +36,7 @@ Scale target: a few hundred rows/columns.  Not a general-purpose LP code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 try:
@@ -33,7 +46,6 @@ except ImportError:  # pragma: no cover
 
 RAT = _RAT
 _ZERO = RAT(0)
-_ONE = RAT(1)
 
 
 def rat(x):
@@ -56,74 +68,116 @@ class LPResult:
     y_ub: Optional[list] = None
 
 
-def _pivot(T, basis, row, col, obj):
-    """Make `col` basic in `row`: scale the pivot row once, then eliminate
-    `col` from every other row and from the reduced-cost row `obj`, touching
-    only the pivot row's nonzero columns (rhs included)."""
+def _ratio(v):
+    """(numerator, denominator) of an exact number: int, float, Fraction or
+    mpq by `as_integer_ratio`, numpy integers by their attributes."""
+    try:
+        return v.as_integer_ratio()
+    except AttributeError:
+        return v.numerator, v.denominator
+
+
+def _ints(values):
+    """Integer numerators of `values` over their least common denominator."""
+    pairs = [_ratio(v) for v in values]
+    den = lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
+
+
+def _reduced(row, den):
+    """The row and denominator divided by their gcd."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def _pivot(T, D, basis, row, col):
+    """Make `col` basic in `row`.  The pivot row N_r over D_r becomes N_r
+    over p = N_r[col] (sign flipped so that p > 0, divided by gcd(N_r)).
+    Every other row i with f = N_i[col] != 0, the reduced-cost row T[-1]
+    included, becomes N_i p - f N_r over D_i p, with gcd(f, p) cancelled
+    first, and is reduced by its gcd.  When p divides f, D_i stays and the
+    row is updated in place on the pivot row's nonzero columns only.  Rows
+    with f = 0 are not touched."""
     prow = T[row]
-    inv = _ONE / prow[col]
+    p = prow[col]
+    if p < 0:
+        prow = [-v for v in prow]
+        p = -p
+    prow, p = _reduced(prow, p)
+    T[row] = prow
+    D[row] = p
     nz = [j for j, v in enumerate(prow) if v]
-    for j in nz:
-        prow[j] *= inv
-    for r in T + [obj]:
+    for i, r in enumerate(T):
         f = r[col]
-        if f and r is not prow:
-            for j in nz:
-                r[j] -= f * prow[j]
+        if f and i != row:
+            g = gcd(f, p)
+            q, f = p // g, f // g
+            if q == 1:
+                for j in nz:
+                    r[j] -= f * prow[j]
+                T[i], D[i] = _reduced(r, D[i])
+            else:
+                T[i], D[i] = _reduced([a * q - f * b for a, b in zip(r, prow)], D[i] * q)
     basis[row] = col
 
 
-def _reduced_costs(T, basis, c):
-    """Objective row c - c_B B^{-1} [A | b] of the current tableau.  Its rhs
+def _reduced_costs(T, D, basis, c, c_den):
+    """Objective row c - c_B B^{-1} [A | b] of the current tableau for the
+    cost c / c_den, as integer numerators over one denominator.  Its rhs
     entry is minus the objective value; basic columns read exactly 0."""
-    obj = list(c) + [_ZERO]
+    L = lcm(*(D[i] for i, b in enumerate(basis) if c[b]))
+    obj = [v * L for v in c] + [0]
     for i, b in enumerate(basis):
-        cb = c[b]
-        if cb:
-            for j, v in enumerate(T[i]):
-                if v:
-                    obj[j] -= cb * v
-    return obj
+        if c[b]:
+            s = c[b] * (L // D[i])
+            obj = [o - s * t for o, t in zip(obj, T[i])]
+    return _reduced(obj, c_den * L)
 
 
-def _run_simplex(T, basis, obj, n_enter) -> str:
-    """Pivot until no column below `n_enter` has a positive reduced cost.
-    Dantzig's rule (largest reduced cost, lowest index on ties), switching to
-    Bland's rule after `bland_after` pivots; leaving row by minimum ratio,
-    ties to the smallest basic index.  `obj` is updated in place.
+def _run_simplex(T, D, basis, n_enter) -> str:
+    """Pivot until no column below `n_enter` has a positive reduced cost in
+    the reduced-cost row T[-1].  Dantzig's rule (largest reduced cost, lowest
+    index on ties), switching to Bland's rule after `bland_after` pivots;
+    leaving row by minimum ratio, ties to the smallest basic index.  All
+    reduced costs share one positive denominator, so their numerators are
+    compared; the ratio N_i[-1] / N_i[enter] of row i does not depend on
+    D_i and is compared by cross-multiplication.
 
     A basic column at or above `n_enter` is an artificial that phase 1 left
     in the basis at zero.  Its row leaves at ratio 0 on any nonzero entry of
     the entering column, so the artificial stays at zero."""
-    m = len(T)
+    m = len(basis)
     ncols = len(T[0]) - 1
     iters = 0
     bland_after = 200 + 20 * (m + ncols)
     while True:
-        enter, best = -1, _ZERO
-        bland = iters > bland_after
-        for j in range(n_enter):
-            r = obj[j]
-            if r > best:
-                best, enter = r, j
-                if bland:
-                    break
+        costs = T[-1][:n_enter]
+        if iters > bland_after:
+            enter = next((j for j, r in enumerate(costs) if r > 0), -1)
+        else:
+            best = max(costs, default=0)
+            enter = costs.index(best) if best > 0 else -1
         if enter < 0:
             return "optimal"
-        leave, best_ratio = -1, None
+        leave, num_best, den_best = -1, 0, 1
         for i in range(m):
-            a = T[i][enter]
+            row = T[i]
+            a = row[enter]
             if a > 0 or (a and basis[i] >= n_enter):
-                ratio = T[i][-1] / a
+                num = row[-1]
+                if a < 0:
+                    num, a = -num, -a
                 if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
+                    leave < 0
+                    or num * den_best < num_best * a
+                    or (num * den_best == num_best * a and basis[i] < basis[leave])
                 ):
-                    best_ratio, leave = ratio, i
+                    leave, num_best, den_best = i, num, a
         if leave < 0:
             return "unbounded"
-        _pivot(T, basis, leave, enter, obj)
+        _pivot(T, D, basis, leave, enter)
         iters += 1
 
 
@@ -143,89 +197,75 @@ def solve_lp(
     minimize the returned value and duals refer to the original problem.
     """
     nv = len(c)
-    c = [rat(v) for v in c]
-    if not maximize:
-        c = [-v for v in c]
-    A_eq = [[rat(v) for v in row] for row in (A_eq or [])]
-    b_eq = [rat(v) for v in (b_eq or [])]
-    A_ub = [[rat(v) for v in row] for row in (A_ub or [])]
-    b_ub = [rat(v) for v in (b_ub or [])]
+    A_eq = A_eq or []
+    A_ub = A_ub or []
     free = sorted(set(free_vars))
 
     # Column layout: nv primary, then one negative copy per free var, then
-    # one slack per ub row, then one artificial per row.
-    neg_of = {j: nv + i for i, j in enumerate(free)}
-    n_slack = len(A_ub)
+    # one slack per ub row, then one artificial per row, then the rhs.
+    n_eq = len(A_eq)
     slack0 = nv + len(free)
-    art0 = slack0 + n_slack
-    m = len(A_eq) + len(A_ub)
+    art0 = slack0 + len(A_ub)
+    m = n_eq + len(A_ub)
     ncols = art0 + m
 
-    rows, rhs, flips = [], [], []
-    for arow, b in list(zip(A_eq, b_eq)) + list(zip(A_ub, b_ub)):
-        rows.append(list(arow))
-        rhs.append(b)
-        flips.append(_ONE)
-    for i, (arow, b) in enumerate(zip(rows, rhs)):
-        full = [_ZERO] * ncols
-        for j, v in enumerate(arow):
-            full[j] = v
-            if j in neg_of:
-                full[neg_of[j]] = -v
-        if i >= len(A_eq):
-            full[slack0 + (i - len(A_eq))] = _ONE
-        if b < 0:
+    T, D, flips = [], [], []
+    for i, (arow, b) in enumerate(list(zip(A_eq, b_eq or [])) + list(zip(A_ub, b_ub or []))):
+        nums, den = _ints(list(arow) + [b])
+        full = [0] * (ncols + 1)
+        full[: len(nums) - 1] = nums[:-1]
+        full[-1] = nums[-1]
+        for k, j in enumerate(free):
+            full[nv + k] = -full[j]
+        if i >= n_eq:
+            full[slack0 + i - n_eq] = den
+        flips.append(-1 if full[-1] < 0 else 1)
+        if flips[i] < 0:
             full = [-v for v in full]
-            b = -b
-            flips[i] = -_ONE
-        full[art0 + i] = _ONE
-        rows[i] = full + [b]
-        rhs[i] = b
-    T = rows
+        full[art0 + i] = den
+        row, den = _reduced(full, den)
+        T.append(row)
+        D.append(den)
     basis = [art0 + i for i in range(m)]
 
-    # Phase 1: drive artificials to zero.
-    c1 = [_ZERO] * ncols
-    for i in range(m):
-        c1[art0 + i] = -_ONE
-    obj = _reduced_costs(T, basis, c1)
-    status = _run_simplex(T, basis, obj, ncols)
+    # Phase 1: drive artificials to zero.  T[-1] is the reduced-cost row.
+    c1 = [0] * art0 + [-1] * m
+    obj, obj_den = _reduced_costs(T, D, basis, c1, 1)
+    T.append(obj)
+    D.append(obj_den)
+    status = _run_simplex(T, D, basis, ncols)
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
         raise SimplexError("phase 1 did not terminate at an optimum")
-    # obj[-1] is minus the phase-1 objective: the sum of basic artificials.
-    if obj[-1] > 0:
+    # T[-1][-1] is minus the phase-1 objective: the sum of basic artificials.
+    if T[-1][-1] > 0:
         return LPResult(status="infeasible")
 
     # Phase 2 on the real objective; artificials may not re-enter.
-    c2 = [_ZERO] * ncols
-    for j in range(nv):
-        c2[j] = c[j]
-    for j in free:
-        c2[neg_of[j]] = -c[j]
-    obj = _reduced_costs(T, basis, c2)
-    status = _run_simplex(T, basis, obj, art0)
+    cn, c_den = _ints(c)
+    if not maximize:
+        cn = [-v for v in cn]
+    c2 = cn + [-cn[j] for j in free] + [0] * (ncols - slack0)
+    T[-1], D[-1] = _reduced_costs(T, D, basis, c2, c_den)
+    status = _run_simplex(T, D, basis, art0)
     if status == "unbounded":
         return LPResult(status="unbounded")
 
     x = [_ZERO] * nv
     for i, b in enumerate(basis):
-        val = T[i][-1]
-        if b < nv:
-            x[b] += val
-        elif b < slack0:
-            x[free[b - nv]] -= val
-    value = sum(ci * xi for ci, xi in zip(c, x))
-
+        if b < slack0:
+            val = RAT(T[i][-1], D[i])
+            if b < nv:
+                x[b] += val
+            else:
+                x[free[b - nv]] -= val
+    # The rhs entry of the reduced-cost row is minus the objective value.
     # Row duals y = c_B B^{-1}: artificial i has cost 0 and column e_i in
     # phase 2, so its reduced cost is -y_i.
-    y = [-obj[art0 + i] * flips[i] for i in range(m)]
-    y_eq = y[: len(A_eq)]
-    y_ub = y[len(A_eq):]
-    if not maximize:
-        value = -value
-        y_eq = [-v for v in y_eq]
-        y_ub = [-v for v in y_ub]
-    return LPResult(status="optimal", x=x, value=value, y_eq=y_eq, y_ub=y_ub)
+    obj, obj_den = T[-1], D[-1]
+    sign = 1 if maximize else -1
+    value = RAT(-sign * obj[-1], obj_den)
+    y = [RAT(-sign * obj[art0 + i] * flips[i], obj_den) for i in range(m)]
+    return LPResult(status="optimal", x=x, value=value, y_eq=y[:n_eq], y_ub=y[n_eq:])
 
 
 _HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}

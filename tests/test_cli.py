@@ -93,6 +93,43 @@ def test_hedge_outputs(tmp_path):
     assert len(lines) == 1 + 9  # one row per non-polar leaf
 
 
+D2_FLOAT_OFFSETS_CONFIG = {
+    "tree": {
+        "dim": 2,
+        "depth": 2,
+        "generator": {"kind": "explicit", "offsets": [[1, 1], [-1, -1], [2, -1], [-0.5, -0.5]]},
+    },
+    "claim": {"kind": "call", "strike": 0.5},
+    "family": {"class": "martingale", "claim_restricted": False},
+}
+
+
+@pytest.mark.parametrize(
+    "offsets", [[[1, 1], [-1, -1], [2, -1], [-0.5, -0.5]], [1.5, -0.25, -0.5]], ids=["d2", "d1"]
+)
+def test_exact_runs_keep_float_offsets_exact(tmp_path, offsets):
+    # a float offset must not put a float spot into an exact run: every
+    # value is a rational string and the hedge's slacks are exact
+    doc = json.loads(json.dumps(D2_FLOAT_OFFSETS_CONFIG))
+    doc["tree"]["generator"]["offsets"] = offsets
+    doc["tree"]["dim"] = len(offsets[0]) if isinstance(offsets[0], list) else 1
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--exact", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["dual_value"] == report["oracle_value"] == report["primal_value"] == report["X0"]
+    assert "." not in report["dual_value"]
+    assert report["gaps"] == {"dp_minus_oracle": 0.0, "dp_minus_primal": 0.0}
+    assert main(["hedge", "--config", str(cfg), "--exact", "--out", str(tmp_path)]) == 0
+    hedge = json.loads((tmp_path / "hedge.json").read_text())
+    assert hedge["X0"] == report["X0"]
+    assert hedge["verification"]["min_slack"] == 0.0
+    rows = (tmp_path / "path_slacks.csv").read_text().splitlines()[1:]
+    slacks = [float(line.split(",")[1]) for line in rows]
+    assert min(slacks) == 0.0
+    if doc["tree"]["dim"] == 2:
+        assert report["dual_value"] == "3/8"
+
+
 def test_oracle_csv(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path)]) == 0

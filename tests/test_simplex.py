@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from robusthedge.simplex import RAT, rat, solve, solve_lp
+from robusthedge import simplex
+from robusthedge.simplex import RAT, LPResult, rat, solve, solve_lp
 
 
 def test_max_over_simplex_picks_best_coordinate():
@@ -178,3 +179,243 @@ def test_rat_conversion():
     assert rat(0.5) == RAT(1, 2)
     assert rat(RAT(2, 3)) == RAT(2, 3)
     assert rat(3) == 3
+
+
+# -- integer tableau against the Fraction tableau ---------------------------
+#
+# The Fraction-tableau simplex that the integer tableau replaced, kept as the
+# reference.  Both pivot on the same entries, so every result must be the
+# same rational, and the pivot counts must agree.
+
+
+class PivotCount:
+    def __init__(self):
+        self.n = 0
+
+
+REF_PIVOTS = PivotCount()
+
+
+def ref_pivot(T, basis, row, col, obj):
+    REF_PIVOTS.n += 1
+    prow = T[row]
+    inv = RAT(1) / prow[col]
+    nz = [j for j, v in enumerate(prow) if v]
+    for j in nz:
+        prow[j] *= inv
+    for r in T + [obj]:
+        f = r[col]
+        if f and r is not prow:
+            for j in nz:
+                r[j] -= f * prow[j]
+    basis[row] = col
+
+
+def ref_reduced_costs(T, basis, c):
+    obj = list(c) + [RAT(0)]
+    for i, b in enumerate(basis):
+        cb = c[b]
+        if cb:
+            for j, v in enumerate(T[i]):
+                if v:
+                    obj[j] -= cb * v
+    return obj
+
+
+def ref_run_simplex(T, basis, obj, n_enter):
+    m = len(T)
+    ncols = len(T[0]) - 1
+    iters = 0
+    bland_after = 200 + 20 * (m + ncols)
+    while True:
+        enter, best = -1, RAT(0)
+        bland = iters > bland_after
+        for j in range(n_enter):
+            r = obj[j]
+            if r > best:
+                best, enter = r, j
+                if bland:
+                    break
+        if enter < 0:
+            return "optimal"
+        leave, best_ratio = -1, None
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0 or (a and basis[i] >= n_enter):
+                ratio = T[i][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio, leave = ratio, i
+        if leave < 0:
+            return "unbounded"
+        ref_pivot(T, basis, leave, enter, obj)
+        iters += 1
+
+
+def ref_solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, maximize=True, free_vars=()):
+    zero, one = RAT(0), RAT(1)
+    nv = len(c)
+    c = [rat(v) for v in c]
+    if not maximize:
+        c = [-v for v in c]
+    A_eq = [[rat(v) for v in row] for row in (A_eq or [])]
+    b_eq = [rat(v) for v in (b_eq or [])]
+    A_ub = [[rat(v) for v in row] for row in (A_ub or [])]
+    b_ub = [rat(v) for v in (b_ub or [])]
+    free = sorted(set(free_vars))
+    neg_of = {j: nv + i for i, j in enumerate(free)}
+    n_slack = len(A_ub)
+    slack0 = nv + len(free)
+    art0 = slack0 + n_slack
+    m = len(A_eq) + len(A_ub)
+    ncols = art0 + m
+    rows, rhs, flips = [], [], []
+    for arow, b in list(zip(A_eq, b_eq)) + list(zip(A_ub, b_ub)):
+        rows.append(list(arow))
+        rhs.append(b)
+        flips.append(one)
+    for i, (arow, b) in enumerate(zip(rows, rhs)):
+        full = [zero] * ncols
+        for j, v in enumerate(arow):
+            full[j] = v
+            if j in neg_of:
+                full[neg_of[j]] = -v
+        if i >= len(A_eq):
+            full[slack0 + (i - len(A_eq))] = one
+        if b < 0:
+            full = [-v for v in full]
+            b = -b
+            flips[i] = -one
+        full[art0 + i] = one
+        rows[i] = full + [b]
+        rhs[i] = b
+    T = rows
+    basis = [art0 + i for i in range(m)]
+    c1 = [zero] * ncols
+    for i in range(m):
+        c1[art0 + i] = -one
+    obj = ref_reduced_costs(T, basis, c1)
+    ref_run_simplex(T, basis, obj, ncols)
+    if obj[-1] > 0:
+        return LPResult(status="infeasible")
+    c2 = [zero] * ncols
+    for j in range(nv):
+        c2[j] = c[j]
+    for j in free:
+        c2[neg_of[j]] = -c[j]
+    obj = ref_reduced_costs(T, basis, c2)
+    if ref_run_simplex(T, basis, obj, art0) == "unbounded":
+        return LPResult(status="unbounded")
+    x = [zero] * nv
+    for i, b in enumerate(basis):
+        val = T[i][-1]
+        if b < nv:
+            x[b] += val
+        elif b < slack0:
+            x[free[b - nv]] -= val
+    value = sum(ci * xi for ci, xi in zip(c, x))
+    y = [-obj[art0 + i] * flips[i] for i in range(m)]
+    y_eq = y[: len(A_eq)]
+    y_ub = y[len(A_eq):]
+    if not maximize:
+        value = -value
+        y_eq = [-v for v in y_eq]
+        y_ub = [-v for v in y_ub]
+    return LPResult(status="optimal", x=x, value=value, y_eq=y_eq, y_ub=y_ub)
+
+
+def random_entry(rng):
+    """0 (often), a small int, a small-denominator rational, a float in
+    eighths, or a random double (denominators up to 2^52 and beyond)."""
+    kind = rng.randrange(6)
+    if kind < 2:
+        return 0
+    if kind == 2:
+        return rng.randint(-4, 4)
+    if kind == 3:
+        return RAT(rng.randint(-9, 9), rng.randint(1, 7))
+    if kind == 4:
+        return rng.randint(-16, 16) / 8
+    return rng.uniform(-2, 2)
+
+
+def random_general_lps(n, seed):
+    """`n` LPs (c, A_eq, b_eq, A_ub, b_ub, maximize, free_vars) with equality
+    and <= rows, negative rhs (flipped rows), zero rhs (degenerate vertices),
+    free variables and mixed int / rational / float entries.  Some draws are
+    infeasible and some unbounded."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        nv = rng.randint(1, 7)
+        n_eq, n_ub = rng.randint(0, 3), rng.randint(0, 4)
+
+        def row():
+            return [random_entry(rng) for _ in range(nv)]
+
+        A_eq = [row() for _ in range(n_eq)]
+        A_ub = [row() for _ in range(n_ub)]
+        if rng.random() < 0.7:
+            # rows through a point x0 >= 0 with zeros: feasible, degenerate
+            x0 = [rng.choice([0, 0, 1, RAT(1, 2), 2]) for _ in range(nv)]
+            b_eq = [sum(a * v for a, v in zip(r, x0)) for r in A_eq]
+            b_ub = [sum(a * v for a, v in zip(r, x0)) + rng.choice([0, 1]) for r in A_ub]
+        else:
+            b_eq = [random_entry(rng) for _ in range(n_eq)]
+            b_ub = [random_entry(rng) for _ in range(n_ub)]
+        # a probability simplex keeps many draws bounded; every draw has a
+        # row, because the Fraction tableau cannot hold zero rows
+        if rng.random() < 0.5 or not A_eq + A_ub:
+            A_eq.append([1] * nv)
+            b_eq.append(1)
+        free = tuple(j for j in range(nv) if rng.random() < 0.25)
+        c = [random_entry(rng) for _ in range(nv)]
+        yield c, A_eq, b_eq, A_ub, b_ub, rng.random() < 0.5, free
+
+
+def fixed_lps():
+    """The module's fixed LPs and the seam cases, as solve_lp arguments."""
+    yield from seam_cases()
+    variance_rows = [[1, 0, 1], [-1, 0, -1]], [RAT(3, 5), RAT(-1, 5)]
+    yield ([1, 0, 1], [[1, 1, 1], [-1, 0, 1]], [1, 0]) + variance_rows + (True, ())
+    yield [-1, 0], None, None, [[-1, 1], [-1, -2]], [-1, -4], True, (0, 1)
+
+
+def all_lps():
+    return list(fixed_lps()) + list(random_general_lps(400, seed=11))
+
+
+def test_integer_tableau_matches_fraction_tableau():
+    statuses = {}
+    for c, A_eq, b_eq, A_ub, b_ub, maximize, free in all_lps():
+        res = solve_lp(c, A_eq, b_eq, A_ub, b_ub, maximize=maximize, free_vars=free)
+        ref = ref_solve_lp(c, A_eq, b_eq, A_ub, b_ub, maximize=maximize, free_vars=free)
+        assert repr(res) == repr(ref)
+        statuses[res.status] = statuses.get(res.status, 0) + 1
+        if res.status == "optimal":
+            numbers = res.x + res.y_eq + res.y_ub + [res.value]
+            assert all(isinstance(v, RAT) for v in numbers)
+    assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+    assert min(statuses.values()) >= 20
+
+
+def test_pivot_counts_match_fraction_tableau(monkeypatch):
+    # the benchmark tracer counts simplex.pivots by patching simplex._pivot
+    count = PivotCount()
+    orig = simplex._pivot
+
+    def counted(*args, **kwargs):
+        count.n += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "_pivot", counted)
+    total = 0
+    for c, A_eq, b_eq, A_ub, b_ub, maximize, free in all_lps():
+        count.n = REF_PIVOTS.n = 0
+        simplex.solve(c, A_eq, b_eq, A_ub, b_ub, maximize=maximize, free_vars=free, exact=True)
+        ref_solve_lp(c, A_eq, b_eq, A_ub, b_ub, maximize=maximize, free_vars=free)
+        assert count.n == REF_PIVOTS.n
+        total += count.n
+    assert total > 500
