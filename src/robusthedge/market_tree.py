@@ -10,11 +10,14 @@ its children's ids, and the children of a node carry consecutive ids.  The
 top-down passes (path-dependent claims, hedge wealth, polar flags,
 stopping-time checks) visit every parent before its children by walking the
 ids in increasing order, so they take O(N) time without building a
-root-to-leaf path per leaf.
+root-to-leaf path per leaf.  The same ids make every time level one
+contiguous block (`MarketTree.levels`), which the backward DP walks from the
+leaves up.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
@@ -78,8 +81,18 @@ class MarketTree:
     def internal_nodes(self) -> tuple:
         return tuple(n.id for n in self.nodes if n.children)
 
+    @cached_property
+    def levels(self) -> tuple:
+        """The ids of each time t, as `levels[t]`, a range: breadth-first ids
+        make every level one contiguous block.  One pass over the times."""
+        ts = [n.t for n in self.nodes]
+        if ts != sorted(ts):
+            raise TreeError("node ids are not breadth-first")
+        starts = [bisect_left(ts, t) for t in range(ts[-1] + 2)]
+        return tuple(map(range, starts, starts[1:]))
+
     def nodes_at(self, t: int) -> tuple:
-        return tuple(n.id for n in self.nodes if n.t == t)
+        return tuple(self.levels[t]) if 0 <= t < len(self.levels) else ()
 
     # -- path structure --------------------------------------------------
 

@@ -337,10 +337,11 @@ def ess_sup_check(tree: MarketTree, xi: Mapping, fam: FamilySpec, tau, P: TreeMe
     if not ok:
         raise MeasureError(f"P is not in the family: {why}")
     mass = P.node_mass(tree)
+    Y = backward_value(tree, xi, fam)  # a node's DP value depends only on its subtree
     for m in sorted(set(tau)):
         if mass[m] == 0:
             continue
-        dp = backward_value(tree, xi, fam, start=m)[m]
+        dp = Y[m]
         lp, _ = global_sup_lp(tree, xi, fam, start=m)
         if dp == NEG_INF or lp == NEG_INF:
             if dp != lp:

@@ -1,7 +1,13 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from robusthedge import dual_dp
+from robusthedge.claims import NAMED_KINDS, make_claim
 from robusthedge.dual_dp import (
+    LEVEL_BATCH_MIN,
+    ValueField,
     backward_value,
     check_supermartingale,
     check_tower,
@@ -285,3 +291,136 @@ def test_exact_and_float_roots_agree(seed):
         assert ve == vf
     else:
         assert float(ve) == pytest.approx(vf, abs=1e-9)
+
+
+# -- level pass ------------------------------------------------------------
+
+
+def per_node_field(tree, xi, fam):
+    """The reference for the level pass: the value field from one
+    `one_step_sup` per internal node, in descending ids."""
+    Y = ValueField(tree, fam)
+    for nid in reversed(range(len(tree.nodes))):
+        if tree.is_leaf(nid):
+            Y[nid] = xi[nid]
+        else:
+            sol = one_step_sup(tree, nid, Y, fam)
+            Y[nid] = sol.value
+            Y.hedge[nid] = sol.h
+    return Y
+
+
+def counting_one_step_sup(monkeypatch):
+    calls = []
+    solve = dual_dp.one_step_sup
+
+    def counted(tree, nid, *args):
+        calls.append(nid)
+        return solve(tree, nid, *args)
+
+    monkeypatch.setattr(dual_dp, "one_step_sup", counted)
+    return calls
+
+
+def narrow_internal_nodes(tree):
+    """The ids of the internal levels narrower than LEVEL_BATCH_MIN."""
+    return [nid for level in tree.levels[:-1] if len(level) < LEVEL_BATCH_MIN for nid in level]
+
+
+def wide_tree(generator, min_depth=2):
+    """The shallowest tree from `generator` with an internal level at least
+    LEVEL_BATCH_MIN wide."""
+    depth = min_depth
+    while True:
+        tree = build_tree({"dim": 1, "depth": depth, "generator": generator})
+        if len(tree.levels[-2]) >= LEVEL_BATCH_MIN:
+            return tree
+        depth += 1
+
+
+WIDE_GENERATORS = {
+    "binomial": {"kind": "binomial"},
+    "binomial-up0.1": {"kind": "binomial", "up": 0.1},
+    "trinomial": {"kind": "trinomial"},
+    "five-offset": {"kind": "explicit", "offsets": [-2, -1, 0, 1, 2]},
+    "float-offsets": {"kind": "explicit", "offsets": [-0.3, -0.1, 0, 0.2, 0.7]},
+    "mixed-offsets": {"kind": "explicit", "offsets": [-1, 0.5, 2]},
+    "one-sided": {"kind": "explicit", "offsets": [0, 1, 2]},
+    "one-sided-up": {"kind": "explicit", "offsets": [1, 2]},
+}
+
+
+def table_claim(tree, rng, share, values):
+    """A float table claim with a `share` of -inf leaves, so that some
+    internal nodes have no martingale kernel left, and the other leaves
+    drawn from `values`."""
+    table = {leaf: "-inf" if rng.random() < share else rng.choice(values)() for leaf in tree.leaves}
+    return make_claim(tree, {"kind": "table", "values": table})
+
+
+def assert_fields_identical(Y, ref):
+    assert repr(Y) == repr(ref)  # values bitwise, sign of zero, type, key order
+    assert repr(Y.hedge) == repr(ref.hedge)
+    assert all(type(v) is float for v in Y.values())
+    assert all(type(h1) is float for (h1,) in Y.hedge.values())
+
+
+@pytest.mark.parametrize("block_rows", [dual_dp._BLOCK_ROWS, 7])  # one block, or many and a short one
+@pytest.mark.parametrize("name", list(WIDE_GENERATORS))
+def test_level_pass_equals_per_node_solves(name, block_rows, monkeypatch):
+    monkeypatch.setattr(dual_dp, "_BLOCK_ROWS", block_rows)
+    tree = wide_tree(WIDE_GENERATORS[name])
+    rng = seeded(800)
+    claims = [make_claim(tree, {"kind": kind, "strike": strike}) for kind in NAMED_KINDS for strike in (-1.5, 0, 0.5, 2)]
+    mixed = [lambda: rng.uniform(-3, 3), lambda: -0.0, lambda: 0.0, lambda: 1.0]
+    claims += [table_claim(tree, rng, share, mixed) for share in (0.1, 0.4, 0.7)]
+    # every candidate is a signed zero: the first maximum decides the sign
+    claims += [table_claim(tree, rng, share, [lambda: -0.0, lambda: 0.0]) for share in (0, 0.2)]
+    narrow = narrow_internal_nodes(tree)  # the levels straddle LEVEL_BATCH_MIN
+    assert 0 < len(narrow) < len(tree.internal_nodes)
+    calls = counting_one_step_sup(monkeypatch)
+    neg_inf_nodes = 0
+    for xi in claims:
+        for fam in (MART, MART.with_claim(xi)):
+            calls.clear()
+            Y = backward_value(tree, xi, fam)
+            assert sorted(calls) == narrow  # only the narrow levels go node by node
+            assert_fields_identical(Y, per_node_field(tree, xi, fam))
+            neg_inf_nodes += sum(Y[n] == NEG_INF for n in tree.internal_nodes)
+    assert neg_inf_nodes > 0
+
+
+D2_WIDE = {"dim": 2, "depth": 4, "generator": {"kind": "explicit", "offsets": [[1, 1], [-1, -1], [2, -1], [-0.5, -0.5]]}}
+
+
+def per_node_cases():
+    """Trees with wide levels whose every internal node still goes through
+    `one_step_sup`: exact claims, Fraction and large int spots, VAR_BOUNDED,
+    ALL, d = 2."""
+    tri = build_tree({"dim": 1, "depth": 5, "generator": {"kind": "trinomial"}})
+    frac = build_tree({"dim": 1, "depth": 5, "generator": {"kind": "explicit", "offsets": [Fraction(-1, 3), 0, Fraction(1, 2)]}})
+    # odd steps past 2**51: the spots are ints that no double holds exactly
+    big = build_tree({"dim": 1, "depth": 5, "generator": {"kind": "explicit", "offsets": [-(2**52) - 1, 0, 2**52 + 3]}})
+    d2 = build_tree(D2_WIDE)
+    lookback = {"kind": "lookback", "strike": 0.5}
+    return [
+        ("exact", tri, make_claim(tri, lookback, exact=True), MART),
+        ("fraction-spots", frac, make_claim(frac, lookback), MART),
+        ("large-int-spots", big, make_claim(big, {"kind": "abs"}), MART),
+        ("var-bounded", tri, make_claim(tri, lookback), FamilySpec(cls=VAR_BOUNDED, var_lo=0.2, var_hi=0.6)),
+        ("all", tri, make_claim(tri, lookback), FamilySpec(cls=ALL)),
+        ("d2", d2, make_claim(d2, {"kind": "call", "strike": 0.5}), MART),
+    ]
+
+
+PER_NODE_CASES = per_node_cases()
+
+
+@pytest.mark.parametrize("label,tree,xi,fam", PER_NODE_CASES, ids=[c[0] for c in PER_NODE_CASES])
+def test_other_levels_solve_every_node(label, tree, xi, fam, monkeypatch):
+    assert max(len(level) for level in tree.levels[:-1]) >= LEVEL_BATCH_MIN
+    calls = counting_one_step_sup(monkeypatch)
+    Y = backward_value(tree, xi, fam)
+    assert sorted(calls) == list(tree.internal_nodes)
+    assert repr(Y) == repr(per_node_field(tree, xi, fam))
+

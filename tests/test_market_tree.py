@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from robusthedge.market_tree import (
+    MarketTree,
+    Node,
     TreeError,
     build_tree,
     shift_claim,
@@ -133,3 +135,15 @@ def test_random_stopping_times_are_valid(seed):
     tau = random_stopping_time(tree, rng)
     ok, why = validate_stopping_time(tree, tau)
     assert ok, why
+
+
+def test_levels_need_breadth_first_ids():
+    # depth-first ids: time 2 comes before the second time-1 node
+    nodes = (
+        Node(0, 0, (0,), None, (1, 3)),
+        Node(1, 1, (-1,), 0, (2,)),
+        Node(2, 2, (-2,), 1, ()),
+        Node(3, 1, (1,), 0, ()),
+    )
+    with pytest.raises(TreeError):
+        MarketTree(dim=1, nodes=nodes).levels

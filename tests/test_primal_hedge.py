@@ -109,11 +109,13 @@ def test_extract_strategy_rejects_other_fields(trinomial2):
     xi = {leaf: abs(trinomial2.spot1(leaf)) for leaf in trinomial2.leaves}
     Y = backward_value(trinomial2, xi, MART)
     twin = build_tree({"dim": 1, "depth": 2, "generator": {"kind": "trinomial"}})
+    rootless = backward_value(trinomial2, xi, MART)
+    del rootless[trinomial2.root]  # this tree and family, but no root value
     others = (
         dict(Y),  # same values, no multipliers
         backward_value(trinomial2, xi, FamilySpec(cls=ALL)),
         backward_value(twin, xi, MART),  # an equal tree, not this one
-        backward_value(trinomial2, xi, MART, start=trinomial2.children(0)[0]),
+        rootless,
     )
     for other in others:
         with pytest.raises(HedgeError):

@@ -329,6 +329,16 @@ def test_subtree_nodes_match_naive_bfs(label, tree, xi, fam):
         assert tree.subtree_nodes(n) == naive_subtree(tree, n)
 
 
+@pytest.mark.parametrize("label,tree,xi,fam", INSTANCES, ids=IDS)
+def test_levels_match_per_node_scan(label, tree, xi, fam):
+    assert len(tree.levels) == tree.depth + 1
+    for t in range(-1, tree.depth + 2):
+        want = tuple(n.id for n in tree.nodes if n.t == t)
+        assert tree.nodes_at(t) == want
+        if 0 <= t <= tree.depth:
+            assert tuple(tree.levels[t]) == want
+
+
 def stopping_time_cases(tree, rng):
     """Valid stopping times and sets that break them in every way the
     validator reports: ancestor pairs, missed paths, unknown ids."""
