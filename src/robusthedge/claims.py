@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .market_tree import NEG_INF, MarketTree
+from .market_tree import NEG_INF, MarketTree, repeat_each
 from .simplex import rat
 
 NAMED_KINDS = ("call", "abs", "lookback", "asian", "digital", "linear")
@@ -45,35 +45,35 @@ def make_claim(tree: MarketTree, spec: Mapping, exact: bool = False) -> dict:
     strike = spec.get("strike", 0)
     k = rat(strike) if exact else float(strike)
     conv = rat if exact else float
+    xs = tree.coords[0]
+    levels = tree.levels
+    terminals = list(map(conv, xs[levels[-1].start : levels[-1].stop]))
     if kind in ("lookback", "asian"):
-        # running max / running sum of the path spots, top-down in id order
-        # (parents first); same comparisons and additions as max() and sum()
-        # over the root-to-leaf spot list
-        run = [None] * len(tree.nodes)
-        for n in tree.nodes:
-            s = conv(n.x[0])
-            if n.parent is None:
-                run[n.id] = s if kind == "lookback" else 0 + s
-            elif kind == "lookback":
-                prev = run[n.parent]
-                run[n.id] = s if s > prev else prev
+        # running max / running sum of the path spots, level by level from
+        # the root (each parent's entry repeated for its k children); same
+        # comparisons and additions as max() and sum() over the root-to-leaf
+        # spot list
+        x0 = conv(xs[0])
+        run = [x0 if kind == "lookback" else 0 + x0]
+        for level in levels[1:]:
+            spots = terminals if level is levels[-1] else map(conv, xs[level.start : level.stop])
+            prev = repeat_each(run, len(tree.offsets))
+            if kind == "lookback":
+                run = [s if s > p else p for s, p in zip(spots, prev)]
             else:
-                run[n.id] = run[n.parent] + s
-    out = {}
-    for leaf in tree.leaves:
-        terminal = conv(tree.spot(leaf)[0])
-        if kind == "call":
-            out[leaf] = _pos(terminal - k)
-        elif kind == "abs":
-            out[leaf] = abs(terminal)
-        elif kind == "lookback":
-            out[leaf] = _pos(run[leaf] - k)
-        elif kind == "asian":
-            avg = run[leaf] / (tree.node(leaf).t + 1)
-            out[leaf] = _pos(avg - k)
-        elif kind == "digital":
-            one = rat(1) if exact else 1.0
-            out[leaf] = one if terminal >= k else 0 * one
-        elif kind == "linear":
-            out[leaf] = terminal
-    return out
+                run = [p + s for s, p in zip(spots, prev)]
+    if kind == "call":
+        vals = [_pos(x - k) for x in terminals]
+    elif kind == "abs":
+        vals = list(map(abs, terminals))
+    elif kind == "lookback":
+        vals = [_pos(r - k) for r in run]
+    elif kind == "asian":
+        n = tree.depth + 1
+        vals = [_pos(r / n - k) for r in run]
+    elif kind == "digital":
+        one = rat(1) if exact else 1.0
+        vals = [one if x >= k else 0 * one for x in terminals]
+    else:  # linear
+        vals = terminals
+    return dict(zip(tree.leaves, vals))

@@ -119,12 +119,18 @@ def run_solve(cfg, path, out, exact):
         print("warning: oracle scale exceeded, LP cross-check skipped", file=sys.stderr)
     timings["oracle"] = time.perf_counter() - t
     t = time.perf_counter()
-    pv, _strategy = primal_lp(tree, xi, fam, exact=exact)
+    primal_skipped = False
+    pv = None
+    try:
+        pv, _strategy = primal_lp(tree, xi, fam, exact=exact)
+    except OracleScaleError:
+        primal_skipped = True
+        print("warning: exact primal LP scale exceeded, primal cross-check skipped", file=sys.stderr)
     timings["primal"] = time.perf_counter() - t
 
     ok = True
     gaps = {}
-    if dp == NEG_INF or pv == NEG_INF or (lp == NEG_INF and not oracle_skipped):
+    if dp == NEG_INF or pv == NEG_INF or lp == NEG_INF:
         finite = [v for v in (dp, lp, pv) if v is not None]
         ok = all(v == NEG_INF for v in finite)
         gaps = {"dp_minus_oracle": None, "dp_minus_primal": None}
@@ -133,13 +139,9 @@ def run_solve(cfg, path, out, exact):
         X0 = "-inf"
         polar = polar_paths(tree, fam, xi)
     else:
-        if not oracle_skipped:
-            gaps["dp_minus_oracle"] = float(dp - lp)
-            ok = ok and abs(gaps["dp_minus_oracle"]) <= GAP_TOL
-        else:
-            gaps["dp_minus_oracle"] = None
-        gaps["dp_minus_primal"] = float(dp - pv)
-        ok = ok and abs(gaps["dp_minus_primal"]) <= GAP_TOL
+        gaps["dp_minus_oracle"] = None if oracle_skipped else float(dp - lp)
+        gaps["dp_minus_primal"] = None if primal_skipped else float(dp - pv)
+        ok = all(abs(g) <= GAP_TOL for g in gaps.values() if g is not None)
         H = extract_strategy(tree, Y, fam)
         digest = _strategy_digest(H)
         X0 = _value_doc(dp, exact)
@@ -160,7 +162,8 @@ def run_solve(cfg, path, out, exact):
         "dual_value": _value_doc(dp, exact),
         "oracle_value": None if oracle_skipped else _value_doc(lp, exact),
         "oracle_skipped": oracle_skipped,
-        "primal_value": _value_doc(pv, exact),
+        "primal_value": None if primal_skipped else _value_doc(pv, exact),
+        "primal_skipped": primal_skipped,
         "gaps": gaps,
         "X0": X0,
         "strategy_digest": digest,

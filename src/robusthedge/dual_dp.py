@@ -12,9 +12,9 @@ and a node is worth -inf exactly when no family kernel avoids all of them.
 breadth-first ids make each level, and the children of each level, one
 contiguous block).  A level of a MARTINGALE family (claim-restricted or not)
 on a d = 1 tree is solved by numpy array passes over its (n x k) block of
-child values and spot steps when it has at least LEVEL_BATCH_MIN nodes, every
-node has the same k consecutive children, every child value is a float and
-every spot a float or a small int.  The passes repeat the float branch of
+child values and spot steps, read from the tree's coordinate list, when it
+has at least LEVEL_BATCH_MIN nodes, every child value is a float and every
+spot a float or a small int.  The passes repeat the float branch of
 `one_step_sup` operation for operation, so values and h are bitwise equal.
 Every other level, and the root, goes through `one_step_sup` node by node;
 so do exact values, ALL, VAR_BOUNDED, d >= 2 and Fraction spots.
@@ -30,8 +30,6 @@ nodes), so the property suites stay on the per-node path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import eq
 from typing import Mapping, Optional
 
 from . import simplex
@@ -219,43 +217,33 @@ def backward_value(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> ValueField
     leaves up; see the module docstring for the levels solved by arrays."""
     Y = ValueField(tree, fam)
     batch = fam.cls == MARTINGALE and tree.dim == 1
-    for level in reversed(tree.levels):
-        nodes = tree.nodes[level.start : level.stop]
-        ids = [n.id for n in reversed(nodes)]  # the tree's own ints as keys: no new objects
-        if not any(n.children for n in nodes):  # a level of leaves
+    for t in reversed(range(tree.depth + 1)):
+        level, ids = tree.levels[t], tree.nodes_at(t)[::-1]
+        if tree.is_leaf(level.start):  # the level of leaves
             Y.update(zip(ids, map(xi.__getitem__, ids)))
         elif not (batch and len(level) >= LEVEL_BATCH_MIN and _martingale_level_1d(tree, level, ids, Y)):
             for nid in ids:
-                if tree.is_leaf(nid):
-                    Y[nid] = xi[nid]
-                else:
-                    sol = one_step_sup(tree, nid, Y, fam)
-                    Y[nid] = sol.value
-                    Y.hedge[nid] = sol.h
+                sol = one_step_sup(tree, nid, Y, fam)
+                Y[nid] = sol.value
+                Y.hedge[nid] = sol.h
     return Y
 
 
 def _martingale_level_1d(tree: MarketTree, level: range, ids: list, Y: ValueField) -> bool:
-    """Solve every node of `level` by the d = 1 martingale branch of
-    `one_step_sup` in float mode, in array passes of _BLOCK_ROWS nodes, and
-    write the values and multipliers into Y under `ids` (the level's ids,
-    descending).  Returns
-    False, writing nothing, unless every node has the same k consecutive
-    children, every child value is a float and every spot a float or an int
-    within +-_INT_SPOT_BOUND."""
-    parents = tree.nodes[level.start : level.stop]
-    kids = [n.children for n in parents]
-    k = len(kids[0])
-    if not k or set(map(len, kids)) != {k}:
-        return False
-    below = range(kids[0][0], kids[0][0] + k * len(level))
-    if not all(map(eq, chain.from_iterable(kids), below)):
-        return False
+    """Solve every node of the internal `level` by the d = 1 martingale
+    branch of `one_step_sup` in float mode, in array passes of _BLOCK_ROWS
+    nodes, and write the values and multipliers into Y under `ids` (the
+    level's ids, descending).  The level's children are the next level, k
+    per node in order.  Returns False, writing nothing, unless every child
+    value is a float and every spot a float or an int within
+    +-_INT_SPOT_BOUND."""
+    k = len(tree.offsets)
+    below = range(k * level.start + 1, k * level.stop + 1)
     vals = list(map(Y.__getitem__, below))
     if set(map(type, vals)) != {float}:
         return False
-    xp = [n.x[0] for n in parents]
-    xc = [n.x[0] for n in tree.nodes[below.start : below.stop]]
+    xs = tree.coords[0]
+    xp, xc = xs[level.start : level.stop], xs[below.start : below.stop]
     types = set(map(type, xp)) | set(map(type, xc))
     if not types <= {float, int}:
         return False

@@ -5,22 +5,31 @@ root spot is zero, and every leaf sits at the terminal time N.  Trees are
 non-recombining, so a node id identifies the whole path prefix and any
 path-dependent payoff is a function of the leaf id alone.
 
-Node ids are breadth-first: the root is 0, every parent id is smaller than
-its children's ids, and the children of a node carry consecutive ids.  The
-top-down passes (path-dependent claims, hedge wealth, polar flags,
-stopping-time checks) visit every parent before its children by walking the
-ids in increasing order, so they take O(N) time without building a
-root-to-leaf path per leaf.  The same ids make every time level one
-contiguous block (`MarketTree.levels`), which the backward DP walks from the
-leaves up.
+Every tree is uniform: the same k spot offsets are applied at every
+internal node, so a tree is stored as its generator (dimension, offsets,
+depth) and its structure is arithmetic on breadth-first ids.  The root is
+0, the children of node i are k*i + 1 .. k*i + k, its parent is
+(i - 1) // k, and its time is the level whose id range holds it.  Every
+time level is one contiguous id range (`MarketTree.levels`), and the
+children of a level are the next level, in order.
+
+Only the spots are stored: one plain Python list per coordinate, level
+after level (`MarketTree.coords`), each level built from the one above by
+adding the offsets, so spots keep the numeric type of the offsets (int,
+float, Fraction).  The deep-tree passes (path-dependent claims, hedge
+wealth, polar flags, the backward DP) read level slices of these lists, so
+they take O(N) time and build no per-node object.  `Node` is a value view
+for the suites and tests: `MarketTree.nodes` builds all of them, once, the
+first time it is indexed or iterated; its length costs nothing.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 NEG_INF = float("-inf")
@@ -32,6 +41,8 @@ class TreeError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Node:
+    """One node as a value, built on demand by `MarketTree.nodes`."""
+
     id: int
     t: int
     x: tuple
@@ -39,92 +50,185 @@ class Node:
     children: tuple
 
 
+class _NodeView(Sequence):
+    """`MarketTree.nodes`: the Node values in id order.  len() is O(1); the
+    Node tuple is built and cached on the tree on first index or iteration."""
+
+    __slots__ = ("_tree",)
+
+    def __init__(self, tree):
+        self._tree = tree
+
+    def __len__(self):
+        return self._tree._size
+
+    def __getitem__(self, i):
+        return self._tree._node_tuple[i]
+
+    def __iter__(self):
+        return iter(self._tree._node_tuple)
+
+
 @dataclass(frozen=True)
 class MarketTree:
-    """Immutable non-recombining tree with breadth-first integer node ids."""
+    """Immutable uniform non-recombining tree with breadth-first integer ids,
+    stored as its generator: `offsets` holds the k spot steps (each a
+    `dim`-tuple) applied at every internal node."""
 
     dim: int
-    nodes: tuple
-    root: int = 0
+    offsets: tuple
+    depth: int
+    root = 0  # not a field: every tree is rooted at id 0
 
-    # -- basic accessors -------------------------------------------------
+    def __post_init__(self):
+        if self.depth < 1:
+            raise TreeError("depth must be >= 1")
+        if not self.offsets:
+            raise TreeError("a tree needs at least one offset")
+        for off in self.offsets:
+            if len(off) != self.dim:
+                raise TreeError(f"offset {off} has wrong dimension (expected {self.dim})")
+            for v in off:
+                if isinstance(v, float) and not (v == v and abs(v) != float("inf")):
+                    raise TreeError(f"non-finite spot offset {v}")
+        k = len(self.offsets)
+        starts = [0]
+        for t in range(self.depth + 1):
+            starts.append(starts[-1] + k**t)
+        # derived attributes live in the instance __dict__, outside the fields
+        # that equality, hashing and pickling use
+        put = object.__setattr__
+        put(self, "levels", tuple(map(range, starts, starts[1:])))
+        put(self, "_k", k)
+        put(self, "_starts", starts[:-1])
+        put(self, "_n_internal", starts[-2])
+        put(self, "_size", starts[-1])
 
-    def node(self, nid: int) -> Node:
-        return self.nodes[nid]
+    def __reduce__(self):
+        return type(self), (self.dim, self.offsets, self.depth)
+
+    # -- spots -----------------------------------------------------------
+
+    @cached_property
+    def coords(self) -> tuple:
+        """The spots, one list per coordinate: `coords[j][i]` is coordinate j
+        of node i's spot.  Each level is `[x + o for x in <level above> for
+        o in <offsets' coordinate j>]`: a child's coordinate is always its
+        parent's plus the offset's, in that operand order, so spots are
+        reproducible and keep the offsets' numeric types."""
+        out = []
+        for j in range(self.dim):
+            offs = [off[j] for off in self.offsets]
+            level = [0]
+            xs = [0]
+            for _ in range(self.depth):
+                level = [x + o for x in level for o in offs]
+                xs += level
+            out.append(xs)
+        return tuple(out)
 
     def spot(self, nid: int) -> tuple:
-        return self.nodes[nid].x
+        coords = self.coords
+        if len(coords) == 1:
+            return (coords[0][nid],)
+        return tuple([xs[nid] for xs in coords])
 
     def spot1(self, nid: int):
         """Scalar spot, d = 1 convenience."""
-        return self.nodes[nid].x[0]
+        return self.coords[0][nid]
+
+    # -- structure -------------------------------------------------------
+
+    @cached_property
+    def _ids(self) -> tuple:
+        """Every id, in order: the id tuples below are slices of it, so they
+        share one int object per id (as do dict keys taken from them)."""
+        return tuple(range(self._size))
 
     def children(self, nid: int) -> tuple:
-        return self.nodes[nid].children
+        if nid >= self._n_internal:
+            return ()
+        first = self._k * nid + 1
+        return self._ids[first : first + self._k]
 
     def parent(self, nid: int) -> Optional[int]:
-        return self.nodes[nid].parent
+        return (nid - 1) // self._k if nid else None
 
     def is_leaf(self, nid: int) -> bool:
-        return not self.nodes[nid].children
+        return nid >= self._n_internal
 
-    # cached in the instance __dict__, which a frozen dataclass still has
+    def time(self, nid: int) -> int:
+        return bisect_right(self._starts, nid) - 1
+
+    @property
+    def nodes(self) -> Sequence:
+        return _NodeView(self)
+
+    def node(self, nid: int) -> Node:
+        return self._node_tuple[nid]
+
     @cached_property
-    def depth(self) -> int:
-        return max(n.t for n in self.nodes)
+    def _node_tuple(self) -> tuple:
+        spots = list(zip(*self.coords))
+        return tuple(
+            Node(i, t, spots[i], self.parent(i), self.children(i))
+            for t, level in enumerate(self.levels)
+            for i in level
+        )
 
     @cached_property
     def leaves(self) -> tuple:
-        return tuple(n.id for n in self.nodes if not n.children)
+        return self._ids[self._n_internal :]
 
     @cached_property
     def internal_nodes(self) -> tuple:
-        return tuple(n.id for n in self.nodes if n.children)
-
-    @cached_property
-    def levels(self) -> tuple:
-        """The ids of each time t, as `levels[t]`, a range: breadth-first ids
-        make every level one contiguous block.  One pass over the times."""
-        ts = [n.t for n in self.nodes]
-        if ts != sorted(ts):
-            raise TreeError("node ids are not breadth-first")
-        starts = [bisect_left(ts, t) for t in range(ts[-1] + 2)]
-        return tuple(map(range, starts, starts[1:]))
+        return self._ids[: self._n_internal]
 
     def nodes_at(self, t: int) -> tuple:
-        return tuple(self.levels[t]) if 0 <= t < len(self.levels) else ()
+        if not 0 <= t < len(self.levels):
+            return ()
+        return self._ids[self.levels[t].start : self.levels[t].stop]
 
     # -- path structure --------------------------------------------------
 
     def path_to(self, nid: int) -> list:
         """Node ids from the root down to `nid` inclusive."""
-        out = []
-        cur: Optional[int] = nid
-        while cur is not None:
-            out.append(cur)
-            cur = self.nodes[cur].parent
+        out = [nid]
+        while nid:
+            nid = (nid - 1) // self._k
+            out.append(nid)
         out.reverse()
         return out
 
     def paths(self) -> list:
         return [self.path_to(leaf) for leaf in self.leaves]
 
-    def subtree_nodes(self, nid: int) -> list:
-        """All ids weakly below `nid`, breadth-first."""
-        out = [nid]
-        i = 0
-        while i < len(out):  # `out` doubles as the queue, read by a cursor
-            out.extend(self.nodes[out[i]].children)
-            i += 1
+    def _ranges_below(self, nid: int) -> list:
+        """The ids weakly below `nid`, one range per time from nid's own:
+        the children of the ids a..b-1 are k*a + 1 .. k*b."""
+        out = [range(nid, nid + 1)]
+        while out[-1].start < self._n_internal:
+            a, b = out[-1].start, out[-1].stop
+            out.append(range(self._k * a + 1, self._k * b + 1))
         return out
 
+    def subtree_nodes(self, nid: int) -> list:
+        """All ids weakly below `nid`, breadth-first."""
+        return [m for r in self._ranges_below(nid) for m in r]
+
     def leaves_below(self, nid: int) -> list:
-        return [m for m in self.subtree_nodes(nid) if self.is_leaf(m)]
+        return list(self._ranges_below(nid)[-1])
 
     def step(self, nid: int, child: int) -> tuple:
         """Spot increment along the edge nid -> child."""
         xn, xc = self.spot(nid), self.spot(child)
         return tuple(xc[k] - xn[k] for k in range(self.dim))
+
+
+def repeat_each(seq: Iterable, k: int):
+    """Each item of `seq` k times in a row: the values of a level, one per
+    node, lined up with the level below, k children per node."""
+    return chain.from_iterable(zip(*[seq] * k))
 
 
 def _offsets_from_generator(gen: Mapping) -> list:
@@ -148,38 +252,14 @@ def build_tree(spec: Mapping) -> MarketTree:
 
     Schema: {"dim": d, "depth": N, "generator": {"kind": "binomial"|"trinomial"
     |"explicit", ...}}.  The same k child offsets are applied at every non-leaf
-    node.  Node ids are breadth-first, so outputs are reproducible and the
-    module's id invariant holds: parent id < child id, and the children of
-    node i are the k consecutive ids k*i + 1 .. k*i + k.  One int object per
-    id is shared by the node's `id`, its children's `parent` and its parent's
-    `children`.
+    node, in the generator's order; node ids are breadth-first (see the
+    module docstring), so outputs are reproducible.  The spots are built
+    here, level by level.
     """
-    dim = int(spec.get("dim", 1))
-    depth = int(spec["depth"])
-    if depth < 1:
-        raise TreeError("depth must be >= 1")
-    offsets = _offsets_from_generator(spec["generator"])
-    for off in offsets:
-        if len(off) != dim:
-            raise TreeError(f"offset {off} has wrong dimension (expected {dim})")
-        for v in off:
-            if isinstance(v, float) and not (v == v and abs(v) != float("inf")):
-                raise TreeError(f"non-finite spot offset {v}")
-
-    k = len(offsets)
-    n_internal = sum(k**t for t in range(depth))
-    ids = list(range(n_internal + k**depth))
-    nodes = [Node(ids[0], 0, tuple(0 for _ in range(dim)), None, tuple(ids[1 : k + 1]))]
-    for pid in range(n_internal):
-        parent = nodes[pid]
-        t = parent.t + 1
-        for off in offsets:
-            first = k * len(nodes) + 1  # past the last id for a leaf: no children
-            nodes.append(
-                Node(ids[len(nodes)], t, tuple(map(add, parent.x, off)), parent.id,
-                     tuple(ids[first : first + k]))
-            )
-    return MarketTree(dim=dim, nodes=tuple(nodes))
+    offsets = tuple(_offsets_from_generator(spec["generator"]))
+    tree = MarketTree(int(spec.get("dim", 1)), offsets, int(spec["depth"]))
+    tree.coords  # the spots are built here, not on first use
+    return tree
 
 
 def shift_claim(tree: MarketTree, xi: Mapping, nid: int) -> dict:
@@ -212,9 +292,9 @@ def validate_stopping_time(tree: MarketTree, members: Iterable[int]) -> tuple:
             return False, f"{a} is an ancestor of {below[a]}"
     # members met on the path from the root, parents first
     hits = [0] * n_nodes
-    for node in tree.nodes:
-        up = 0 if node.parent is None else hits[node.parent]
-        hits[node.id] = up + (node.id in S)
+    for nid in range(n_nodes):
+        p = tree.parent(nid)
+        hits[nid] = (0 if p is None else hits[p]) + (nid in S)
     for leaf in tree.leaves:
         if hits[leaf] != 1:
             return False, f"path to leaf {leaf} meets the set {hits[leaf]} times"
@@ -228,12 +308,12 @@ def stopping_time_below(tree: MarketTree, sigma: Iterable[int], tau: Iterable[in
     sig, ta = set(sigma), set(tau)
     met_sigma = bytearray(len(tree.nodes))
     late = bytearray(len(tree.nodes))
-    for node in tree.nodes:
-        p = node.parent
+    for nid in range(len(tree.nodes)):
+        p = tree.parent(nid)
         if p is not None and (met_sigma[p] or late[p]):
-            met_sigma[node.id], late[node.id] = met_sigma[p], late[p]
-        elif node.id in sig:
-            met_sigma[node.id] = 1
-        elif node.id in ta:
-            late[node.id] = 1
+            met_sigma[nid], late[nid] = met_sigma[p], late[p]
+        elif nid in sig:
+            met_sigma[nid] = 1
+        elif nid in ta:
+            late[nid] = 1
     return not any(late[leaf] for leaf in tree.leaves)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
-from .market_tree import NEG_INF, MarketTree, validate_stopping_time
+from .market_tree import NEG_INF, MarketTree, repeat_each, validate_stopping_time
 
 FEAS_TOL = 1e-12
 
@@ -390,21 +390,27 @@ def polar_paths(tree: MarketTree, fam: FamilySpec, xi: Optional[Mapping] = None)
     """Paths charged by no family measure, sorted by leaf.
 
     Chargeability factorizes over steps for node-local families, so a "dead"
-    flag (some edge above is not chargeable) is propagated top-down in id
-    order.  The claim filter is applied last: with the restriction active, a
-    surviving leaf is kept only if some family measure charges it while
-    avoiding every -inf leaf (a per-leaf feasibility LP, exact).
+    flag (some edge above is not chargeable) is propagated top-down: level
+    by level over the spot list for the d = 1 martingale family, in id order
+    through `chargeable_children` for the others.  The claim filter is
+    applied last: with the restriction active, a surviving leaf is kept only
+    if some family measure charges it while avoiding every -inf leaf (a
+    per-leaf feasibility LP, exact).
     """
     if xi is None:
         xi = fam.claim
-    dead = bytearray(len(tree.nodes))
-    for n in tree.internal_nodes:
-        charge = () if dead[n] else chargeable_children(tree, n, fam)
-        for c in tree.children(n):
-            dead[c] = c not in charge
+    if fam.cls == MARTINGALE and tree.dim == 1:
+        dead = _martingale_dead_leaves_1d(tree)
+    else:
+        flags = bytearray(len(tree.nodes))
+        for n in tree.internal_nodes:
+            charge = () if flags[n] else chargeable_children(tree, n, fam)
+            for c in tree.children(n):
+                flags[c] = c not in charge
+        dead = flags[tree.levels[-1].start :]
     polar, alive = [], []
-    for leaf in tree.leaves:
-        if dead[leaf] or (xi is not None and xi.get(leaf) == NEG_INF):
+    for leaf, gone in zip(tree.leaves, dead):
+        if gone or (xi is not None and xi.get(leaf) == NEG_INF):
             polar.append(leaf)
         else:
             alive.append(leaf)
@@ -419,6 +425,27 @@ def polar_paths(tree: MarketTree, fam: FamilySpec, xi: Optional[Mapping] = None)
             if not oracle_lp.leaf_chargeable(tree, restricted, leaf)
         ]
     return [tree.path_to(leaf) for leaf in sorted(polar)]
+
+
+def _martingale_dead_leaves_1d(tree: MarketTree) -> list:
+    """The dead flags of the leaves, in id order, for the d = 1 martingale
+    family: level by level, each node's k child steps are judged by the rule
+    of `martingale_chargeable_1d`, and every child of a dead node is dead."""
+    k = len(tree.offsets)
+    xs = tree.coords[0]
+    dead = [False]
+    for level, below in zip(tree.levels, tree.levels[1:]):
+        xp = repeat_each(xs[level.start : level.stop], k)
+        steps = [c - p for c, p in zip(xs[below.start : below.stop], xp)]
+        out = []
+        for gone, ds in zip(dead, zip(*[iter(steps)] * k)):
+            if gone:
+                out += [True] * k
+            else:
+                up, down = max(ds) > 0, min(ds) < 0
+                out += [not (d == 0 or (d < 0 and up) or (d > 0 and down)) for d in ds]
+        dead = out
+    return dead
 
 
 # -- serialization -------------------------------------------------------

@@ -353,7 +353,7 @@ def ess_sup_check(tree: MarketTree, xi: Mapping, fam: FamilySpec, tau, P: TreeMe
 
 def upward_directed_check(tree: MarketTree, xi: Mapping, fam: FamilySpec, nid: int, P1: TreeMeasure, P2: TreeMeasure, tol: float = 1e-12) -> bool:
     """Bifurcating toward the better conditional expectation dominates both."""
-    level = tree.node(nid).t
+    level = tree.time(nid)
     tau = tree.nodes_at(level)
     e1 = {m: P1.expectation(tree, xi, start=m) for m in tau}
     e2 = {m: P2.expectation(tree, xi, start=m) for m in tau}

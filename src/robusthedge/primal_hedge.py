@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import simplex
 from .dual_dp import ValueField
-from .market_tree import NEG_INF, MarketTree
+from .market_tree import NEG_INF, MarketTree, repeat_each
 from .measure_families import (
     ALL,
     VAR_BOUNDED,
@@ -24,7 +24,7 @@ from .measure_families import (
     TreeMeasure,
     polar_paths,
 )
-from .oracle_lp import enumerate_vertex_kernels
+from .oracle_lp import ORACLE_MAX_LEAVES, OracleScaleError, enumerate_vertex_kernels
 
 HEDGE_TOL = 1e-9
 
@@ -85,30 +85,32 @@ def verify_superhedge(tree: MarketTree, X0, H: Strategy, xi: Mapping, fam: Famil
     """Wealth >= claim on every non-polar path (the quasi-sure inequality).
 
     Polar paths are excluded from the check and listed in the report.  The
-    wealth is accumulated top-down in id order (parents first), with the
-    same additions as `wealth` along each root-to-leaf path.
+    wealth is accumulated level by level over the tree's coordinate lists,
+    with the same additions, in the same order, as `wealth` along each
+    root-to-leaf path.
     """
     polar = polar_paths(tree, fam, xi)
     polar_leaves = {p[-1] for p in polar}
-    W = [None] * len(tree.nodes)
-    W[tree.root] = X0
-    for n in tree.internal_nodes:
-        hn, xn, wn = H.h[n], tree.spot(n), W[n]
-        for c in tree.children(n):
-            xc = tree.spot(c)
-            w = wn
-            for k in range(tree.dim):
-                w += hn[k] * (xc[k] - xn[k])
-            W[c] = w
+    # wealth level by level from the root: each parent's wealth, hedge and
+    # spot lined up with its k children, then one pass per coordinate
+    k = len(tree.offsets)
+    W = [X0]
+    for level, below in zip(tree.levels, tree.levels[1:]):
+        hs = list(map(H.h.__getitem__, level))
+        W = list(repeat_each(W, k))
+        for j, xs in enumerate(tree.coords):
+            hj = repeat_each([h[j] for h in hs], k)
+            xp = repeat_each(xs[level.start : level.stop], k)
+            W = [w + h * (c - p) for w, h, p, c in zip(W, hj, xp, xs[below.start : below.stop])]
     slacks, violations = {}, []
     min_slack = None
-    for leaf in tree.leaves:
+    for leaf, w in zip(tree.leaves, W):
         if leaf in polar_leaves:
             continue
         if xi[leaf] == NEG_INF:
             # non-polar -inf leaf: dominated trivially, not a constraint
             continue
-        s = W[leaf] - xi[leaf]
+        s = w - xi[leaf]
         slacks[leaf] = s
         if min_slack is None or s < min_slack:
             min_slack = s
@@ -152,7 +154,17 @@ def primal_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, exact: bool = True
     constrains the hedge to the admissible cone h . step <= 0).  VAR_BOUNDED
     hedging needs variance instruments, so it uses the equivalent node-value
     formulation with per-node variance-position variables.
+
+    The exact LP raises OracleScaleError, before it builds a row, on trees
+    of more than ORACLE_MAX_LEAVES leaves (one path row per leaf): its dense
+    rational tableau grows with rows times columns.  On trinomial lookback
+    trees it took 9.9 s of CPU time at 729 leaves and 166 s at 2,187 (one
+    core of an Intel Xeon, Python 3.11, Fraction arithmetic).
     """
+    if exact and len(tree.leaves) > ORACLE_MAX_LEAVES:
+        raise OracleScaleError(
+            f"{len(tree.leaves)} paths exceed the exact primal LP limit {ORACLE_MAX_LEAVES}"
+        )
     if fam.cls == VAR_BOUNDED:
         return _primal_lp_var_bounded(tree, xi, fam, exact)
     polar = polar_paths(tree, fam, xi)

@@ -79,6 +79,26 @@ def test_solve_skips_the_oracle_beyond_its_leaf_limit(tmp_path, capsys):
     assert report["gaps"]["dp_minus_oracle"] is None
     assert report["dual_value"] == pytest.approx(report["primal_value"], abs=1e-9)
     assert report["verification"]["ok"]
+    assert not report["primal_skipped"]  # HiGHS solves the float primal LP
+
+
+def test_exact_solve_skips_the_primal_lp_beyond_its_leaf_limit(tmp_path, capsys):
+    doc = dict(BASE_CONFIG)
+    doc["tree"] = {"dim": 1, "depth": 7, "generator": {"kind": "trinomial"}}  # 2,187 leaves
+    doc["claim"] = {"kind": "lookback", "strike": 0.5}
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--exact", "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert "oracle scale exceeded, LP cross-check skipped" in err
+    assert "exact primal LP scale exceeded, primal cross-check skipped" in err
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["primal_skipped"] and report["primal_value"] is None
+    assert report["gaps"] == {"dp_minus_oracle": None, "dp_minus_primal": None}
+    # the exact primal LP, run past its limit, reaches 339/256 too
+    assert report["dual_value"] == report["X0"] == "339/256"
+    assert report["verification"] == {"ok": True, "min_slack": 0.0}
+    assert report["ok"]
+    schema_validator("robusthedge/solve-report/v1").validate(report)
 
 
 def test_hedge_outputs(tmp_path):

@@ -1,17 +1,25 @@
 import pickle
+from bisect import bisect_left
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
 
+from robusthedge import market_tree
+from robusthedge.claims import make_claim
+from robusthedge.cli import _exact_tree_spec
+from robusthedge.dual_dp import backward_value
 from robusthedge.market_tree import (
-    MarketTree,
     Node,
     TreeError,
+    _offsets_from_generator,
     build_tree,
     shift_claim,
     stopping_time_below,
     validate_stopping_time,
 )
+from robusthedge.measure_families import MARTINGALE, FamilySpec, polar_paths
+from robusthedge.primal_hedge import extract_strategy, verify_superhedge
 from robusthedge.random_instances import random_stopping_time, random_tree
 
 from conftest import seeded
@@ -137,13 +145,111 @@ def test_random_stopping_times_are_valid(seed):
     assert ok, why
 
 
-def test_levels_need_breadth_first_ids():
-    # depth-first ids: time 2 comes before the second time-1 node
-    nodes = (
-        Node(0, 0, (0,), None, (1, 3)),
-        Node(1, 1, (-1,), 0, (2,)),
-        Node(2, 2, (-2,), 1, ()),
-        Node(3, 1, (1,), 0, ()),
-    )
-    with pytest.raises(TreeError):
-        MarketTree(dim=1, nodes=nodes).levels
+# -- the per-node builder the array-backed tree replaced ----------------------
+
+
+def naive_build_tree(spec):
+    """(nodes, levels, leaves, internal_nodes) of the spec, built one Node per
+    id as the package did before its trees became generator-backed: every
+    spot is `tuple(map(add, parent.x, off))`, parents first."""
+    dim = int(spec.get("dim", 1))
+    depth = int(spec["depth"])
+    offsets = _offsets_from_generator(spec["generator"])
+    k = len(offsets)
+    n_internal = sum(k**t for t in range(depth))
+    ids = list(range(n_internal + k**depth))
+    nodes = [Node(ids[0], 0, tuple(0 for _ in range(dim)), None, tuple(ids[1 : k + 1]))]
+    for pid in range(n_internal):
+        parent = nodes[pid]
+        for off in offsets:
+            first = k * len(nodes) + 1  # past the last id for a leaf: no children
+            nodes.append(
+                Node(ids[len(nodes)], parent.t + 1, tuple(map(add, parent.x, off)), parent.id,
+                     tuple(ids[first : first + k]))
+            )
+    ts = [n.t for n in nodes]
+    starts = [bisect_left(ts, t) for t in range(ts[-1] + 2)]
+    levels = tuple(map(range, starts, starts[1:]))
+    leaves = tuple(n.id for n in nodes if not n.children)
+    internal = tuple(n.id for n in nodes if n.children)
+    return nodes, levels, leaves, internal
+
+
+def explicit_spec(dim, depth, offsets):
+    return {"dim": dim, "depth": depth, "generator": {"kind": "explicit", "offsets": offsets}}
+
+
+D2_OFFSETS = [[1, 1], [-1, -1], [2, -1], [-0.5, -0.5]]
+REFERENCE_SPECS = [spec for spec, _ in INVARIANT_SPECS] + [
+    # Fraction offsets, as the --exact CLI path converts them
+    _exact_tree_spec({"dim": 1, "depth": 4, "generator": {"kind": "trinomial", "step": 0.1}}),
+    _exact_tree_spec(explicit_spec(1, 4, [1.5, -0.25, -0.5])),
+    _exact_tree_spec(explicit_spec(2, 3, D2_OFFSETS)),
+    # accumulated float spots
+    {"dim": 1, "depth": 6, "generator": {"kind": "trinomial", "step": 0.1}},
+    {"dim": 1, "depth": 5, "generator": {"kind": "binomial", "up": 0.3}},
+    # mixed int and float offsets
+    explicit_spec(1, 4, [-1, 0.5, 2, -0.3]),
+    explicit_spec(2, 3, D2_OFFSETS),
+]
+
+
+def random_tree_specs(n):
+    """Specs of `n` random_tree draws, read back from the drawn trees."""
+    out = []
+    for i in range(n):
+        tree = random_tree(seeded(300 + i))
+        out.append(explicit_spec(1, tree.depth, [o for (o,) in tree.offsets]))
+        assert build_tree(out[-1]) == tree
+    return out
+
+
+def assert_matches_reference(tree, spec):
+    nodes, levels, leaves, internal = naive_build_tree(spec)
+    assert len(tree.nodes) == len(nodes)
+    # repr: ids, times, spots (values and types), parents and children
+    assert repr(list(tree.nodes)) == repr(nodes)
+    for ref in nodes:
+        i = ref.id
+        assert tree.node(i) is tree.nodes[i]
+        assert repr(tree.spot(i)) == repr(ref.x) and repr(tree.spot1(i)) == repr(ref.x[0])
+        assert (tree.time(i), tree.parent(i), tree.children(i)) == (ref.t, ref.parent, ref.children)
+        assert tree.is_leaf(i) == (not ref.children)
+    assert repr(tree.levels) == repr(levels)
+    assert repr(tree.leaves) == repr(leaves)
+    assert repr(tree.internal_nodes) == repr(internal)
+    assert tree.depth == len(levels) - 1
+    for t in range(-1, len(levels) + 1):
+        assert tree.nodes_at(t) == tuple(n.id for n in nodes if n.t == t)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS + random_tree_specs(50))
+def test_tree_matches_per_node_builder(spec):
+    tree = build_tree(spec)
+    assert_matches_reference(tree, spec)
+    clone = pickle.loads(pickle.dumps(tree))
+    assert clone == tree
+    assert repr(clone.coords) == repr(tree.coords)
+    assert_matches_reference(clone, spec)
+
+
+def test_deep_path_builds_no_node(monkeypatch):
+    """Build, claim, DP, hedge and verification read the coordinate lists:
+    none of them builds a Node, and len(tree.nodes) does not either."""
+
+    def no_node(*args):
+        raise AssertionError("a Node was built")
+
+    monkeypatch.setattr(market_tree, "Node", no_node)
+    # level 5 has 243 nodes, so the DP solves it in one array pass
+    tree = build_tree({"dim": 1, "depth": 6, "generator": {"kind": "trinomial", "step": 0.1}})
+    assert len(tree.nodes) == 1093
+    fam = FamilySpec(cls=MARTINGALE)
+    for kind in ("lookback", "asian"):
+        xi = make_claim(tree, {"kind": kind, "strike": 0.1})
+        Y = backward_value(tree, xi, fam)
+        rep = verify_superhedge(tree, Y[tree.root], extract_strategy(tree, Y, fam), xi, fam)
+        assert rep.ok and rep.polar == polar_paths(tree, fam) == []
+    assert "_node_tuple" not in vars(tree)
+    monkeypatch.undo()
+    assert tree.nodes[5] is tree.node(5) and "_node_tuple" in vars(tree)

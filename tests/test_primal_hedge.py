@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from robusthedge import dual_dp, simplex
 from robusthedge.dual_dp import backward_value, optimizer_measure
-from robusthedge.market_tree import NEG_INF, build_tree
+from robusthedge.market_tree import NEG_INF, MarketTree, build_tree
 from robusthedge.measure_families import (
     ALL,
     MARTINGALE,
@@ -21,6 +21,7 @@ from robusthedge.primal_hedge import (
     verify_superhedge,
     wealth,
 )
+from robusthedge.oracle_lp import ORACLE_MAX_LEAVES, OracleScaleError
 from robusthedge.random_instances import random_claim, random_family, random_tree
 from robusthedge.simplex import RAT
 
@@ -259,3 +260,18 @@ def test_primal_matches_dual_value(seed, exact):
         assert dp == pv
     else:
         assert dp == pytest.approx(pv, abs=1e-9)
+
+
+@pytest.mark.parametrize("fam", [MART, FamilySpec(cls=ALL)], ids=["martingale", "all"])
+def test_exact_primal_lp_refuses_trees_past_the_leaf_limit(monkeypatch, fam):
+    tree = build_tree({"dim": 1, "depth": 7, "generator": {"kind": "trinomial"}})
+    assert len(tree.leaves) == 2187 > ORACLE_MAX_LEAVES
+    xi = {leaf: abs(tree.spot1(leaf)) for leaf in tree.leaves}
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("the LP was built")
+
+    monkeypatch.setattr(simplex, "solve", no_rows)
+    monkeypatch.setattr(MarketTree, "paths", no_rows)
+    with pytest.raises(OracleScaleError):
+        primal_lp(tree, xi, fam, exact=True)

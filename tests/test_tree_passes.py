@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from robusthedge.claims import NAMED_KINDS, make_claim
+from robusthedge.cli import _exact_tree_spec
 from robusthedge.dual_dp import backward_value, one_step_sup
 from robusthedge.market_tree import (
     NEG_INF,
@@ -230,6 +231,46 @@ def instances():
 INSTANCES = instances()
 IDS = [label for label, *_ in INSTANCES]
 
+# trees with levels of 64 to 729 nodes, where the DP, the claims, the wealth
+# and the polar flags run their level passes
+WIDE_TREES = {
+    "trinomial-0.1": {"dim": 1, "depth": 6, "generator": {"kind": "trinomial", "step": 0.1}},
+    "five": {"dim": 1, "depth": 4, "generator": {"kind": "explicit", "offsets": [-2, -1, 0, 1, 2]}},
+    "one-sided": {"dim": 1, "depth": 5, "generator": {"kind": "explicit", "offsets": [0, 1, 2]}},
+    "fraction": _exact_tree_spec({"dim": 1, "depth": 5, "generator": {"kind": "explicit", "offsets": [1.5, -0.25, -0.5]}}),
+    "d2": dict(D2_TREE, depth=4),
+}
+
+
+def wide_instances():
+    """(label, tree, claim, family): float and exact claims, -inf table
+    leaves, claim-restricted families.  A claim-restricted family meets only
+    finite claims here: with -inf leaves, the polar set solves one exact
+    global LP per leaf, which is too slow at these sizes."""
+    out = []
+    for name, spec in WIDE_TREES.items():
+        tree = build_tree(spec)
+        rng = random.Random(name)
+        fam = FamilySpec(cls=MARTINGALE)
+        xi = make_claim(tree, {"kind": "lookback", "strike": 0.5})
+        out.append((f"{name}-float", tree, xi, fam))
+        out.append((f"{name}-float-restricted", tree, xi, fam.with_claim(xi)))
+        xi = make_claim(tree, {"kind": "asian", "strike": 0.5}, exact=True)
+        out.append((f"{name}-exact-restricted", tree, xi, fam.with_claim(xi)))
+        xi = {leaf: rng.uniform(-3, 3) for leaf in tree.leaves}
+        for leaf in rng.sample(tree.leaves, len(tree.leaves) // 7):
+            xi[leaf] = NEG_INF
+        out.append((f"{name}-neg-inf", tree, xi, fam))
+        xi = random_claim(tree, rng, exact=True, kind="table")
+        for leaf in rng.sample(tree.leaves, len(tree.leaves) // 5):
+            xi[leaf] = NEG_INF
+        out.append((f"{name}-exact-neg-inf", tree, xi, fam))
+    return out
+
+
+WIDE_INSTANCES = wide_instances()
+WIDE_IDS = [f"wide-{label}" for label, *_ in WIDE_INSTANCES]
+
 
 def strategies(tree, rng):
     """A float and a rational hedge with nonzero entries at every node."""
@@ -242,10 +283,10 @@ def strategies(tree, rng):
 # -- tests ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("label,tree,xi,fam", INSTANCES, ids=IDS)
+@pytest.mark.parametrize("label,tree,xi,fam", INSTANCES + WIDE_INSTANCES, ids=IDS + WIDE_IDS)
 def test_polar_paths_match_per_path_definition(label, tree, xi, fam):
-    assert polar_paths(tree, fam, xi) == naive_polar_paths(tree, fam, xi)
-    assert polar_paths(tree, fam) == naive_polar_paths(tree, fam)
+    assert repr(polar_paths(tree, fam, xi)) == repr(naive_polar_paths(tree, fam, xi))
+    assert repr(polar_paths(tree, fam)) == repr(naive_polar_paths(tree, fam))
 
 
 @pytest.mark.parametrize("label,tree,xi,fam", INSTANCES, ids=IDS)
@@ -254,7 +295,7 @@ def test_chargeable_children_match_pairwise_rule(label, tree, xi, fam):
         assert chargeable_children(tree, n, fam) == naive_chargeable(tree, n, fam)
 
 
-@pytest.mark.parametrize("label,tree,xi,fam", INSTANCES, ids=IDS)
+@pytest.mark.parametrize("label,tree,xi,fam", INSTANCES + WIDE_INSTANCES, ids=IDS + WIDE_IDS)
 def test_verify_slacks_equal_pathwise_wealth(label, tree, xi, fam):
     rng = random.Random(label)
     hedges = list(strategies(tree, rng))
@@ -273,7 +314,7 @@ def test_verify_slacks_equal_pathwise_wealth(label, tree, xi, fam):
                 for p in tree.paths()
                 if p[-1] not in polar_leaves and xi[p[-1]] != NEG_INF
             }
-            assert repr(rep.slacks) == repr(expected)  # bitwise, in leaf order
+            assert repr(rep.slacks) == repr(expected)  # bitwise, types and leaf order
             assert rep.min_slack == (min(expected.values()) if expected else None)
             assert rep.violations == [
                 p for p in tree.paths() if p[-1] in expected and expected[p[-1]] < -1e-9
@@ -316,6 +357,7 @@ def test_make_claim_matches_per_path_formula(kind, exact):
     trees = [random_tree(seeded(900 + i), max_depth=4, max_branch=3) for i in range(6)]
     trees += [build_tree(D2_TREE), build_tree(ONE_SIDED_TREES[0])]
     trees.append(build_tree({"dim": 1, "depth": 3, "generator": {"kind": "explicit", "offsets": [-0.3, 0.1, 0.7]}}))
+    trees += [build_tree(spec) for spec in WIDE_TREES.values()]
     for tree in trees:
         for strike in (-1.5, 0, 0.5, 2):
             got = make_claim(tree, {"kind": kind, "strike": strike}, exact=exact)
