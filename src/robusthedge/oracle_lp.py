@@ -6,10 +6,16 @@ characterize induced laws of family measures, and vertex enumeration solves
 square subsystems exactly in rationals.  Agreement between the two routes is
 the main acceptance gate.
 
-Vertex enumeration is memoised: one module-level LRU cache of 256 entries,
-keyed on the exact rational rows of the polytope, stores the sorted vertices
-as tuples.  This is safe because the vertices are a pure function of those
-exact rows and the stored values are immutable; callers get fresh lists.
+Vertex enumeration is memoised: one module-level LRU cache of 256 entries
+is keyed on the polytope's rows as the caller gives them, as tuples of native
+numbers (int, float, Fraction).  Python compares and hashes these by exact
+value, so two keys are equal exactly when their `rat` images are, and the
+key names the exact polytope without converting anything; `rat` conversion
+and the enumeration run on a miss only.  An entry holds the sorted vertex
+tuples and, per vertex, its positive entries as (position, p) pairs, so
+`enumerate_vertex_kernels` builds each kernel without a comparison.  This is
+safe because the vertices are a pure function of the exact rows and the
+stored values are immutable; callers get fresh lists and fresh kernels.
 Node-local families repeat the same one-step polytope at every node of a
 `build_tree` tree, so nearly every call after the first at a tree shape is a
 hit.
@@ -81,33 +87,42 @@ def enumerate_polytope_vertices(n: int, A_eq, b_eq, A_ub=(), b_ub=()) -> list:
     """All vertices of {x >= 0, A_eq x = b_eq, A_ub x <= b_ub}, exact, sorted.
 
     Enumerates supports and active inequality subsets; intended for small
-    instances only (oracle scale).  Memoised: after `rat` conversion the
-    exact rows (n, A_eq, b_eq, A_ub, b_ub) key a 256-entry LRU cache of
-    vertex tuples.  Equal keys mean identical polytopes; float rows enter
-    through their exact binary values, so steps that differ in the last bit
-    stay apart.  This is safe because the vertices are a pure function of
-    the exact rows and the stored tuples are immutable; each call returns
-    fresh lists.
+    instances only (oracle scale).  Memoised in a 256-entry LRU cache keyed
+    on the rows (n, A_eq, b_eq, A_ub, b_ub) as given, turned into tuples of
+    their native numbers.  int, float and Fraction compare and hash by exact
+    value, so equal keys are exactly equal rows: float rows stand for their
+    exact binary values, steps that differ in the last bit stay apart, and a
+    float row meets the entry of its `rat` image.  Each entry also holds
+    every vertex's positive entries as (position, p) pairs, the supports
+    `enumerate_vertex_kernels` reads.  Each call returns fresh lists.
     """
-    key = (
+    return [list(v) for v, _ in _polytope_vertices(*_row_key(n, A_eq, b_eq, A_ub, b_ub))]
+
+
+def _row_key(n, A_eq, b_eq, A_ub, b_ub) -> tuple:
+    return (
         n,
-        tuple(tuple(map(rat, row)) for row in A_eq),
-        tuple(map(rat, b_eq)),
-        tuple(tuple(map(rat, row)) for row in A_ub),
-        tuple(map(rat, b_ub)),
+        tuple(map(tuple, A_eq)),
+        tuple(b_eq),
+        tuple(map(tuple, A_ub)),
+        tuple(b_ub),
     )
-    return [list(v) for v in _polytope_vertices(*key)]
 
 
 @functools.lru_cache(maxsize=256)
 def _polytope_vertices(n: int, A_eq: tuple, b_eq: tuple, A_ub: tuple, b_ub: tuple) -> tuple:
-    """Sorted vertex tuples of the polytope given by exact rational rows.
+    """((vertex, ((position, p), ...)), ...): the sorted exact vertex tuples
+    of the polytope given by native rows, each with its positive entries.
 
     On the trees `build_tree` makes every node has the same child steps, so
     the same rows recur node after node and tree after tree.  256 entries
     hold that working set while the one-shot keys of float variance bounds
     (2**52 denominators) cannot pile up.
     """
+    A_eq = tuple(tuple(map(rat, row)) for row in A_eq)
+    b_eq = tuple(map(rat, b_eq))
+    A_ub = tuple(tuple(map(rat, row)) for row in A_ub)
+    b_ub = tuple(map(rat, b_ub))
     n_ub = len(A_ub)
     verts = set()
     for k_act in range(n_ub + 1):
@@ -130,7 +145,9 @@ def _polytope_vertices(n: int, A_eq: tuple, b_eq: tuple, A_ub: tuple, b_ub: tupl
                     )
                     if ok:
                         verts.add(tuple(x))
-    return tuple(sorted(verts))
+    return tuple(
+        (v, tuple((i, p) for i, p in enumerate(v) if p > 0)) for v in sorted(verts)
+    )
 
 
 # -- one-step vertex oracle ----------------------------------------------
@@ -146,10 +163,10 @@ def enumerate_vertex_kernels(tree: MarketTree, nid: int, fam: FamilySpec) -> lis
         raise OracleScaleError(
             f"{len(children)} children exceeds the oracle limit {ORACLE_MAX_CHILDREN}"
         )
-    A_eq, b_eq, A_ub, b_ub = one_step_rows(tree, nid, children, fam)
-    verts = enumerate_polytope_vertices(len(children), A_eq, b_eq, A_ub, b_ub)
+    rows = one_step_rows(tree, nid, children, fam)
     return [
-        Kernel(nid, {c: p for c, p in zip(children, v) if p > 0}) for v in verts
+        Kernel(nid, {children[i]: p for i, p in pairs})
+        for _, pairs in _polytope_vertices(*_row_key(len(children), *rows))
     ]
 
 

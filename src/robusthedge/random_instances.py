@@ -102,9 +102,9 @@ def random_measure(tree: MarketTree, rng: random.Random, fam: FamilySpec, exact:
         probs = {}
         for w, v in zip(weights, verts):
             for c, p in v.probs.items():
-                probs[c] = probs.get(c, 0) + w * p
-        if not exact:
-            probs = {c: float(p) for c, p in probs.items()}
+                # float mode: float * float, bitwise what Fraction's reflected
+                # multiply returns, without its type dispatch
+                probs[c] = probs.get(c, 0) + w * (p if exact else float(p))
         kernels[nid] = Kernel(nid, {c: p for c, p in probs.items() if p > 0})
     return TreeMeasure(kernels)
 

@@ -10,6 +10,7 @@ from robusthedge.measure_families import (
     MARTINGALE,
     VAR_BOUNDED,
     FamilySpec,
+    Kernel,
     in_family,
     one_step_rows,
 )
@@ -177,6 +178,72 @@ def test_memo_stays_within_its_bound():
     assert info.currsize <= 256
 
 
+def uncached_kernels(tree, nid, fam):
+    """`enumerate_vertex_kernels` without the memo: fresh rows, fresh vertices."""
+    children = tree.children(nid)
+    rows = one_step_rows(tree, nid, children, fam)
+    return [
+        Kernel(nid, {c: p for c, p in zip(children, v) if p > 0})
+        for v in uncached_vertices(len(children), *rows)
+    ]
+
+
+def assert_kernels_match_uncached(tree, fam):
+    for nid in tree.internal_nodes:
+        cached = enumerate_vertex_kernels(tree, nid, fam)
+        fresh = uncached_kernels(tree, nid, fam)
+        # equal values in the same child order, and one fresh dict per kernel
+        assert [(k.node, list(k.probs.items())) for k in cached] == [
+            (k.node, list(k.probs.items())) for k in fresh
+        ]
+        again = enumerate_vertex_kernels(tree, nid, fam)
+        assert all(a.probs is not b.probs for a, b in zip(cached, again))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_vertex_kernels_match_uncached_on_random_trees(exact):
+    classes = set()
+    for i in range(12):
+        rng = seeded(700 + i)
+        tree = random_tree(rng, max_depth=3, max_branch=4)
+        fam = random_family(tree, rng, exact=exact)
+        classes.add(fam.cls)
+        assert_kernels_match_uncached(tree, fam)
+    assert classes == {MARTINGALE, VAR_BOUNDED}
+
+
+@pytest.mark.parametrize("offsets", [
+    [[1, 1], [-1, -1], [2, -1], [-1, 2], [-0.5, -0.5]],
+    [[1, 1], [-1, -1], [2, -1], [-1, 2], [RAT(-1, 2), RAT(-1, 2)]],
+], ids=["float", "fraction"])
+def test_vertex_kernels_match_uncached_in_two_dimensions(offsets):
+    tree = build_tree({"dim": 2, "depth": 2, "generator": {"kind": "explicit", "offsets": offsets}})
+    assert enumerate_vertex_kernels(tree, tree.root, MART)  # a martingale kernel exists
+    assert_kernels_match_uncached(tree, MART)
+    assert_kernels_match_uncached(tree, FamilySpec(cls=ALL))
+
+
+@pytest.mark.parametrize("float_first", [True, False])
+def test_float_tree_and_its_exact_twin_keep_separate_entries(float_first):
+    offsets = [-0.2, 0.1, 0.3]
+    flt, twin = (
+        build_tree({"dim": 1, "depth": 3, "generator": {"kind": "explicit", "offsets": offs}})
+        for offs in (offsets, [rat(v) for v in offsets])
+    )
+    fam = FamilySpec(cls=VAR_BOUNDED, var_lo=0.01, var_hi=0.05)
+    twin_fam = FamilySpec(cls=VAR_BOUNDED, var_lo=rat(0.01), var_hi=rat(0.05))
+    root_rows = [one_step_rows(t, t.root, t.children(t.root), f) for t, f in ((flt, fam), (twin, twin_fam))]
+    # the steps are equal as exact values, the squared steps are not
+    assert root_rows[0][0] == root_rows[1][0] and root_rows[0][3] == root_rows[1][3]
+    assert root_rows[0][2] != root_rows[1][2]
+    _polytope_vertices.cache_clear()
+    pairs = [(flt, fam), (twin, twin_fam)]
+    for tree, f in pairs if float_first else pairs[::-1]:
+        assert_kernels_match_uncached(tree, f)
+    roots = [enumerate_vertex_kernels(t, t.root, f) for t, f in pairs]
+    assert roots[0] and roots[0] != roots[1]
+
+
 # -- global LP oracle ----------------------------------------------------
 
 
@@ -211,18 +278,23 @@ def test_global_lp_empty_family_is_neg_inf():
     assert val == NEG_INF and P is None
 
 
-def test_global_lp_optimizer_stays_in_family():
+@pytest.mark.parametrize("exact", [True, False])
+def test_global_lp_optimizer_stays_in_family(exact):
     for i in range(15):
         rng = seeded(300 + i)
         tree = random_tree(rng, max_depth=3, max_branch=3)
-        xi = random_claim(tree, rng, exact=True)
-        fam = random_family(tree, rng, exact=True)
-        val, P = global_sup_lp(tree, xi, fam)
+        xi = random_claim(tree, rng, exact=exact)
+        fam = random_family(tree, rng, exact=exact)
+        val, P = global_sup_lp(tree, xi, fam, exact=exact)
         if val == NEG_INF:
             continue
+        # float mode: the measure after the q < 1e-11 clamp is still in the family
         ok, why = in_family(tree, P, fam.with_claim(xi))
         assert ok, why
-        assert P.expectation(tree, xi) == val
+        if exact:
+            assert P.expectation(tree, xi) == val
+        else:
+            assert abs(P.expectation(tree, xi) - val) <= 1e-9
 
 
 def test_oracle_scale_guard():
