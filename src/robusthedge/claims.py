@@ -3,13 +3,20 @@
 A claim is a mapping leaf id -> value in [-inf, +inf); +inf never occurs.
 Named payoffs read the first spot coordinate; explicit tables may contain
 "-inf" entries to exercise the claim-restricted family.
+
+Named payoffs are numpy passes over the tree's spot array
+(`MarketTree.spot_array`), converted to the claim's mode: float64 in float
+mode, an object array of rationals in exact mode.  The running max and sum
+of the path-dependent kinds go level by level from the root, each parent's
+entry broadcast over the row of its k children, with the same comparisons
+and additions as max() and sum() over the root-to-leaf spot list.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .market_tree import NEG_INF, MarketTree, repeat_each
+from .market_tree import NEG_INF, MarketTree
 from .simplex import rat
 
 NAMED_KINDS = ("call", "abs", "lookback", "asian", "digital", "linear")
@@ -20,7 +27,27 @@ class ClaimError(ValueError):
 
 
 def _pos(v):
-    return v if v > 0 else 0 * v
+    """v if v > 0 else 0 * v, elementwise, in place on the fresh array v
+    (0 * v keeps the sign of zero and the number type); 0 * v is computed
+    only where it is taken."""
+    low = ~(v > 0)
+    v[low] = 0 * v[low]
+    return v
+
+
+def _mode_spots(tree: MarketTree, start: int, exact: bool):
+    """The first spot coordinate of the nodes from id `start` on, as the
+    claim's numbers: an object array of `rat` of the spots themselves in
+    exact mode, float64 otherwise."""
+    import numpy as np
+
+    if exact:
+        xs = tree.coords[0][start:]
+        return np.fromiter(map(rat, xs), dtype=object, count=len(xs))
+    xs = tree.spot_array(0)[start:]
+    if xs.dtype == object:
+        return np.fromiter(map(float, xs), dtype=float, count=len(xs))
+    return xs
 
 
 def make_claim(tree: MarketTree, spec: Mapping, exact: bool = False) -> dict:
@@ -42,38 +69,31 @@ def make_claim(tree: MarketTree, spec: Mapping, exact: bool = False) -> dict:
         return out
     if kind not in NAMED_KINDS:
         raise ClaimError(f"unknown claim kind {kind!r}")
+    import numpy as np
+
     strike = spec.get("strike", 0)
     k = rat(strike) if exact else float(strike)
-    conv = rat if exact else float
-    xs = tree.coords[0]
     levels = tree.levels
-    terminals = list(map(conv, xs[levels[-1].start : levels[-1].stop]))
     if kind in ("lookback", "asian"):
-        # running max / running sum of the path spots, level by level from
-        # the root (each parent's entry repeated for its k children); same
-        # comparisons and additions as max() and sum() over the root-to-leaf
-        # spot list
-        x0 = conv(xs[0])
-        run = [x0 if kind == "lookback" else 0 + x0]
+        xs = _mode_spots(tree, 0, exact)
+        run = xs[:1] if kind == "lookback" else 0 + xs[:1]
         for level in levels[1:]:
-            spots = terminals if level is levels[-1] else map(conv, xs[level.start : level.stop])
-            prev = repeat_each(run, len(tree.offsets))
-            if kind == "lookback":
-                run = [s if s > p else p for s, p in zip(spots, prev)]
-            else:
-                run = [p + s for s, p in zip(spots, prev)]
+            spots = xs[level.start : level.stop].reshape(len(run), -1)
+            prev = run[:, None]
+            run = (np.where(spots > prev, spots, prev) if kind == "lookback" else prev + spots).ravel()
+    else:
+        terminals = _mode_spots(tree, levels[-1].start, exact)
     if kind == "call":
-        vals = [_pos(x - k) for x in terminals]
+        vals = _pos(terminals - k)
     elif kind == "abs":
-        vals = list(map(abs, terminals))
+        vals = np.abs(terminals)
     elif kind == "lookback":
-        vals = [_pos(r - k) for r in run]
+        vals = _pos(run - k)
     elif kind == "asian":
-        n = tree.depth + 1
-        vals = [_pos(r / n - k) for r in run]
+        vals = _pos(run / (tree.depth + 1) - k)
     elif kind == "digital":
         one = rat(1) if exact else 1.0
-        vals = [one if x >= k else 0 * one for x in terminals]
+        vals = np.where(terminals >= k, one, 0 * one)
     else:  # linear
         vals = terminals
-    return dict(zip(tree.leaves, vals))
+    return dict(zip(tree.leaves, vals.tolist()))

@@ -2,8 +2,12 @@
 
 Reports are JSON with sorted keys and CSVs with repr-formatted floats, so a
 rerun with the same config and seed is byte-identical.  Wall-clock timings
-go to a separate timings.json for that reason.  Exit status is zero iff
-every gap, tolerance, and verification check passes.
+go to a separate timings.json for that reason: per-stage seconds for
+`solve` (dp, oracle, primal) and `hedge` (tree, claim, dp, extract, verify,
+write), plus their total.  Exit status is zero iff every gap, tolerance,
+and verification check passes; `solve` and `hedge` exit 2, with one stderr
+line, when the claim-restricted polar set needs exact LPs past the oracle
+leaf limit.
 """
 
 from __future__ import annotations
@@ -63,10 +67,17 @@ def _exact_tree_spec(spec):
     return dict(spec, generator=gen)
 
 
-def _instance_from_config(cfg, path, exact):
+def _instance_from_config(cfg, path, exact, timings=None):
+    """(tree, claim, family) of a config; `timings`, when given, receives
+    the seconds of the "tree" and "claim" stages."""
+    timings = {} if timings is None else timings
+    t = time.perf_counter()
     tree_spec = _require(cfg, "tree", path)
     tree = build_tree(_exact_tree_spec(tree_spec) if exact else tree_spec)
+    timings["tree"] = time.perf_counter() - t
+    t = time.perf_counter()
     xi = make_claim(tree, _require(cfg, "claim", path), exact=exact)
+    timings["claim"] = time.perf_counter() - t
     fam_doc = _require(cfg, "family", path)
     fam = family_from_doc(fam_doc, claim=xi)
     if exact and fam.var_lo is not None:
@@ -124,6 +135,8 @@ def run_solve(cfg, path, out, exact):
     try:
         pv, _strategy = primal_lp(tree, xi, fam, exact=exact)
     except OracleScaleError:
+        if not exact:  # the float LP has no size limit; its polar set does
+            raise
         primal_skipped = True
         print("warning: exact primal LP scale exceeded, primal cross-check skipped", file=sys.stderr)
     timings["primal"] = time.perf_counter() - t
@@ -218,20 +231,33 @@ def run_oracle(cfg, out, exact, seed, threads):
 
 
 def run_hedge(cfg, path, out, exact):
-    tree, xi, fam = _instance_from_config(cfg, path, exact)
+    t0 = time.perf_counter()
+    timings = {}
+    tree, xi, fam = _instance_from_config(cfg, path, exact, timings)
+    t = time.perf_counter()
     Y = backward_value(tree, xi, fam)
     dp = Y[tree.root]
+    timings["dp"] = time.perf_counter() - t
     if dp == NEG_INF:
+        t = time.perf_counter()
         _dump_json(out / "hedge.json", {
             "schema_version": SCHEMA_VERSION,
             "X0": "-inf",
             "strategy": {},
             "verification": {"min_slack": None, "polar_paths": len(tree.leaves)},
         })
+        timings["write"] = time.perf_counter() - t
+        timings["total"] = time.perf_counter() - t0
+        _write_timings(out, timings)
         print("value is -inf: every path is polar, no hedge")
         return 0
+    t = time.perf_counter()
     H = extract_strategy(tree, Y, fam)
+    timings["extract"] = time.perf_counter() - t
+    t = time.perf_counter()
     rep = verify_superhedge(tree, dp, H, xi, fam)
+    timings["verify"] = time.perf_counter() - t
+    t = time.perf_counter()
     doc = {
         "schema_version": SCHEMA_VERSION,
         "X0": _value_doc(dp, exact),
@@ -249,6 +275,9 @@ def run_hedge(cfg, path, out, exact):
         w.writerow(["leaf", "slack"])
         for leaf in sorted(rep.slacks):
             w.writerow([leaf, repr(float(rep.slacks[leaf]))])
+    timings["write"] = time.perf_counter() - t
+    timings["total"] = time.perf_counter() - t0
+    _write_timings(out, timings)
     ok = rep.ok and (rep.min_slack is None or rep.min_slack >= -GAP_TOL)
     print(f"X0={doc['X0']} min_slack={doc['verification']['min_slack']} "
           f"polar={len(rep.polar)} ok={ok}")
@@ -355,12 +384,16 @@ def main(argv=None):
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
-    if args.command == "solve":
-        return run_solve(cfg, args.config, out, args.exact)
+    if args.command in ("solve", "hedge"):
+        run = run_solve if args.command == "solve" else run_hedge
+        try:
+            return run(cfg, args.config, out, args.exact)
+        except OracleScaleError as exc:
+            # the claim-restricted polar set needs one exact LP per leaf
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.command == "oracle":
         return run_oracle(cfg, out, args.exact, args.seed, max(1, args.threads))
-    if args.command == "hedge":
-        return run_hedge(cfg, args.config, out, args.exact)
     if args.command == "counterexample":
         return run_counterexample(cfg, out)
     return run_proptest(cfg, out, args.seed)

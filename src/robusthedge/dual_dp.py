@@ -12,12 +12,17 @@ and a node is worth -inf exactly when no family kernel avoids all of them.
 breadth-first ids make each level, and the children of each level, one
 contiguous block).  A level of a MARTINGALE family (claim-restricted or not)
 on a d = 1 tree is solved by numpy array passes over its (n x k) block of
-child values and spot steps, read from the tree's coordinate list, when it
-has at least LEVEL_BATCH_MIN nodes, every child value is a float and every
-spot a float or a small int.  The passes repeat the float branch of
-`one_step_sup` operation for operation, so values and h are bitwise equal.
-Every other level, and the root, goes through `one_step_sup` node by node;
-so do exact values, ALL, VAR_BOUNDED, d >= 2 and Fraction spots.
+child values and spot steps when it has at least LEVEL_BATCH_MIN nodes, the
+tree's spot array (`MarketTree.spot_array`) is float64 and every leaf value
+is a float.  Those are checked once per call, not per level: the leaf
+values are read into a float64 array once, and each batched level hands
+its value array straight to the level above; the value field is still
+written level by level, with Python floats.  The passes repeat the float
+branch of `one_step_sup` operation for operation, so values and h are
+bitwise equal.  Every other level, and the root, goes through
+`one_step_sup` node by node; so do exact values, ALL, VAR_BOUNDED, d >= 2,
+and Fraction or large int spots.  No level is narrower than the one above
+it, so once a level goes node by node every level above it does too.
 
 LEVEL_BATCH_MIN = 64 sits well above the crossover of the two paths, which
 is 13-25 nodes (timed per level on one core of an Intel Xeon, Python 3.11,
@@ -51,9 +56,6 @@ PROP_TOL = 1e-9
 # narrowest level that `backward_value` solves in one array pass (see the
 # module docstring for how it was chosen)
 LEVEL_BATCH_MIN = 64
-# int spots up to this size make every step and every difference of two
-# steps an exact double, so the array pass divides the numbers Python does
-_INT_SPOT_BOUND = 2**51
 # nodes per numpy pass: bounds the pass's temporary arrays, which otherwise
 # leave the 10^5-node levels' process a few MB larger
 _BLOCK_ROWS = 4096
@@ -216,12 +218,26 @@ def backward_value(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> ValueField
     with the one-step multipliers in `.hedge`.  Walks the levels from the
     leaves up; see the module docstring for the levels solved by arrays."""
     Y = ValueField(tree, fam)
-    batch = fam.cls == MARTINGALE and tree.dim == 1
+    batch = (
+        fam.cls == MARTINGALE
+        and tree.dim == 1
+        and len(tree.levels[-2]) >= LEVEL_BATCH_MIN
+        and tree.spot_array(0).dtype != object
+    )
+    vals = None  # the values of the level below, when it is a float64 array
     for t in reversed(range(tree.depth + 1)):
         level, ids = tree.levels[t], tree.nodes_at(t)[::-1]
         if tree.is_leaf(level.start):  # the level of leaves
-            Y.update(zip(ids, map(xi.__getitem__, ids)))
-        elif not (batch and len(level) >= LEVEL_BATCH_MIN and _martingale_level_1d(tree, level, ids, Y)):
+            claim = list(map(xi.__getitem__, level))
+            Y.update(zip(ids, reversed(claim)))
+            if batch and set(map(type, claim)) == {float}:
+                import numpy as np
+
+                vals = np.array(claim)
+        elif vals is not None and len(level) >= LEVEL_BATCH_MIN:
+            vals = _martingale_level_1d(tree, level, ids, Y, vals)
+        else:
+            vals = None
             for nid in ids:
                 sol = one_step_sup(tree, nid, Y, fam)
                 Y[nid] = sol.value
@@ -229,53 +245,44 @@ def backward_value(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> ValueField
     return Y
 
 
-def _martingale_level_1d(tree: MarketTree, level: range, ids: list, Y: ValueField) -> bool:
+def _martingale_level_1d(tree: MarketTree, level: range, ids: list, Y: ValueField, vals):
     """Solve every node of the internal `level` by the d = 1 martingale
     branch of `one_step_sup` in float mode, in array passes of _BLOCK_ROWS
     nodes, and write the values and multipliers into Y under `ids` (the
     level's ids, descending).  The level's children are the next level, k
-    per node in order.  Returns False, writing nothing, unless every child
-    value is a float and every spot a float or an int within
-    +-_INT_SPOT_BOUND."""
+    per node in order, with the values `vals` (float64, in id order).
+    Returns the level's values as a float64 array in id order."""
+    import numpy as np
+
     k = len(tree.offsets)
-    below = range(k * level.start + 1, k * level.stop + 1)
-    vals = list(map(Y.__getitem__, below))
-    if set(map(type, vals)) != {float}:
-        return False
-    xs = tree.coords[0]
-    xp, xc = xs[level.start : level.stop], xs[below.start : below.stop]
-    types = set(map(type, xp)) | set(map(type, xc))
-    if not types <= {float, int}:
-        return False
-    if int in types and not -_INT_SPOT_BOUND <= min(min(xp), min(xc)) <= max(max(xp), max(xc)) <= _INT_SPOT_BOUND:
-        return False
-
-    values, hs = [], []
-    for r in range(0, len(level), _BLOCK_ROWS):
-        block = slice(k * r, k * (r + _BLOCK_ROWS))
-        v, h = _martingale_rows(xp[r : r + _BLOCK_ROWS], xc[block], vals[block], k)
-        values += v
-        hs += h
+    xs = tree.spot_array(0)
+    xp, xc = xs[level.start : level.stop], xs[k * level.start + 1 : k * level.stop + 1]
+    blocks = [
+        _martingale_rows(xp[r : r + _BLOCK_ROWS], xc[k * r : k * (r + _BLOCK_ROWS)], vals[k * r : k * (r + _BLOCK_ROWS)], k)
+        for r in range(0, len(level), _BLOCK_ROWS)
+    ]
+    values = np.concatenate([v for v, _ in blocks])
+    hs = np.concatenate([h for _, h in blocks])
     # Python floats, never np.float64, in descending id order
-    Y.update(zip(ids, reversed(values)))
-    Y.hedge.update(zip(ids, zip(reversed(hs))))
-    return True
+    Y.update(zip(ids, reversed(values.tolist())))
+    Y.hedge.update(zip(ids, zip(reversed(hs.tolist()))))
+    return values
 
 
-def _martingale_rows(xp: list, xc: list, vals: list, k: int) -> tuple:
-    """Values and multipliers, as lists of Python floats, of n nodes with
-    spots `xp` whose k children each have the spots `xc` and values `vals`
-    (row-major, n x k).  Each array operation repeats the per-node one on
+def _martingale_rows(xp, xc, vals, k: int) -> tuple:
+    """Values and multipliers, as float64 arrays, of n nodes with spots `xp`
+    whose k children each have the spots `xc` and values `vals` (float64,
+    row-major, n x k).  Each array operation repeats the per-node one on
     the same doubles, so the results are bitwise equal: candidates in the
     same order (flat children, then the pairs (a, b) with D_a < 0 < D_b),
     the first strict maximum, and the bounds of `_h_interval_midpoint`
     folded child by child with the keep-unless-strictly-better rule of max()
     and min()."""
-    import numpy as np  # lazily, as in simplex: the CLI starts without it
+    import numpy as np
 
     n = len(xp)
-    D = np.array(xc, dtype=float).reshape(n, k) - np.array(xp, dtype=float)[:, None]
-    V = np.array(vals, dtype=float).reshape(n, k)
+    D = xc.reshape(n, k) - xp[:, None]
+    V = vals.reshape(n, k)
     fin = V != NEG_INF
     V0 = np.where(fin, V, 0.0)  # -inf children are masked out of every candidate
     flat, neg, pos = D == 0, D < 0, D > 0
@@ -294,7 +301,7 @@ def _martingale_rows(xp: list, xc: list, vals: list, k: int) -> tuple:
                     cands.append(db / (db - da) * V0[:, a] + -da / (db - da) * V0[:, b])
                     masks.append(ok)
         if not cands:  # no node has a martingale kernel
-            return [NEG_INF] * n, [0.0] * n
+            return np.full(n, NEG_INF), np.zeros(n)
         C = np.where(np.stack(masks, axis=1), np.stack(cands, axis=1), NEG_INF)
         has = np.logical_or.reduce(masks)
         value = np.where(has, C[np.arange(n), C.argmax(axis=1)], NEG_INF)
@@ -317,7 +324,7 @@ def _martingale_rows(xp: list, xc: list, vals: list, k: int) -> tuple:
             (lo + hi) / 2,
             np.where(lo_set, np.where(lo < 0, 0.0, lo), np.where(hi_set & ~(hi > 0), hi, 0.0)),
         )
-    return value.tolist(), h.tolist()
+    return value, h
 
 
 def optimizer_measure(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> Optional[TreeMeasure]:

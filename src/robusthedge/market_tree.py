@@ -16,11 +16,17 @@ children of a level are the next level, in order.
 Only the spots are stored: one plain Python list per coordinate, level
 after level (`MarketTree.coords`), each level built from the one above by
 adding the offsets, so spots keep the numeric type of the offsets (int,
-float, Fraction).  The deep-tree passes (path-dependent claims, hedge
-wealth, polar flags, the backward DP) read level slices of these lists, so
-they take O(N) time and build no per-node object.  `Node` is a value view
-for the suites and tests: `MarketTree.nodes` builds all of them, once, the
-first time it is indexed or iterated; its length costs nothing.
+float, Fraction).  `MarketTree.spot_array` turns one coordinate list into
+a numpy array, once per tree: float64 when every spot is a float or an int
+within +-INT_SPOT_BOUND, so that each step and each difference of two steps
+is an exact double; dtype=object, holding the spots themselves, otherwise.
+The deep-tree passes (path-dependent claims, hedge wealth, polar flags, the
+backward DP) are numpy passes over level slices of these arrays: on an
+object array numpy applies the same Python operators in the same order, so
+exact and Fraction trees run the same code.  They take O(N) time and build
+no per-node object.  `Node` is a value view for the suites and tests:
+`MarketTree.nodes` builds all of them, once, the first time it is indexed
+or iterated; its length costs nothing.
 """
 
 from __future__ import annotations
@@ -29,10 +35,12 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 NEG_INF = float("-inf")
+# int spots up to this size make every step and every difference of two
+# steps an exact double, so float64 passes compute what Python computes
+INT_SPOT_BOUND = 2**51
 
 
 class TreeError(ValueError):
@@ -126,6 +134,33 @@ class MarketTree:
                 xs += level
             out.append(xs)
         return tuple(out)
+
+    def spot_array(self, j: int = 0):
+        """Coordinate j of every spot as one numpy array, built on first use
+        and kept on the tree: float64 when every spot is a float or an int
+        within +-INT_SPOT_BOUND, else dtype=object holding `coords[j]`'s own
+        values.
+
+        Spots are sums of offsets from the int root 0, so they are all
+        floats or ints exactly when the offsets are, and the largest int
+        spot in absolute value is `depth` times the largest int offset.  In
+        that case the float64 array is built level by level from the
+        offsets: every addition is exact or rounds once, as Python's does."""
+        arrays = self.__dict__.setdefault("_spot_arrays", {})
+        if j not in arrays:
+            import numpy as np  # lazily: the package imports without numpy
+
+            offs = [off[j] for off in self.offsets]
+            ints = [abs(o) for o in offs if type(o) in (int, bool)]  # 0 + True is an int
+            if set(map(type, offs)) <= {float, int, bool} and self.depth * max(ints, default=0) <= INT_SPOT_BOUND:
+                steps = np.array(offs, dtype=float)
+                levels = [np.zeros(1)]
+                for _ in range(self.depth):
+                    levels.append((levels[-1][:, None] + steps).ravel())
+                arrays[j] = np.concatenate(levels)
+            else:
+                arrays[j] = np.array(self.coords[j], dtype=object)
+        return arrays[j]
 
     def spot(self, nid: int) -> tuple:
         coords = self.coords
@@ -223,12 +258,6 @@ class MarketTree:
         """Spot increment along the edge nid -> child."""
         xn, xc = self.spot(nid), self.spot(child)
         return tuple(xc[k] - xn[k] for k in range(self.dim))
-
-
-def repeat_each(seq: Iterable, k: int):
-    """Each item of `seq` k times in a row: the values of a level, one per
-    node, lined up with the level below, k children per node."""
-    return chain.from_iterable(zip(*[seq] * k))
 
 
 def _offsets_from_generator(gen: Mapping) -> list:

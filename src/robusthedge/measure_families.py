@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
-from .market_tree import NEG_INF, MarketTree, repeat_each, validate_stopping_time
+from .market_tree import NEG_INF, MarketTree, validate_stopping_time
 
 FEAS_TOL = 1e-12
 
@@ -391,60 +391,61 @@ def polar_paths(tree: MarketTree, fam: FamilySpec, xi: Optional[Mapping] = None)
 
     Chargeability factorizes over steps for node-local families, so a "dead"
     flag (some edge above is not chargeable) is propagated top-down: level
-    by level over the spot list for the d = 1 martingale family, in id order
-    through `chargeable_children` for the others.  The claim filter is
-    applied last: with the restriction active, a surviving leaf is kept only
-    if some family measure charges it while avoiding every -inf leaf (a
-    per-leaf feasibility LP, exact).
+    by level over the spot array for the d = 1 martingale family, in id
+    order through `chargeable_children` for the others.  A leaf is polar
+    when it is dead or its claim is -inf (one mask over the leaves).  The
+    claim filter is applied last: with the restriction active, a surviving
+    leaf is kept only if some family measure charges it while avoiding
+    every -inf leaf (a per-leaf feasibility LP, exact, which raises
+    OracleScaleError past ORACLE_MAX_LEAVES leaves).
     """
+    import numpy as np
+
     if xi is None:
         xi = fam.claim
     if fam.cls == MARTINGALE and tree.dim == 1:
-        dead = _martingale_dead_leaves_1d(tree)
+        gone = _martingale_dead_leaves_1d(tree)
     else:
         flags = bytearray(len(tree.nodes))
         for n in tree.internal_nodes:
             charge = () if flags[n] else chargeable_children(tree, n, fam)
             for c in tree.children(n):
                 flags[c] = c not in charge
-        dead = flags[tree.levels[-1].start :]
-    polar, alive = [], []
-    for leaf, gone in zip(tree.leaves, dead):
-        if gone or (xi is not None and xi.get(leaf) == NEG_INF):
-            polar.append(leaf)
-        else:
-            alive.append(leaf)
-    if xi is not None and fam.claim is not None and any(
-        v == NEG_INF for v in xi.values()
-    ):
+        gone = np.frombuffer(flags, dtype=bool)[tree.levels[-1].start :]
+    if xi is not None:
+        claim = np.fromiter(map(xi.get, tree.leaves), dtype=object, count=len(tree.leaves))
+        gone = gone | (claim == NEG_INF)
+    polar = [tree.leaves[i] for i in np.flatnonzero(gone).tolist()]
+    if xi is not None and fam.claim is not None and NEG_INF in xi.values():
         from . import oracle_lp
 
         restricted = fam.with_claim(xi)
+        alive = [tree.leaves[i] for i in np.flatnonzero(~gone).tolist()]
         polar += [
             leaf for leaf in alive
             if not oracle_lp.leaf_chargeable(tree, restricted, leaf)
         ]
-    return [tree.path_to(leaf) for leaf in sorted(polar)]
+        polar.sort()
+    return [tree.path_to(leaf) for leaf in polar]
 
 
-def _martingale_dead_leaves_1d(tree: MarketTree) -> list:
-    """The dead flags of the leaves, in id order, for the d = 1 martingale
-    family: level by level, each node's k child steps are judged by the rule
-    of `martingale_chargeable_1d`, and every child of a dead node is dead."""
+def _martingale_dead_leaves_1d(tree: MarketTree):
+    """The dead flags of the leaves, in id order, as a bool array, for the
+    d = 1 martingale family: level by level, each node's k child steps are
+    judged by the rule of `martingale_chargeable_1d`, and every child of a
+    dead node is dead."""
+    import numpy as np
+
     k = len(tree.offsets)
-    xs = tree.coords[0]
-    dead = [False]
+    xs = tree.spot_array(0)
+    dead = np.zeros(1, dtype=bool)
     for level, below in zip(tree.levels, tree.levels[1:]):
-        xp = repeat_each(xs[level.start : level.stop], k)
-        steps = [c - p for c, p in zip(xs[below.start : below.stop], xp)]
-        out = []
-        for gone, ds in zip(dead, zip(*[iter(steps)] * k)):
-            if gone:
-                out += [True] * k
-            else:
-                up, down = max(ds) > 0, min(ds) < 0
-                out += [not (d == 0 or (d < 0 and up) or (d > 0 and down)) for d in ds]
-        dead = out
+        steps = xs[below.start : below.stop].reshape(-1, k) - xs[level.start : level.stop, None]
+        up, down = steps > 0, steps < 0
+        # a step is uncharged when it is nonzero and no step of its node has
+        # the other sign
+        one_sided = (up & ~down.any(axis=1, keepdims=True)) | (down & ~up.any(axis=1, keepdims=True))
+        dead = (dead[:, None] | one_sided).ravel()
     return dead
 
 

@@ -179,7 +179,16 @@ def lex_smallest_kernel(tree: MarketTree, nid: int, fam: FamilySpec) -> Kernel:
 
 
 def leaf_chargeable(tree: MarketTree, fam: FamilySpec, leaf: int) -> bool:
-    """Does some family measure (claim filter included) charge this leaf?"""
+    """Does some family measure (claim filter included) charge this leaf?
+
+    Solves the leaf-law LP of `global_sup_lp`, exact, so it raises
+    OracleScaleError under the same ORACLE_MAX_LEAVES limit, before it
+    builds a row."""
+    if len(tree.leaves) > ORACLE_MAX_LEAVES:
+        raise OracleScaleError(
+            f"{len(tree.leaves)} leaves exceed the oracle leaf limit {ORACLE_MAX_LEAVES} "
+            "(claim-restricted polar paths)"
+        )
     xi = fam.claim or {}
     if xi.get(leaf) == NEG_INF:
         return False

@@ -11,11 +11,12 @@ that optimum path by path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from typing import Mapping, Optional, Sequence
 
 from . import simplex
 from .dual_dp import ValueField
-from .market_tree import NEG_INF, MarketTree, repeat_each
+from .market_tree import NEG_INF, MarketTree
 from .measure_families import (
     ALL,
     VAR_BOUNDED,
@@ -85,43 +86,57 @@ def verify_superhedge(tree: MarketTree, X0, H: Strategy, xi: Mapping, fam: Famil
     """Wealth >= claim on every non-polar path (the quasi-sure inequality).
 
     Polar paths are excluded from the check and listed in the report.  The
-    wealth is accumulated level by level over the tree's coordinate lists,
-    with the same additions, in the same order, as `wealth` along each
-    root-to-leaf path.
+    wealth is accumulated level by level over the tree's spot arrays, with
+    the same additions, in the same order, as `wealth` along each
+    root-to-leaf path; the slacks, their minimum and the violations are
+    masks over the leaves.  The passes run on float64 arrays when X0, every
+    hedge entry and every spot is a float (or a spot array is float64 for
+    small int spots), and on object arrays of the values themselves
+    otherwise, so every slack has the value and type Python's arithmetic
+    gives it.
     """
+    import numpy as np
+
     polar = polar_paths(tree, fam, xi)
-    polar_leaves = {p[-1] for p in polar}
+    internal, leaves = tree.internal_nodes, tree.leaves
+    hs = list(map(H.h.__getitem__, internal))
+    spots = [tree.spot_array(j) for j in range(tree.dim)]
+    floats = (
+        type(X0) is float
+        and set(map(type, chain.from_iterable(hs))) == {float}
+        and all(xs.dtype != object for xs in spots)
+    )
+    dtype = float if floats else object
+    hmat = np.fromiter(chain.from_iterable(hs), dtype=dtype, count=len(hs) * tree.dim).reshape(-1, tree.dim)
+    W = np.array([X0], dtype=dtype)
+    if not floats:
+        spots = [np.array(tree.coords[j], dtype=object) for j in range(tree.dim)]
     # wealth level by level from the root: each parent's wealth, hedge and
-    # spot lined up with its k children, then one pass per coordinate
+    # spot broadcast over the row of its k children, one pass per coordinate
     k = len(tree.offsets)
-    W = [X0]
     for level, below in zip(tree.levels, tree.levels[1:]):
-        hs = list(map(H.h.__getitem__, level))
-        W = list(repeat_each(W, k))
-        for j, xs in enumerate(tree.coords):
-            hj = repeat_each([h[j] for h in hs], k)
-            xp = repeat_each(xs[level.start : level.stop], k)
-            W = [w + h * (c - p) for w, h, p, c in zip(W, hj, xp, xs[below.start : below.stop])]
-    slacks, violations = {}, []
-    min_slack = None
-    for leaf, w in zip(tree.leaves, W):
-        if leaf in polar_leaves:
-            continue
-        if xi[leaf] == NEG_INF:
-            # non-polar -inf leaf: dominated trivially, not a constraint
-            continue
-        s = w - xi[leaf]
-        slacks[leaf] = s
-        if min_slack is None or s < min_slack:
-            min_slack = s
-        if s < -tol:
-            violations.append(tree.path_to(leaf))
+        W = W[:, None]
+        for j, xs in enumerate(spots):
+            steps = xs[below.start : below.stop].reshape(-1, k) - xs[level.start : level.stop, None]
+            W = W + hmat[level.start : level.stop, j, None] * steps
+        W = W.ravel()
+    keep = np.ones(len(leaves), dtype=bool)
+    keep[[p[-1] - leaves[0] for p in polar]] = False  # -inf leaves are polar too
+    claim = list(map(xi.__getitem__, leaves))
+    if floats and set(map(type, claim)) == {float}:
+        claim = np.array(claim)
+    else:
+        W, claim = W.astype(object), np.array(claim, dtype=object)
+    slack = W[keep] - claim[keep]
+    del W, claim
+    bad = slack < -tol
+    values = slack.tolist()
     return HedgeReport(
-        ok=not violations,
-        min_slack=min_slack,
-        violations=violations,
+        ok=not bad.any(),
+        min_slack=values[np.argmin(slack)] if values else None,
+        violations=[tree.path_to(leaves[i]) for i in np.flatnonzero(keep)[bad].tolist()],
         polar=polar,
-        slacks=slacks,
+        slacks=dict(zip(compress(leaves, keep.tolist()), values)),
     )
 
 

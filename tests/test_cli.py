@@ -111,6 +111,33 @@ def test_hedge_outputs(tmp_path):
     lines = (tmp_path / "path_slacks.csv").read_text().splitlines()
     assert lines[0] == "leaf,slack"
     assert len(lines) == 1 + 9  # one row per non-polar leaf
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert set(timings) == {"tree", "claim", "dp", "extract", "verify", "write", "total"}
+    assert all(v >= 0 for v in timings.values())
+
+
+def restricted_past_oracle_limit():
+    """A 3^7 = 2,187-leaf claim-restricted config with one -inf leaf: its
+    polar set would need an exact leaf-law LP per leaf."""
+    leaves = range((3**7 - 1) // 2, (3**8 - 1) // 2)
+    values = {str(leaf): 0.0 for leaf in leaves}
+    values[str(leaves[0])] = "-inf"
+    return dict(
+        BASE_CONFIG,
+        tree={"dim": 1, "depth": 7, "generator": {"kind": "trinomial"}},
+        claim={"kind": "table", "values": values},
+        family={"class": "martingale", "claim_restricted": True},
+    )
+
+
+@pytest.mark.parametrize("command", ["hedge", "solve"])
+def test_restricted_polar_past_oracle_limit_exits_with_one_line(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, restricted_past_oracle_limit())
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: ") and "2000" in err[-1]
+    if command == "hedge":
+        assert len(err) == 1
 
 
 D2_FLOAT_OFFSETS_CONFIG = {

@@ -233,8 +233,40 @@ def test_tree_matches_per_node_builder(spec):
     assert_matches_reference(clone, spec)
 
 
+SPOT_ARRAY_SPECS = REFERENCE_SPECS + [
+    # one more level would put an int spot past INT_SPOT_BOUND = 2**51
+    explicit_spec(1, 4, [-(2**49), 0.5, 2**49]),
+    explicit_spec(1, 5, [-(2**49), 0.5, 2**49]),
+    explicit_spec(1, 3, [-(2**52) - 1, 0, 2**52 + 3]),
+    # floats past 2**53, where a step of 1.0 rounds away
+    explicit_spec(1, 4, [1e16, 1.0, -1.0]),
+    explicit_spec(1, 3, [True, -1]),
+]
+
+
+@pytest.mark.parametrize("spec", SPOT_ARRAY_SPECS + random_tree_specs(10))
+def test_spot_array_matches_coordinate_lists(spec):
+    """float64 exactly when every spot is a float or an int within the
+    bound, with the values `float` gives them; otherwise the spots
+    themselves.  Built once per coordinate."""
+    tree = build_tree(spec)
+    for j, xs in enumerate(tree.coords):
+        arr = tree.spot_array(j)
+        assert tree.spot_array(j) is arr and len(arr) == len(xs)
+        small = all(
+            type(x) is float or (type(x) is int and abs(x) <= market_tree.INT_SPOT_BOUND) for x in xs
+        )
+        if small:
+            assert arr.dtype == float
+            assert repr(arr.tolist()) == repr([float(x) for x in xs])  # signed zeros included
+        else:
+            assert arr.dtype == object
+            assert all(a is x for a, x in zip(arr.tolist(), xs))
+
+
 def test_deep_path_builds_no_node(monkeypatch):
-    """Build, claim, DP, hedge and verification read the coordinate lists:
+    """Build, claim, DP, hedge and verification read the coordinate lists
+    and spot arrays:
     none of them builds a Node, and len(tree.nodes) does not either."""
 
     def no_node(*args):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from robusthedge import oracle_lp
 from robusthedge.dual_dp import backward_value, one_step_sup
 from robusthedge.market_tree import NEG_INF, build_tree
 from robusthedge.measure_families import (
@@ -13,6 +14,7 @@ from robusthedge.measure_families import (
     Kernel,
     in_family,
     one_step_rows,
+    polar_paths,
 )
 from robusthedge.oracle_lp import (
     ORACLE_MAX_CHILDREN,
@@ -312,6 +314,24 @@ def test_oracle_leaf_limit():
     xi = {leaf: abs(tree.spot1(leaf)) for leaf in tree.leaves}
     with pytest.raises(OracleScaleError):
         global_sup_lp(tree, xi, MART, exact=False)
+
+
+def test_leaf_chargeable_leaf_limit(monkeypatch):
+    """The claim-restricted polar set solves one leaf-law LP per leaf; past
+    the leaf limit it raises before building any row."""
+    tree = build_tree({"dim": 1, "depth": 7, "generator": {"kind": "trinomial"}})
+    xi = {leaf: 0.0 for leaf in tree.leaves}
+    xi[tree.leaves[0]] = NEG_INF
+    fam = MART.with_claim(xi)
+
+    def no_rows(*args):
+        raise AssertionError("a leaf-law LP row was built")
+
+    monkeypatch.setattr(oracle_lp, "_build_path_lp", no_rows)
+    with pytest.raises(OracleScaleError, match="2000"):
+        oracle_lp.leaf_chargeable(tree, fam, tree.leaves[1])
+    with pytest.raises(OracleScaleError):
+        polar_paths(tree, fam)
 
 
 # -- concave envelope ----------------------------------------------------

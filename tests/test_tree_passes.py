@@ -239,6 +239,13 @@ WIDE_TREES = {
     "one-sided": {"dim": 1, "depth": 5, "generator": {"kind": "explicit", "offsets": [0, 1, 2]}},
     "fraction": _exact_tree_spec({"dim": 1, "depth": 5, "generator": {"kind": "explicit", "offsets": [1.5, -0.25, -0.5]}}),
     "d2": dict(D2_TREE, depth=4),
+    # float spots past 2**53, where a step of 1.0 rounds to 0: some nodes
+    # keep only one nonzero step, and their up child is dead although every
+    # offset has a counterpart of the other sign
+    "rounding": {"dim": 1, "depth": 5, "generator": {"kind": "explicit", "offsets": [1e16, 1.0, -1.0]}},
+    "rounding-symmetric": {"dim": 1, "depth": 5, "generator": {"kind": "explicit", "offsets": [1e16, -1e16, 1.0]}},
+    # int spots past 2**51: no double holds every step, so the object route
+    "large-int": {"dim": 1, "depth": 5, "generator": {"kind": "explicit", "offsets": [-(2**52) - 1, 0, 2**52 + 3]}},
 }
 
 
@@ -316,10 +323,44 @@ def test_verify_slacks_equal_pathwise_wealth(label, tree, xi, fam):
             }
             assert repr(rep.slacks) == repr(expected)  # bitwise, types and leaf order
             assert rep.min_slack == (min(expected.values()) if expected else None)
+            assert repr(rep.min_slack) == repr(min(expected.values()) if expected else None)
             assert rep.violations == [
                 p for p in tree.paths() if p[-1] in expected and expected[p[-1]] < -1e-9
             ]
             assert rep.ok == (not rep.violations)
+
+
+def test_wide_trees_cover_both_spot_dtypes_and_rounded_steps():
+    trees = {name: build_tree(spec) for name, spec in WIDE_TREES.items()}
+    assert trees["rounding"].spot_array(0).dtype == float
+    assert trees["large-int"].spot_array(0).dtype == object
+    assert trees["fraction"].spot_array(0).dtype == object
+    # dead leaves, which the signs of the offsets alone would not give
+    assert naive_polar_paths(trees["rounding"], FamilySpec(cls=MARTINGALE))
+
+
+@pytest.mark.parametrize("name", list(WIDE_TREES))
+def test_signed_zero_slacks_match_pathwise_wealth(name):
+    """Zero hedges, zero capital and a zero claim: each slack is a signed
+    zero, and the minimum is the first of them in leaf order."""
+    tree = build_tree(WIDE_TREES[name])
+    xi = {leaf: 0.0 for leaf in tree.leaves}
+    fam = FamilySpec(cls=MARTINGALE)
+    signs = set()
+    for z in (0.0, -0.0):
+        H = Strategy(h={n: tuple([z] * tree.dim) for n in tree.internal_nodes})
+        for X0 in (0.0, -0.0):
+            rep = verify_superhedge(tree, X0, H, xi, fam)
+            polar_leaves = {p[-1] for p in naive_polar_paths(tree, fam, xi)}
+            expected = {
+                p[-1]: wealth(tree, X0, H, p) - xi[p[-1]]
+                for p in tree.paths()
+                if p[-1] not in polar_leaves
+            }
+            assert repr(rep.slacks) == repr(expected)
+            assert repr(rep.min_slack) == repr(min(expected.values()))
+            signs.update(repr(v) for v in expected.values())
+    assert {"0.0", "-0.0"} <= signs
 
 
 @pytest.mark.parametrize("label,tree,xi,fam", INSTANCES, ids=IDS)
