@@ -5,9 +5,9 @@ rerun with the same config and seed is byte-identical.  Wall-clock timings
 go to a separate timings.json for that reason: per-stage seconds for
 `solve` (dp, oracle, primal) and `hedge` (tree, claim, dp, extract, verify,
 write), plus their total.  Exit status is zero iff every gap, tolerance,
-and verification check passes; `solve` and `hedge` exit 2, with one stderr
-line, when the claim-restricted polar set needs exact LPs past the oracle
-leaf limit.
+and verification check passes.  Past the oracle leaf limit `solve` skips
+the LP cross-checks it cannot run (the oracle in both modes, the primal LP
+in exact mode) and says so in its report.
 """
 
 from __future__ import annotations
@@ -135,8 +135,6 @@ def run_solve(cfg, path, out, exact):
     try:
         pv, _strategy = primal_lp(tree, xi, fam, exact=exact)
     except OracleScaleError:
-        if not exact:  # the float LP has no size limit; its polar set does
-            raise
         primal_skipped = True
         print("warning: exact primal LP scale exceeded, primal cross-check skipped", file=sys.stderr)
     timings["primal"] = time.perf_counter() - t
@@ -386,12 +384,7 @@ def main(argv=None):
 
     if args.command in ("solve", "hedge"):
         run = run_solve if args.command == "solve" else run_hedge
-        try:
-            return run(cfg, args.config, out, args.exact)
-        except OracleScaleError as exc:
-            # the claim-restricted polar set needs one exact LP per leaf
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        return run(cfg, args.config, out, args.exact)
     if args.command == "oracle":
         return run_oracle(cfg, out, args.exact, args.seed, max(1, args.threads))
     if args.command == "counterexample":

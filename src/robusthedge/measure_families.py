@@ -363,14 +363,19 @@ def martingale_chargeable_1d(deltas: Mapping) -> set:
     }
 
 
-def chargeable_children(tree: MarketTree, nid: int, fam: FamilySpec) -> set:
-    """Children that some family kernel at `nid` charges.
+def chargeable_children(tree: MarketTree, nid: int, fam: FamilySpec, alive=None) -> set:
+    """Children that some family kernel at `nid` supported on `alive`
+    charges (flags by node id, as `alive_nodes` returns; None admits every
+    child).  Empty iff no such kernel exists.
 
-    Decided by one-step feasibility: maximize p_c over the family polytope
-    and keep c iff the optimum is positive.  Closed forms cover ALL and the
-    d = 1 martingale case; the general case asks the vertex oracle.
+    Closed forms cover ALL (the alive children) and the d = 1 martingale
+    case (`martingale_chargeable_1d` over the alive children's steps); the
+    general case unites the supports of the vertex kernels that lie inside
+    `alive`, which are the vertices of the restricted polytope (a face).
     """
     children = tree.children(nid)
+    if alive is not None:
+        children = [c for c in children if alive[c]]
     if not children:
         return set()
     if fam.cls == ALL:
@@ -382,70 +387,81 @@ def chargeable_children(tree: MarketTree, nid: int, fam: FamilySpec) -> set:
 
     out = set()
     for v in oracle_lp.enumerate_vertex_kernels(tree, nid, fam.unrestricted()):
-        out.update(v.support())
+        support = v.support()
+        if alive is None or all(alive[c] for c in support):
+            out.update(support)
     return out
+
+
+def alive_nodes(tree: MarketTree, fam: FamilySpec, xi: Mapping) -> bytearray:
+    """Flags by node id, bottom-up: a leaf is alive when its claim is not
+    -inf, an internal node when some family kernel is supported on its alive
+    children.  These are the nodes where the DP value is finite, found
+    without the DP."""
+    alive = bytearray(len(tree.nodes))
+    alive[tree.levels[-1].start :] = bytes(v != NEG_INF for v in map(xi.get, tree.leaves))
+    for n in reversed(tree.internal_nodes):
+        alive[n] = bool(chargeable_children(tree, n, fam, alive))
+    return alive
 
 
 def polar_paths(tree: MarketTree, fam: FamilySpec, xi: Optional[Mapping] = None) -> list:
     """Paths charged by no family measure, sorted by leaf.
 
-    Chargeability factorizes over steps for node-local families, so a "dead"
-    flag (some edge above is not chargeable) is propagated top-down: level
-    by level over the spot array for the d = 1 martingale family, in id
-    order through `chargeable_children` for the others.  A leaf is polar
-    when it is dead or its claim is -inf (one mask over the leaves).  The
-    claim filter is applied last: with the restriction active, a surviving
-    leaf is kept only if some family measure charges it while avoiding
-    every -inf leaf (a per-leaf feasibility LP, exact, which raises
-    OracleScaleError past ORACLE_MAX_LEAVES leaves).
+    Chargeability factorizes over steps for node-local families, so a
+    "dead" flag (some edge above is not chargeable) is propagated top-down:
+    level by level over the spot array for the d = 1 martingale family, in
+    id order through `chargeable_children` for the others.  A leaf is polar
+    when it is dead or its claim is -inf.  With the claim filter active (a
+    claim-restricted family and a -inf leaf) only kernels supported on the
+    `alive_nodes` count, a bottom-up pass run first.  No LP is solved.
     """
     import numpy as np
 
     if xi is None:
         xi = fam.claim
+    alive = None
+    if xi is not None and fam.claim is not None and NEG_INF in xi.values():
+        alive = alive_nodes(tree, fam, xi)
     if fam.cls == MARTINGALE and tree.dim == 1:
-        gone = _martingale_dead_leaves_1d(tree)
+        gone = _martingale_dead_leaves_1d(tree, alive)
     else:
         flags = bytearray(len(tree.nodes))
         for n in tree.internal_nodes:
-            charge = () if flags[n] else chargeable_children(tree, n, fam)
+            charge = () if flags[n] else chargeable_children(tree, n, fam, alive)
             for c in tree.children(n):
                 flags[c] = c not in charge
         gone = np.frombuffer(flags, dtype=bool)[tree.levels[-1].start :]
     if xi is not None:
         claim = np.fromiter(map(xi.get, tree.leaves), dtype=object, count=len(tree.leaves))
         gone = gone | (claim == NEG_INF)
-    polar = [tree.leaves[i] for i in np.flatnonzero(gone).tolist()]
-    if xi is not None and fam.claim is not None and NEG_INF in xi.values():
-        from . import oracle_lp
-
-        restricted = fam.with_claim(xi)
-        alive = [tree.leaves[i] for i in np.flatnonzero(~gone).tolist()]
-        polar += [
-            leaf for leaf in alive
-            if not oracle_lp.leaf_chargeable(tree, restricted, leaf)
-        ]
-        polar.sort()
-    return [tree.path_to(leaf) for leaf in polar]
+    return [tree.path_to(tree.leaves[i]) for i in np.flatnonzero(gone).tolist()]
 
 
-def _martingale_dead_leaves_1d(tree: MarketTree):
+def _martingale_dead_leaves_1d(tree: MarketTree, alive=None):
     """The dead flags of the leaves, in id order, as a bool array, for the
     d = 1 martingale family: level by level, each node's k child steps are
-    judged by the rule of `martingale_chargeable_1d`, and every child of a
-    dead node is dead."""
+    judged by the rule of `martingale_chargeable_1d` (over the children that
+    `alive` flags, when given), and every child of a dead node is dead."""
     import numpy as np
 
     k = len(tree.offsets)
     xs = tree.spot_array(0)
+    if alive is not None:
+        alive = np.frombuffer(alive, dtype=bool)
     dead = np.zeros(1, dtype=bool)
     for level, below in zip(tree.levels, tree.levels[1:]):
         steps = xs[below.start : below.stop].reshape(-1, k) - xs[level.start : level.stop, None]
         up, down = steps > 0, steps < 0
-        # a step is uncharged when it is nonzero and no step of its node has
-        # the other sign
-        one_sided = (up & ~down.any(axis=1, keepdims=True)) | (down & ~up.any(axis=1, keepdims=True))
-        dead = (dead[:, None] | one_sided).ravel()
+        if alive is not None:
+            live = alive[below.start : below.stop].reshape(-1, k)
+            up, down = up & live, down & live
+        # a step is uncharged when it is nonzero and no (alive) step of its
+        # node has the other sign, or when its child is not alive
+        uncharged = (up & ~down.any(axis=1, keepdims=True)) | (down & ~up.any(axis=1, keepdims=True))
+        if alive is not None:
+            uncharged |= ~live
+        dead = (dead[:, None] | uncharged).ravel()
     return dead
 
 

@@ -178,28 +178,6 @@ def lex_smallest_kernel(tree: MarketTree, nid: int, fam: FamilySpec) -> Kernel:
     return verts[0]
 
 
-def leaf_chargeable(tree: MarketTree, fam: FamilySpec, leaf: int) -> bool:
-    """Does some family measure (claim filter included) charge this leaf?
-
-    Solves the leaf-law LP of `global_sup_lp`, exact, so it raises
-    OracleScaleError under the same ORACLE_MAX_LEAVES limit, before it
-    builds a row."""
-    if len(tree.leaves) > ORACLE_MAX_LEAVES:
-        raise OracleScaleError(
-            f"{len(tree.leaves)} leaves exceed the oracle leaf limit {ORACLE_MAX_LEAVES} "
-            "(claim-restricted polar paths)"
-        )
-    xi = fam.claim or {}
-    if xi.get(leaf) == NEG_INF:
-        return False
-    leaves, A_eq, b_eq, A_ub, b_ub, _ = _build_path_lp(tree, xi, fam, tree.root)
-    if leaf not in leaves:
-        return False
-    c = [1 if l == leaf else 0 for l in leaves]
-    res = simplex.solve(c, A_eq, b_eq, A_ub, b_ub, exact=True)
-    return res.status == "optimal" and res.value > 0
-
-
 # -- global path LP ------------------------------------------------------
 
 

@@ -23,6 +23,7 @@ from .measure_families import (
     FamilySpec,
     MeasureError,
     TreeMeasure,
+    alive_nodes,
     polar_paths,
 )
 from .oracle_lp import ORACLE_MAX_LEAVES, OracleScaleError, enumerate_vertex_kernels
@@ -143,25 +144,6 @@ def verify_superhedge(tree: MarketTree, X0, H: Strategy, xi: Mapping, fam: Famil
 # -- the primal LP -------------------------------------------------------
 
 
-def _alive_nodes(tree, xi, fam):
-    """Nodes below which some family kernel avoids the -inf region, computed
-    without the dual recursion (vertex-based feasibility, bottom-up)."""
-    alive = set()
-    for nid in reversed(range(len(tree.nodes))):
-        if tree.is_leaf(nid):
-            if xi[nid] != NEG_INF:
-                alive.add(nid)
-            continue
-        ok = False
-        for v in enumerate_vertex_kernels(tree, nid, fam.unrestricted()):
-            if all(c in alive for c in v.support()):
-                ok = True
-                break
-        if ok:
-            alive.add(nid)
-    return alive
-
-
 def primal_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, exact: bool = True):
     """(minimal initial capital, optimal Strategy).
 
@@ -242,13 +224,13 @@ def primal_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, exact: bool = True
 
 
 def _primal_lp_var_bounded(tree, xi, fam, exact):
-    alive = _alive_nodes(tree, xi, fam)
-    if tree.root not in alive:
+    alive = alive_nodes(tree, fam, xi)
+    if not alive[tree.root]:
         return NEG_INF, Strategy(
             h={n: tuple([0.0] * tree.dim) for n in tree.internal_nodes},
             flagged=set(tree.internal_nodes),
         )
-    internal = [n for n in tree.internal_nodes if n in alive]
+    internal = [n for n in tree.internal_nodes if alive[n]]
     var_index = {}
     for n in internal:
         var_index[("W", n)] = len(var_index)
@@ -263,7 +245,7 @@ def _primal_lp_var_bounded(tree, xi, fam, exact):
     for n in internal:
         xn = tree.spot1(n)
         for c in tree.children(n):
-            if c not in alive:
+            if not alive[c]:
                 continue
             dx = tree.spot1(c) - xn
             row = [0] * nv
@@ -288,7 +270,7 @@ def _primal_lp_var_bounded(tree, xi, fam, exact):
     h, flagged = {}, set()
     zero = tuple([0.0] * tree.dim)
     for n in tree.internal_nodes:
-        if n in alive:
+        if alive[n]:
             h[n] = (x[var_index[("h", n)]],)
         else:
             h[n] = zero

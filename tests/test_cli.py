@@ -117,8 +117,8 @@ def test_hedge_outputs(tmp_path):
 
 
 def restricted_past_oracle_limit():
-    """A 3^7 = 2,187-leaf claim-restricted config with one -inf leaf: its
-    polar set would need an exact leaf-law LP per leaf."""
+    """A 3^7 = 2,187-leaf claim-restricted config with one -inf leaf, past
+    the oracle leaf limit."""
     leaves = range((3**7 - 1) // 2, (3**8 - 1) // 2)
     values = {str(leaf): 0.0 for leaf in leaves}
     values[str(leaves[0])] = "-inf"
@@ -131,13 +131,25 @@ def restricted_past_oracle_limit():
 
 
 @pytest.mark.parametrize("command", ["hedge", "solve"])
-def test_restricted_polar_past_oracle_limit_exits_with_one_line(tmp_path, capsys, command):
+def test_restricted_polar_past_oracle_limit_is_verified(tmp_path, capsys, command):
+    """The -inf leaf and its down sibling are polar; every other path is
+    hedged.  `solve` skips only the oracle, which the leaf limit refuses;
+    the float primal LP runs and meets the DP."""
     cfg = write_config(tmp_path, restricted_past_oracle_limit())
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith("error: ") and "2000" in err[-1]
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert " polar=2 " in line and line.endswith(" ok=True")
     if command == "hedge":
-        assert len(err) == 1
+        verification = json.loads((tmp_path / "hedge.json").read_text())["verification"]
+        assert verification["polar_paths"] == 2
+    else:
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        assert report["oracle_skipped"] and not report["primal_skipped"]
+        assert report["polar_path_count"] == 2
+        assert report["gaps"]["dp_minus_primal"] == 0
+        verification = report["verification"]
+        assert verification["ok"]
+    assert verification["min_slack"] >= -1e-9
 
 
 D2_FLOAT_OFFSETS_CONFIG = {

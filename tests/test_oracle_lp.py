@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robusthedge import oracle_lp
+from robusthedge import oracle_lp, simplex
 from robusthedge.dual_dp import backward_value, one_step_sup
 from robusthedge.market_tree import NEG_INF, build_tree
 from robusthedge.measure_families import (
@@ -316,22 +316,25 @@ def test_oracle_leaf_limit():
         global_sup_lp(tree, xi, MART, exact=False)
 
 
-def test_leaf_chargeable_leaf_limit(monkeypatch):
-    """The claim-restricted polar set solves one leaf-law LP per leaf; past
-    the leaf limit it raises before building any row."""
+def test_restricted_polar_paths_past_the_leaf_limit_build_no_lp(monkeypatch):
+    """The claim-restricted polar set comes from the node-local passes, so
+    the oracle leaf limit does not apply and no leaf-law LP row is built.
+    Leaf 0 is the -inf up child of its parent; its down sibling then has no
+    alive upward partner, and only the flat sibling stays chargeable."""
     tree = build_tree({"dim": 1, "depth": 7, "generator": {"kind": "trinomial"}})
+    assert len(tree.leaves) == 2187 > ORACLE_MAX_LEAVES
     xi = {leaf: 0.0 for leaf in tree.leaves}
     xi[tree.leaves[0]] = NEG_INF
     fam = MART.with_claim(xi)
 
-    def no_rows(*args):
+    def no_rows(*args, **kwargs):
         raise AssertionError("a leaf-law LP row was built")
 
     monkeypatch.setattr(oracle_lp, "_build_path_lp", no_rows)
-    with pytest.raises(OracleScaleError, match="2000"):
-        oracle_lp.leaf_chargeable(tree, fam, tree.leaves[1])
-    with pytest.raises(OracleScaleError):
-        polar_paths(tree, fam)
+    monkeypatch.setattr(simplex, "solve", no_rows)
+    want = [tree.path_to(tree.leaves[0]), tree.path_to(tree.leaves[2])]
+    assert polar_paths(tree, fam) == want
+    assert polar_paths(tree, fam, xi) == want
 
 
 # -- concave envelope ----------------------------------------------------

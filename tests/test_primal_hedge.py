@@ -7,6 +7,7 @@ from robusthedge.market_tree import NEG_INF, MarketTree, build_tree
 from robusthedge.measure_families import (
     ALL,
     MARTINGALE,
+    VAR_BOUNDED,
     FamilySpec,
     Kernel,
     TreeMeasure,
@@ -21,9 +22,9 @@ from robusthedge.primal_hedge import (
     verify_superhedge,
     wealth,
 )
-from robusthedge.oracle_lp import ORACLE_MAX_LEAVES, OracleScaleError
+from robusthedge.oracle_lp import ORACLE_MAX_LEAVES, OracleScaleError, global_sup_lp
 from robusthedge.random_instances import random_claim, random_family, random_tree
-from robusthedge.simplex import RAT
+from robusthedge.simplex import RAT, rat
 
 from conftest import seeded
 
@@ -260,6 +261,40 @@ def test_primal_matches_dual_value(seed, exact):
         assert dp == pv
     else:
         assert dp == pytest.approx(pv, abs=1e-9)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_var_bounded_primal_lp_with_neg_inf_leaves(exact):
+    """The VAR_BOUNDED primal LP hedges below the alive nodes only (those
+    where some family measure avoids the -inf leaves).  On five-offset
+    trees with -inf table leaves it meets the DP and the oracle, claim
+    filter or not, and it flags exactly the nodes where the DP is -inf."""
+    tree = build_tree({"dim": 1, "depth": 2, "generator": {"kind": "explicit", "offsets": [-2, -1, 0, 1, 2]}})
+    base = FamilySpec(cls=VAR_BOUNDED, var_lo=0.5, var_hi=2.5)
+    if exact:
+        base = FamilySpec(cls=VAR_BOUNDED, var_lo=rat(0.5), var_hi=rat(2.5))
+    neg_roots = flagged = 0
+    for i in range(20):
+        rng = seeded(800 + i)
+        xi = random_claim(tree, rng, exact=exact, kind="table")
+        for leaf in rng.sample(tree.leaves, rng.randint(1, 12)):
+            xi[leaf] = NEG_INF
+        for fam in (base, base.with_claim(xi)):
+            Y = backward_value(tree, xi, fam)
+            dp = Y[tree.root]
+            lp, _ = global_sup_lp(tree, xi, fam, exact=exact)
+            pv, H = primal_lp(tree, xi, fam, exact=exact)
+            if dp == NEG_INF:
+                neg_roots += 1
+                assert lp == pv == NEG_INF
+                continue
+            if exact:
+                assert dp == lp == pv
+            else:
+                assert abs(dp - lp) <= 1e-9 and abs(dp - pv) <= 1e-9
+            assert H.flagged == {n for n in tree.internal_nodes if Y[n] == NEG_INF}
+            flagged += bool(H.flagged)
+    assert neg_roots >= 2 and flagged >= 2  # each under both families
 
 
 @pytest.mark.parametrize("fam", [MART, FamilySpec(cls=ALL)], ids=["martingale", "all"])

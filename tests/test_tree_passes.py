@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from robusthedge import oracle_lp, simplex
 from robusthedge.claims import NAMED_KINDS, make_claim
 from robusthedge.cli import _exact_tree_spec
 from robusthedge.dual_dp import backward_value, one_step_sup
@@ -27,9 +28,12 @@ from robusthedge.measure_families import (
     MARTINGALE,
     VAR_BOUNDED,
     FamilySpec,
+    _martingale_dead_leaves_1d,
+    alive_nodes,
     chargeable_children,
     polar_paths,
 )
+from robusthedge.oracle_lp import enumerate_vertex_kernels
 from robusthedge.primal_hedge import (
     HedgeError,
     Strategy,
@@ -59,35 +63,68 @@ def naive_subtree(tree, nid):
     return out
 
 
-def naive_chargeable(tree, nid, fam):
+def naive_chargeable(tree, nid, fam, alive=None):
+    """The pairwise rule over the children in `alive` (every child when
+    None); the vertex supports inside `alive` where no pairwise rule is
+    known."""
+    kids = [c for c in tree.children(nid) if alive is None or c in alive]
     if fam.cls == MARTINGALE and tree.dim == 1:
         xn = tree.spot1(nid)
-        deltas = {c: tree.spot1(c) - xn for c in tree.children(nid)}
+        deltas = {c: tree.spot1(c) - xn for c in kids}
         return {
             c for c, dc in deltas.items()
             if dc == 0 or any(dc * do < 0 for do in deltas.values())
         }
-    return chargeable_children(tree, nid, fam)
+    if alive is None:
+        return chargeable_children(tree, nid, fam)
+    supports = [v.support() for v in enumerate_vertex_kernels(tree, nid, fam.unrestricted())]
+    return {c for s in supports if set(s) <= alive for c in s}
 
 
-def naive_polar_paths(tree, fam, xi=None):
-    from robusthedge import oracle_lp
+def leaf_chargeable(tree, fam, leaf):
+    """Does some family measure (claim filter included) charge this leaf?
+    One exact leaf-law LP, the rows of `global_sup_lp`: maximize the leaf's
+    probability."""
+    xi = fam.claim or {}
+    if xi.get(leaf) == NEG_INF:
+        return False
+    leaves, A_eq, b_eq, A_ub, b_ub, _ = oracle_lp._build_path_lp(tree, xi, fam, tree.root)
+    if leaf not in leaves:
+        return False
+    c = [1 if l == leaf else 0 for l in leaves]
+    res = simplex.solve(c, A_eq, b_eq, A_ub, b_ub, exact=True)
+    return res.status == "optimal" and res.value > 0
 
+
+def dp_finite_nodes(tree, xi, fam):
+    Y = backward_value(tree, xi, fam)
+    return {n for n, v in Y.items() if v != NEG_INF}
+
+
+def naive_polar_paths(tree, fam, xi=None, lp=True):
+    """Per path: polar when some step is not chargeable or the claim is -inf.
+
+    With the claim filter active (a claim-restricted family and a -inf
+    leaf), a surviving leaf is also polar when no family measure that
+    avoids the -inf leaves charges it: one exact leaf-law LP per leaf when
+    `lp`, else a walk down the path in which each step must be chargeable
+    among the children where the DP value is finite."""
     if xi is None:
         xi = fam.claim
-    charge = {n: naive_chargeable(tree, n, fam) for n in tree.internal_nodes}
-    polar, alive = [], []
+    restricted = xi is not None and fam.claim is not None and NEG_INF in xi.values()
+    if restricted and not lp:
+        finite = dp_finite_nodes(tree, xi, fam)
+        charge = {n: naive_chargeable(tree, n, fam, finite) for n in tree.internal_nodes}
+    else:
+        charge = {n: naive_chargeable(tree, n, fam) for n in tree.internal_nodes}
+    polar = []
     for path in tree.paths():
         if any(path[i + 1] not in charge[path[i]] for i in range(len(path) - 1)):
             polar.append(path)
         elif xi is not None and xi.get(path[-1]) == NEG_INF:
             polar.append(path)
-        else:
-            alive.append(path)
-    if xi is not None and fam.claim is not None and NEG_INF in xi.values():
-        for path in alive:
-            if not oracle_lp.leaf_chargeable(tree, fam.with_claim(xi), path[-1]):
-                polar.append(path)
+        elif restricted and lp and not leaf_chargeable(tree, fam.with_claim(xi), path[-1]):
+            polar.append(path)
     return sorted(polar, key=lambda p: p[-1])
 
 
@@ -178,6 +215,7 @@ def naive_stopping_time_below(tree, sigma, tau):
 # every step moves both coordinates, so wealth sums two nonzero terms per
 # edge; (2, -1) is charged by no martingale kernel
 D2_TREE = {"dim": 2, "depth": 2, "generator": {"kind": "explicit", "offsets": [[1, 1], [-1, -1], [2, -1], [-0.5, -0.5]]}}
+FIVE_OFFSET_TREE = {"dim": 1, "depth": 2, "generator": {"kind": "explicit", "offsets": [-2, -1, 0, 1, 2]}}
 # d = 1 trees whose martingale family leaves some or all children uncharged
 ONE_SIDED_TREES = (
     {"dim": 1, "depth": 3, "generator": {"kind": "explicit", "offsets": [0, 1, 2]}},
@@ -225,6 +263,19 @@ def instances():
     xi = d2_claim(exact=True)
     out.append(("d2-exact", d2, xi, FamilySpec(cls=MARTINGALE)))
     out.append(("d2-exact-restricted", d2, xi, FamilySpec(cls=MARTINGALE).with_claim(xi)))
+    # claim-restricted VAR_BOUNDED families with -inf table leaves: five
+    # offsets leave some roots finite, and the restriction kills paths
+    # that the -inf leaves alone do not
+    five = build_tree(FIVE_OFFSET_TREE)
+    for i in range(8):
+        rng = seeded(760 + i)
+        exact = i % 2 == 0
+        xi = random_claim(five, rng, exact=exact, kind="table")
+        for leaf in rng.sample(five.leaves, 5 + i):
+            xi[leaf] = NEG_INF
+        lo, hi = (Fraction(1, 2), Fraction(5, 2)) if exact else (0.5, 2.5)
+        fam = FamilySpec(cls=VAR_BOUNDED, var_lo=lo, var_hi=hi).with_claim(xi)
+        out.append((f"var-bounded{i}-restricted", five, xi, fam))
     return out
 
 
@@ -251,9 +302,7 @@ WIDE_TREES = {
 
 def wide_instances():
     """(label, tree, claim, family): float and exact claims, -inf table
-    leaves, claim-restricted families.  A claim-restricted family meets only
-    finite claims here: with -inf leaves, the polar set solves one exact
-    global LP per leaf, which is too slow at these sizes."""
+    leaves, claim-restricted families, with and without -inf leaves."""
     out = []
     for name, spec in WIDE_TREES.items():
         tree = build_tree(spec)
@@ -268,15 +317,21 @@ def wide_instances():
         for leaf in rng.sample(tree.leaves, len(tree.leaves) // 7):
             xi[leaf] = NEG_INF
         out.append((f"{name}-neg-inf", tree, xi, fam))
+        out.append((f"{name}-neg-inf-restricted", tree, xi, fam.with_claim(xi)))
         xi = random_claim(tree, rng, exact=True, kind="table")
         for leaf in rng.sample(tree.leaves, len(tree.leaves) // 5):
             xi[leaf] = NEG_INF
         out.append((f"{name}-exact-neg-inf", tree, xi, fam))
+        out.append((f"{name}-exact-neg-inf-restricted", tree, xi, fam.with_claim(xi)))
     return out
 
 
 WIDE_INSTANCES = wide_instances()
 WIDE_IDS = [f"wide-{label}" for label, *_ in WIDE_INSTANCES]
+# each instance with the rule its polar reference uses for the claim filter:
+# one exact leaf-law LP per leaf on INSTANCES, the DP's finite set on the
+# wide trees, where one LP per leaf is too slow
+POLAR_CASES = [(*inst, True) for inst in INSTANCES] + [(*inst, False) for inst in WIDE_INSTANCES]
 
 
 def strategies(tree, rng):
@@ -290,27 +345,69 @@ def strategies(tree, rng):
 # -- tests ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("label,tree,xi,fam,lp", POLAR_CASES, ids=IDS + WIDE_IDS)
+def test_polar_paths_match_per_path_definition(label, tree, xi, fam, lp):
+    assert repr(polar_paths(tree, fam, xi)) == repr(naive_polar_paths(tree, fam, xi, lp))
+    assert repr(polar_paths(tree, fam)) == repr(naive_polar_paths(tree, fam, lp=lp))
+
+
 @pytest.mark.parametrize("label,tree,xi,fam", INSTANCES + WIDE_INSTANCES, ids=IDS + WIDE_IDS)
-def test_polar_paths_match_per_path_definition(label, tree, xi, fam):
-    assert repr(polar_paths(tree, fam, xi)) == repr(naive_polar_paths(tree, fam, xi))
-    assert repr(polar_paths(tree, fam)) == repr(naive_polar_paths(tree, fam))
+def test_alive_nodes_are_the_dp_finite_nodes(label, tree, xi, fam):
+    alive = alive_nodes(tree, fam, xi)
+    assert len(alive) == len(tree.nodes)
+    assert {n for n, flag in enumerate(alive) if flag} == dp_finite_nodes(tree, xi, fam)
+
+
+def test_claim_filter_kills_paths_below_finite_roots():
+    """The polar comparison sees the claim filter remove paths that the
+    -inf leaves alone do not, below a finite root: VAR_BOUNDED in both
+    modes against the leaf-law LPs, the martingale family in both modes on
+    the wide trees."""
+    seen = set()
+    for label, tree, xi, fam, lp in POLAR_CASES:
+        if fam.claim is None or tree.root not in dp_finite_nodes(tree, xi, fam):
+            continue
+        if len(polar_paths(tree, fam, xi)) > len(polar_paths(tree, fam.unrestricted(), xi)):
+            exact = not any(isinstance(v, float) and v != NEG_INF for v in xi.values())
+            seen.add((fam.cls, lp, exact))
+    for exact in (False, True):
+        assert (VAR_BOUNDED, True, exact) in seen and (MARTINGALE, False, exact) in seen
+
+
+def test_martingale_dead_flags_charge_alive_children_only():
+    """The d = 1 martingale level masks with alive flags, before the -inf
+    leaves are masked: a path is dead iff some step on it is charged by no
+    kernel on the alive children, by the pairwise rule."""
+    cases = 0
+    for label, tree, xi, fam, lp in POLAR_CASES:
+        if fam.cls != MARTINGALE or tree.dim != 1 or NEG_INF not in xi.values():
+            continue
+        finite = dp_finite_nodes(tree, xi, fam)
+        charge = {n: naive_chargeable(tree, n, fam, finite) for n in tree.internal_nodes}
+        want = [any(p[i + 1] not in charge[p[i]] for i in range(len(p) - 1)) for p in tree.paths()]
+        assert _martingale_dead_leaves_1d(tree, alive_nodes(tree, fam, xi)).tolist() == want
+        cases += 1
+    assert cases >= 20
 
 
 @pytest.mark.parametrize("label,tree,xi,fam", INSTANCES, ids=IDS)
 def test_chargeable_children_match_pairwise_rule(label, tree, xi, fam):
+    alive = alive_nodes(tree, fam, xi)
+    finite = dp_finite_nodes(tree, xi, fam)
     for n in tree.internal_nodes:
         assert chargeable_children(tree, n, fam) == naive_chargeable(tree, n, fam)
+        assert chargeable_children(tree, n, fam, alive) == naive_chargeable(tree, n, fam, finite)
 
 
-@pytest.mark.parametrize("label,tree,xi,fam", INSTANCES + WIDE_INSTANCES, ids=IDS + WIDE_IDS)
-def test_verify_slacks_equal_pathwise_wealth(label, tree, xi, fam):
+@pytest.mark.parametrize("label,tree,xi,fam,lp", POLAR_CASES, ids=IDS + WIDE_IDS)
+def test_verify_slacks_equal_pathwise_wealth(label, tree, xi, fam, lp):
     rng = random.Random(label)
     hedges = list(strategies(tree, rng))
     Y = backward_value(tree, xi, fam)
     if Y[tree.root] != NEG_INF and fam.cls != VAR_BOUNDED:
         hedges.append(extract_strategy(tree, Y, fam))
     X0s = (Fraction(3, 2), 0.25)
-    polar = naive_polar_paths(tree, fam, xi)
+    polar = naive_polar_paths(tree, fam, xi, lp)
     polar_leaves = {p[-1] for p in polar}
     for H in hedges:
         for X0 in X0s:
