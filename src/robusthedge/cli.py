@@ -5,9 +5,12 @@ rerun with the same config and seed is byte-identical.  Wall-clock timings
 go to a separate timings.json for that reason: per-stage seconds for
 `solve` (dp, oracle, primal) and `hedge` (tree, claim, dp, extract, verify,
 write), plus their total.  Exit status is zero iff every gap, tolerance,
-and verification check passes.  Past the oracle leaf limit `solve` skips
-the LP cross-checks it cannot run (the oracle in both modes, the primal LP
-in exact mode) and says so in its report.
+and verification check passes.  When an oracle scale limit refuses one of
+`solve`'s LP cross-checks (the oracle, or the primal LP), `solve` skips it,
+warns with the limit's message and says so in its report.  When a limit
+refuses a step that `solve` or `hedge` cannot skip (the vertex enumeration
+behind a polar set past ORACLE_MAX_CHILDREN children), the run prints one
+`error: <message>` line to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -125,18 +128,18 @@ def run_solve(cfg, path, out, exact):
     lp = None
     try:
         lp, _ = global_sup_lp(tree, xi, fam, exact=exact)
-    except OracleScaleError:
+    except OracleScaleError as exc:
         oracle_skipped = True
-        print("warning: oracle scale exceeded, LP cross-check skipped", file=sys.stderr)
+        print(f"warning: {exc}; oracle cross-check skipped", file=sys.stderr)
     timings["oracle"] = time.perf_counter() - t
     t = time.perf_counter()
     primal_skipped = False
     pv = None
     try:
         pv, _strategy = primal_lp(tree, xi, fam, exact=exact)
-    except OracleScaleError:
+    except OracleScaleError as exc:
         primal_skipped = True
-        print("warning: exact primal LP scale exceeded, primal cross-check skipped", file=sys.stderr)
+        print(f"warning: {exc}; primal cross-check skipped", file=sys.stderr)
     timings["primal"] = time.perf_counter() - t
 
     ok = True
@@ -384,7 +387,12 @@ def main(argv=None):
 
     if args.command in ("solve", "hedge"):
         run = run_solve if args.command == "solve" else run_hedge
-        return run(cfg, args.config, out, args.exact)
+        try:
+            return run(cfg, args.config, out, args.exact)
+        except OracleScaleError as exc:
+            # a step the run cannot skip hit an oracle scale limit
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.command == "oracle":
         return run_oracle(cfg, out, args.exact, args.seed, max(1, args.threads))
     if args.command == "counterexample":

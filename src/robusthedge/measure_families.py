@@ -327,7 +327,16 @@ def one_step_rows(tree: MarketTree, nid: int, children, fam: FamilySpec) -> tupl
     """(A_eq, b_eq, A_ub, b_ub) of the family's kernels at `nid` restricted to
     `children`, over their probabilities in the given order: total mass 1,
     zero mean step for the martingale classes, and the conditional variance
-    in [var_lo, var_hi] for VAR_BOUNDED.  The claim filter is not applied."""
+    in [var_lo, var_hi] for VAR_BOUNDED.  The claim filter is not applied.
+
+    This is the only code that knows a family's constraints.  Its consumers
+    rely on the row layout: A_eq[0] is the mass row (all ones, rhs 1),
+    A_eq[1 + k] is the mean row of coordinate k (k < d; the DP reads the
+    hedge from the duals `y_eq[1 + k]`), further equalities would follow
+    them, and A_ub holds the `<=` rows.  The vertex oracle and the DP's
+    one-step LP take the rows as they are; `oracle_lp._leaf_law_rows` lifts
+    every row after the mass row into leaf space, and
+    `primal_hedge._node_value_lp` gives each such row a variable."""
     d = tree.dim
     xn = tree.spot(nid)
     A_eq = [[1] * len(children)]
@@ -340,7 +349,7 @@ def one_step_rows(tree: MarketTree, nid: int, children, fam: FamilySpec) -> tupl
     if fam.cls == VAR_BOUNDED:
         if d != 1:
             raise MeasureError("VAR_BOUNDED is implemented for d = 1 only")
-        g = [(tree.spot1(c) - xn[0]) ** 2 for c in children]
+        g = [dx ** 2 for dx in A_eq[1]]  # the squared steps of the mean row
         A_ub.append(g)
         b_ub.append(fam.var_hi)
         A_ub.append([-v for v in g])

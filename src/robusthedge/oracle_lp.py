@@ -2,9 +2,10 @@
 
 These deliberately avoid the backward recursion in dual_dp.  The global LP
 optimizes directly over leaf probabilities subject to the linear rows that
-characterize induced laws of family measures, and vertex enumeration solves
-square subsystems exactly in rationals.  Agreement between the two routes is
-the main acceptance gate.
+characterize induced laws of family measures (each node's
+`measure_families.one_step_rows`, lifted into leaf space), and vertex
+enumeration solves square subsystems exactly in rationals.  Agreement
+between the two routes is the main acceptance gate.
 
 Vertex enumeration is memoised: one module-level LRU cache of 256 entries
 is keyed on the polytope's rows as the caller gives them, as tuples of native
@@ -28,10 +29,8 @@ import itertools
 from typing import Mapping, Optional
 
 from . import simplex
-from .market_tree import NEG_INF, MarketTree, shift_claim
+from .market_tree import NEG_INF, MarketTree
 from .measure_families import (
-    MARTINGALE,
-    VAR_BOUNDED,
     FamilySpec,
     Kernel,
     MeasureError,
@@ -161,7 +160,7 @@ def enumerate_vertex_kernels(tree: MarketTree, nid: int, fam: FamilySpec) -> lis
         raise MeasureError(f"node {nid} is a leaf")
     if len(children) > ORACLE_MAX_CHILDREN:
         raise OracleScaleError(
-            f"{len(children)} children exceeds the oracle limit {ORACLE_MAX_CHILDREN}"
+            f"{len(children)} children exceed the oracle limit {ORACLE_MAX_CHILDREN}"
         )
     rows = one_step_rows(tree, nid, children, fam)
     return [
@@ -181,77 +180,67 @@ def lex_smallest_kernel(tree: MarketTree, nid: int, fam: FamilySpec) -> Kernel:
 # -- global path LP ------------------------------------------------------
 
 
-def _build_path_lp(tree, xi, fam, start):
-    """Rows of the leaf-law LP below `start`.  -inf leaves are dropped
-    (their probability is forced to zero)."""
-    all_leaves = tree.leaves_below(start)
-    leaves = [l for l in all_leaves if xi.get(l, 0) != NEG_INF]
-    d = tree.dim
-    internal = [n for n in tree.subtree_nodes(start) if not tree.is_leaf(n)]
-    below = {n: set(tree.leaves_below(n)) for n in internal}
-    # step taken at node n on the way to leaf l: spot(child on path) - spot(n)
-    child_on_path = {}
-    for l in all_leaves:
-        path = tree.path_to(l)
-        for i, n in enumerate(path[:-1]):
-            child_on_path[(n, l)] = path[i + 1]
-    A_eq = [[1] * len(leaves)]
-    b_eq = [1]
-    A_ub, b_ub = [], []
-    for n in internal:
-        xn = tree.spot(n)
-        for k in range(d):
-            if fam.cls in (MARTINGALE, VAR_BOUNDED):
-                row = []
-                for l in leaves:
-                    if l in below[n]:
-                        c = child_on_path[(n, l)]
-                        row.append(tree.spot(c)[k] - xn[k])
-                    else:
-                        row.append(0)
-                A_eq.append(row)
-                b_eq.append(0)
-        if fam.cls == VAR_BOUNDED:
-            hi_row, lo_row = [], []
-            for l in leaves:
-                if l in below[n]:
-                    c = child_on_path[(n, l)]
-                    g = (tree.spot1(c) - tree.spot1(n)) ** 2
-                    hi_row.append(g - fam.var_hi)
-                    lo_row.append(fam.var_lo - g)
-                else:
-                    hi_row.append(0)
-                    lo_row.append(0)
-            A_ub.append(hi_row)
-            b_ub.append(0)
-            A_ub.append(lo_row)
-            b_ub.append(0)
-    c_obj = [xi.get(l, 0) for l in leaves]
+def _leaf_law_rows(tree, xi, fam, start):
+    """(leaves, A_eq, b_eq, A_ub, b_ub, c_obj): the leaf-law LP below
+    `start`, over the probabilities of the leaves whose claim is not -inf
+    (the -inf leaves are forced to zero, so their columns are dropped).
+
+    Row 0 is total mass 1.  Every other row lifts a row (a, b) of
+    `one_step_rows` at an internal node n: the kernel constraint
+    sum_c p_c a_c = b (or <= b), times n's mass, is sum_l q_l (a_c - b) = 0
+    (or <= 0) over the leaves l below n, where c is n's child on l's path;
+    the other leaves take 0.  A child's leaves are one contiguous block of
+    the breadth-first leaf ids, so each lifted row is filled block by block.
+    Internal nodes come breadth-first, each with its rows in the order
+    `one_step_rows` gives them (equalities after the mass row, then `<=`).
+    """
+    ranges = tree._ranges_below(start)
+    all_leaves = ranges[-1]
+    claim = [xi.get(l, 0) for l in all_leaves]
+    keep = [i for i, v in enumerate(claim) if v != NEG_INF]
+    dropped = len(keep) < len(all_leaves)
+    leaves = [all_leaves[i] for i in keep]
+    A_eq, b_eq, A_ub, b_ub = [[1] * len(leaves)], [1], [], []
+    for level, below in zip(ranges, ranges[1:]):
+        width = len(all_leaves) // len(below)  # leaves below each child
+        for n in level:
+            children = tree.children(n)
+            eq, eq_rhs, ub, ub_rhs = one_step_rows(tree, n, children, fam)
+            for rows, rhs, A, b in ((eq[1:], eq_rhs[1:], A_eq, b_eq), (ub, ub_rhs, A_ub, b_ub)):
+                for a, a_rhs in zip(rows, rhs):
+                    row = [0] * len(all_leaves)
+                    for c, a_c in zip(children, a):
+                        first = (c - below.start) * width
+                        row[first : first + width] = [a_c - a_rhs] * width
+                    A.append([row[i] for i in keep] if dropped else row)
+                    b.append(0)
+    c_obj = [claim[i] for i in keep]
     return leaves, A_eq, b_eq, A_ub, b_ub, c_obj
 
 
 def _factorize_leaf_law(tree, fam, leaves, q, start):
     """Conditional kernels from a leaf law; deterministic completion at
-    uncharged nodes."""
-    mass = {n: RAT(0) for n in tree.subtree_nodes(start)}
-    for l, ql in zip(leaves, q):
-        path = tree.path_to(l)
-        i0 = path.index(start)
-        for n in path[i0:]:
-            mass[n] += ql
+    uncharged nodes.  Node masses are summed bottom-up, one level of the
+    subtree at a time; they are exact rationals, so the order of the sums
+    does not matter."""
+    ranges = tree._ranges_below(start)
+    mass = dict.fromkeys(ranges[-1], RAT(0))
+    mass.update(zip(leaves, q))
+    for level in reversed(ranges[:-1]):
+        for n in level:
+            mass[n] = sum(map(mass.__getitem__, tree.children(n)), RAT(0))
     kernels = {}
-    for n in tree.subtree_nodes(start):
-        if tree.is_leaf(n):
-            continue
-        if mass[n] > 0:
-            probs = {}
-            for c in tree.children(n):
-                p = mass[c] / mass[n]
-                if p > 0:
-                    probs[c] = p
-            kernels[n] = Kernel(n, probs)
-        else:
-            kernels[n] = lex_smallest_kernel(tree, n, fam.unrestricted())
+    for level in ranges[:-1]:
+        for n in level:
+            if mass[n] > 0:
+                probs = {}
+                for c in tree.children(n):
+                    p = mass[c] / mass[n]
+                    if p > 0:
+                        probs[c] = p
+                kernels[n] = Kernel(n, probs)
+            else:
+                kernels[n] = lex_smallest_kernel(tree, n, fam.unrestricted())
     return TreeMeasure(kernels)
 
 
@@ -262,10 +251,10 @@ def global_sup_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: Optiona
     the -inf leaves.  Exact mode solves in rationals; float mode uses HiGHS.
     """
     start = tree.root if start is None else start
-    if len(tree.leaves_below(start)) > ORACLE_MAX_LEAVES:
-        raise OracleScaleError("tree exceeds the oracle leaf limit")
-    xi_sub = shift_claim(tree, xi, start) if start != tree.root else dict(xi)
-    leaves, A_eq, b_eq, A_ub, b_ub, c_obj = _build_path_lp(tree, xi_sub, fam, start)
+    n_leaves = len(tree._ranges_below(start)[-1])
+    if n_leaves > ORACLE_MAX_LEAVES:
+        raise OracleScaleError(f"{n_leaves} leaves exceed the oracle leaf limit {ORACLE_MAX_LEAVES}")
+    leaves, A_eq, b_eq, A_ub, b_ub, c_obj = _leaf_law_rows(tree, xi, fam, start)
     if not leaves:
         return NEG_INF, None
     res = simplex.solve(c_obj, A_eq, b_eq, A_ub, b_ub, exact=exact)

@@ -24,6 +24,7 @@ from .measure_families import (
     MeasureError,
     TreeMeasure,
     alive_nodes,
+    one_step_rows,
     polar_paths,
 )
 from .oracle_lp import ORACLE_MAX_LEAVES, OracleScaleError, enumerate_vertex_kernels
@@ -150,7 +151,8 @@ def primal_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, exact: bool = True
     MARTINGALE / ALL: path-wise wealth constraints (ALL additionally
     constrains the hedge to the admissible cone h . step <= 0).  VAR_BOUNDED
     hedging needs variance instruments, so it uses the equivalent node-value
-    formulation with per-node variance-position variables.
+    formulation over the family's one-step rows (`_node_value_lp`), with
+    per-node variance-position variables.
 
     The exact LP raises OracleScaleError, before it builds a row, on trees
     of more than ORACLE_MAX_LEAVES leaves (one path row per leaf): its dense
@@ -163,7 +165,7 @@ def primal_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, exact: bool = True
             f"{len(tree.leaves)} paths exceed the exact primal LP limit {ORACLE_MAX_LEAVES}"
         )
     if fam.cls == VAR_BOUNDED:
-        return _primal_lp_var_bounded(tree, xi, fam, exact)
+        return _node_value_lp(tree, xi, fam, exact)
     polar = polar_paths(tree, fam, xi)
     polar_leaves = {p[-1] for p in polar}
     paths = [
@@ -223,7 +225,19 @@ def primal_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, exact: bool = True
     return X0, Strategy(h=h, flagged=flagged)
 
 
-def _primal_lp_var_bounded(tree, xi, fam, exact):
+def _node_value_lp(tree, xi, fam, exact):
+    """The primal LP over node values, read off the family's one-step rows.
+
+    Per alive internal node n, in id order, there is one variable per row of
+    `one_step_rows`: its value W_n for the mass row, a free variable for
+    each other equality row (the hedge, one per mean row) and a
+    nonnegative one for each `<=` row (for VAR_BOUNDED, the two variance
+    positions).  Each alive child c of n gives the row
+    W_c <= W_n + sum_r y_r (a_c - b) over n's rows (a, b) after the mass
+    row, with y_r their variables; at a leaf the claim stands for W_c.  This
+    is the dual of the one-step LP at every node, so the optimum is the DP
+    value at the root.
+    """
     alive = alive_nodes(tree, fam, xi)
     if not alive[tree.root]:
         return NEG_INF, Strategy(
@@ -231,51 +245,49 @@ def _primal_lp_var_bounded(tree, xi, fam, exact):
             flagged=set(tree.internal_nodes),
         )
     internal = [n for n in tree.internal_nodes if alive[n]]
-    var_index = {}
+    # per node: W_n's index, its number of equality rows, and -(a_c - b) for
+    # each row (a, b) after the mass row, one list over the children per
+    # row; the `<=` rows write it b - a_c, which gives +0.0 where a_c == b
+    layout, nv = {}, 0
     for n in internal:
-        var_index[("W", n)] = len(var_index)
-        var_index[("h", n)] = len(var_index)
-        var_index[("lhi", n)] = len(var_index)
-        var_index[("llo", n)] = len(var_index)
-    nv = len(var_index)
-    free = [var_index[("W", n)] for n in internal] + [
-        var_index[("h", n)] for n in internal
-    ]
+        eq, eq_rhs, ub, ub_rhs = one_step_rows(tree, n, tree.children(n), fam)
+        coef = [[-(a_c - b) for a_c in a] for a, b in zip(eq[1:], eq_rhs[1:])]
+        coef += [[b - a_c for a_c in a] for a, b in zip(ub, ub_rhs)]
+        layout[n] = (nv, len(eq), coef)
+        nv += 1 + len(coef)
+    free = [w + r for w, n_eq, _ in layout.values() for r in range(n_eq)]
     A_ub, b_ub = [], []
-    for n in internal:
-        xn = tree.spot1(n)
-        for c in tree.children(n):
+    for n, (w, _, coef) in layout.items():
+        for i, c in enumerate(tree.children(n)):
             if not alive[c]:
                 continue
-            dx = tree.spot1(c) - xn
             row = [0] * nv
             rhs = 0
-            row[var_index[("W", n)]] = -1
-            row[var_index[("h", n)]] = -dx
-            row[var_index[("lhi", n)]] = fam.var_hi - dx * dx
-            row[var_index[("llo", n)]] = dx * dx - fam.var_lo
+            row[w] = -1
+            row[w + 1 : w + 1 + len(coef)] = [a[i] for a in coef]
             if tree.is_leaf(c):
                 rhs = -xi[c]
             else:
-                row[var_index[("W", c)]] = 1
+                row[layout[c][0]] = 1
             A_ub.append(row)
             b_ub.append(rhs)
+    root = layout[tree.root][0]
     c_obj = [0] * nv
-    c_obj[var_index[("W", tree.root)]] = 1
+    c_obj[root] = 1
     res = simplex.solve(c_obj, None, None, A_ub, b_ub, maximize=False, free_vars=free, exact=exact)
     if res.status != "optimal":
         raise HedgeError(f"primal LP status {res.status}")
     x = res.x
-    X0 = x[var_index[("W", tree.root)]]
     h, flagged = {}, set()
     zero = tuple([0.0] * tree.dim)
     for n in tree.internal_nodes:
         if alive[n]:
-            h[n] = (x[var_index[("h", n)]],)
+            w, n_eq, _ = layout[n]
+            h[n] = tuple(x[w + 1 : w + n_eq])
         else:
             h[n] = zero
             flagged.add(n)
-    return X0, Strategy(h=h, flagged=flagged)
+    return x[root], Strategy(h=h, flagged=flagged)
 
 
 # -- Doob-Meyer and admissibility ----------------------------------------

@@ -73,7 +73,7 @@ def test_solve_skips_the_oracle_beyond_its_leaf_limit(tmp_path, capsys):
     doc["tree"] = {"dim": 1, "depth": 7, "generator": {"kind": "trinomial"}}  # 2,187 leaves
     cfg = write_config(tmp_path, doc)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert "oracle scale exceeded, LP cross-check skipped" in capsys.readouterr().err
+    assert "2187 leaves exceed the oracle leaf limit 2000; oracle cross-check skipped" in capsys.readouterr().err
     report = json.loads((tmp_path / "solve_report.json").read_text())
     assert report["oracle_skipped"] and report["oracle_value"] is None
     assert report["gaps"]["dp_minus_oracle"] is None
@@ -89,8 +89,8 @@ def test_exact_solve_skips_the_primal_lp_beyond_its_leaf_limit(tmp_path, capsys)
     cfg = write_config(tmp_path, doc)
     assert main(["solve", "--config", str(cfg), "--exact", "--out", str(tmp_path)]) == 0
     err = capsys.readouterr().err
-    assert "oracle scale exceeded, LP cross-check skipped" in err
-    assert "exact primal LP scale exceeded, primal cross-check skipped" in err
+    assert "2187 leaves exceed the oracle leaf limit 2000; oracle cross-check skipped" in err
+    assert "2187 paths exceed the exact primal LP limit 2000; primal cross-check skipped" in err
     report = json.loads((tmp_path / "solve_report.json").read_text())
     assert report["primal_skipped"] and report["primal_value"] is None
     assert report["gaps"] == {"dp_minus_oracle": None, "dp_minus_primal": None}
@@ -150,6 +150,48 @@ def test_restricted_polar_past_oracle_limit_is_verified(tmp_path, capsys, comman
         verification = report["verification"]
         assert verification["ok"]
     assert verification["min_slack"] >= -1e-9
+
+
+def thirteen_offset_config(depth, family):
+    """Thirteen children per node, one past ORACLE_MAX_CHILDREN."""
+    return dict(
+        BASE_CONFIG,
+        tree={"dim": 1, "depth": depth, "generator": {"kind": "explicit", "offsets": list(range(-6, 7))}},
+        family=family,
+    )
+
+
+CHILD_LIMIT = "13 children exceed the oracle limit 12"
+
+
+@pytest.mark.parametrize("argv", [["hedge"], ["solve"], ["solve", "--exact"]])
+def test_child_limit_in_a_needed_step_exits_2_with_one_line(tmp_path, capsys, argv):
+    """The VAR_BOUNDED polar set enumerates the vertex kernels of a
+    13-child node, which the oracle refuses: one error line, exit 2, no
+    traceback.  `solve` first skips the primal LP, which needs the same
+    enumeration, and its warning names the limit that refused it."""
+    doc = thirteen_offset_config(1, {"class": "var_bounded", "var_lo": 1, "var_hi": 4})
+    cfg = write_config(tmp_path, doc)
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    want = [f"error: {CHILD_LIMIT}"]
+    if argv[0] == "solve":
+        want.insert(0, f"warning: {CHILD_LIMIT}; primal cross-check skipped")
+    assert err == want
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_child_limit_in_the_oracle_is_reported_as_such(tmp_path, capsys, exact):
+    """On 169 leaves the leaf-law LP runs, but completing its measure at an
+    uncharged 13-child node needs the vertex oracle: `solve` skips the
+    oracle cross-check with the child limit's message, and the rest holds."""
+    doc = thirteen_offset_config(2, {"class": "martingale", "claim_restricted": False})
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), *(["--exact"] if exact else []), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"warning: {CHILD_LIMIT}; oracle cross-check skipped"]
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["oracle_skipped"] and not report["primal_skipped"]
+    assert report["ok"] and abs(report["gaps"]["dp_minus_primal"]) <= (0 if exact else 1e-9)
 
 
 D2_FLOAT_OFFSETS_CONFIG = {

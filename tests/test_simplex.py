@@ -419,3 +419,41 @@ def test_pivot_counts_match_fraction_tableau(monkeypatch):
         assert count.n == REF_PIVOTS.n
         total += count.n
     assert total > 500
+
+
+def klee_minty(n):
+    """(c, A_ub, b_ub) of the Klee-Minty cube of dimension n:
+    max sum_j 2^(n-1-j) x_j  s.t.  sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^(i+1).
+    Dantzig's rule walks 2^n - 1 of its vertices; the optimum is
+    x = (0, ..., 0, 5^n)."""
+    c = [2 ** (n - 1 - j) for j in range(n)]
+    A = [[2 ** (i - j + 1) if j < i else int(j == i) for j in range(n)] for i in range(n)]
+    return c, A, [5 ** (i + 1) for i in range(n)]
+
+
+def test_bland_fallback_finishes_long_dantzig_runs(monkeypatch):
+    """Each phase on the 12-dimensional cube passes the switch at
+    200 + 20 (m + ncols) = 1,160 pivots, so Bland's rule finishes both
+    phases: 1,166 and 1,265 pivots, where Dantzig's rule alone takes 2,048
+    and 2,047.  The optimum is exact.  (Dimension 11 takes 1,024 and 1,023
+    pivots: neither phase reaches its switch at 1,080.)"""
+    phases = []
+    pivot, run = simplex._pivot, simplex._run_simplex
+
+    def counted_pivot(*args):
+        phases[-1][0] += 1
+        return pivot(*args)
+
+    def counted_run(T, D, basis, n_enter):
+        phases.append([0, 200 + 20 * (len(basis) + len(T[0]) - 1)])
+        return run(T, D, basis, n_enter)
+
+    monkeypatch.setattr(simplex, "_pivot", counted_pivot)
+    monkeypatch.setattr(simplex, "_run_simplex", counted_run)
+    n = 12
+    c, A_ub, b_ub = klee_minty(n)
+    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
+    assert res.status == "optimal"
+    assert res.value == 5**n and type(res.value) is RAT
+    assert res.x == [0] * (n - 1) + [5**n]
+    assert phases == [[1166, 1160], [1265, 1160]]

@@ -3,7 +3,9 @@
 Each oracle below walks one root-to-leaf path per leaf (or pops a BFS queue
 from the front), as the package did before its passes became top-down over
 the breadth-first ids; the hedge oracle solves every node's one-step problem
-a second time, as extraction did before the DP kept its multipliers.  The
+a second time, as extraction did before the DP kept its multipliers; the LP
+references write each family class's rows out in leaf space and per node
+value, as the LP builders did before they read `one_step_rows`.  The
 passes must reproduce them exactly: `==` on floats and on rationals, not a
 tolerance.
 """
@@ -20,6 +22,7 @@ from robusthedge.dual_dp import backward_value, one_step_sup
 from robusthedge.market_tree import (
     NEG_INF,
     build_tree,
+    shift_claim,
     stopping_time_below,
     validate_stopping_time,
 )
@@ -28,6 +31,8 @@ from robusthedge.measure_families import (
     MARTINGALE,
     VAR_BOUNDED,
     FamilySpec,
+    Kernel,
+    TreeMeasure,
     _martingale_dead_leaves_1d,
     alive_nodes,
     chargeable_children,
@@ -38,6 +43,7 @@ from robusthedge.primal_hedge import (
     HedgeError,
     Strategy,
     extract_strategy,
+    primal_lp,
     verify_superhedge,
     wealth,
 )
@@ -47,7 +53,7 @@ from robusthedge.random_instances import (
     random_stopping_time,
     random_tree,
 )
-from robusthedge.simplex import rat
+from robusthedge.simplex import RAT, rat
 
 from conftest import seeded
 
@@ -81,14 +87,147 @@ def naive_chargeable(tree, nid, fam, alive=None):
     return {c for s in supports if set(s) <= alive for c in s}
 
 
+def reference_path_lp(tree, xi, fam, start):
+    """Rows of the leaf-law LP below `start`, written out per family class
+    in leaf space, with one `below` set per internal node and the child on
+    every (node, leaf) path.  -inf leaves are dropped (their probability is
+    forced to zero)."""
+    xi = shift_claim(tree, xi, start) if start != tree.root else dict(xi)
+    all_leaves = tree.leaves_below(start)
+    leaves = [l for l in all_leaves if xi.get(l, 0) != NEG_INF]
+    d = tree.dim
+    internal = [n for n in tree.subtree_nodes(start) if not tree.is_leaf(n)]
+    below = {n: set(tree.leaves_below(n)) for n in internal}
+    # step taken at node n on the way to leaf l: spot(child on path) - spot(n)
+    child_on_path = {}
+    for l in all_leaves:
+        path = tree.path_to(l)
+        for i, n in enumerate(path[:-1]):
+            child_on_path[(n, l)] = path[i + 1]
+    A_eq = [[1] * len(leaves)]
+    b_eq = [1]
+    A_ub, b_ub = [], []
+    for n in internal:
+        xn = tree.spot(n)
+        for k in range(d):
+            if fam.cls in (MARTINGALE, VAR_BOUNDED):
+                row = []
+                for l in leaves:
+                    if l in below[n]:
+                        c = child_on_path[(n, l)]
+                        row.append(tree.spot(c)[k] - xn[k])
+                    else:
+                        row.append(0)
+                A_eq.append(row)
+                b_eq.append(0)
+        if fam.cls == VAR_BOUNDED:
+            hi_row, lo_row = [], []
+            for l in leaves:
+                if l in below[n]:
+                    c = child_on_path[(n, l)]
+                    g = (tree.spot1(c) - tree.spot1(n)) ** 2
+                    hi_row.append(g - fam.var_hi)
+                    lo_row.append(fam.var_lo - g)
+                else:
+                    hi_row.append(0)
+                    lo_row.append(0)
+            A_ub.append(hi_row)
+            b_ub.append(0)
+            A_ub.append(lo_row)
+            b_ub.append(0)
+    c_obj = [xi.get(l, 0) for l in leaves]
+    return leaves, A_eq, b_eq, A_ub, b_ub, c_obj
+
+
+def reference_factorize_leaf_law(tree, fam, leaves, q, start):
+    """Conditional kernels from a leaf law, node masses summed along each
+    leaf's root path."""
+    mass = {n: RAT(0) for n in tree.subtree_nodes(start)}
+    for l, ql in zip(leaves, q):
+        path = tree.path_to(l)
+        for n in path[path.index(start) :]:
+            mass[n] += ql
+    kernels = {}
+    for n in tree.subtree_nodes(start):
+        if tree.is_leaf(n):
+            continue
+        if mass[n] > 0:
+            probs = {}
+            for c in tree.children(n):
+                p = mass[c] / mass[n]
+                if p > 0:
+                    probs[c] = p
+            kernels[n] = Kernel(n, probs)
+        else:
+            kernels[n] = oracle_lp.lex_smallest_kernel(tree, n, fam.unrestricted())
+    return TreeMeasure(kernels)
+
+
+def reference_primal_lp_var_bounded(tree, xi, fam, exact):
+    """The VAR_BOUNDED node-value primal with its variance rows written out:
+    per alive internal node the variables W, h, lhi, llo."""
+    alive = alive_nodes(tree, fam, xi)
+    if not alive[tree.root]:
+        return NEG_INF, Strategy(
+            h={n: tuple([0.0] * tree.dim) for n in tree.internal_nodes},
+            flagged=set(tree.internal_nodes),
+        )
+    internal = [n for n in tree.internal_nodes if alive[n]]
+    var_index = {}
+    for n in internal:
+        var_index[("W", n)] = len(var_index)
+        var_index[("h", n)] = len(var_index)
+        var_index[("lhi", n)] = len(var_index)
+        var_index[("llo", n)] = len(var_index)
+    nv = len(var_index)
+    free = [var_index[("W", n)] for n in internal] + [
+        var_index[("h", n)] for n in internal
+    ]
+    A_ub, b_ub = [], []
+    for n in internal:
+        xn = tree.spot1(n)
+        for c in tree.children(n):
+            if not alive[c]:
+                continue
+            dx = tree.spot1(c) - xn
+            row = [0] * nv
+            rhs = 0
+            row[var_index[("W", n)]] = -1
+            row[var_index[("h", n)]] = -dx
+            row[var_index[("lhi", n)]] = fam.var_hi - dx * dx
+            row[var_index[("llo", n)]] = dx * dx - fam.var_lo
+            if tree.is_leaf(c):
+                rhs = -xi[c]
+            else:
+                row[var_index[("W", c)]] = 1
+            A_ub.append(row)
+            b_ub.append(rhs)
+    c_obj = [0] * nv
+    c_obj[var_index[("W", tree.root)]] = 1
+    res = simplex.solve(c_obj, None, None, A_ub, b_ub, maximize=False, free_vars=free, exact=exact)
+    if res.status != "optimal":
+        raise HedgeError(f"primal LP status {res.status}")
+    x = res.x
+    X0 = x[var_index[("W", tree.root)]]
+    h, flagged = {}, set()
+    zero = tuple([0.0] * tree.dim)
+    for n in tree.internal_nodes:
+        if alive[n]:
+            h[n] = (x[var_index[("h", n)]],)
+        else:
+            h[n] = zero
+            flagged.add(n)
+    return X0, Strategy(h=h, flagged=flagged)
+
+
 def leaf_chargeable(tree, fam, leaf):
     """Does some family measure (claim filter included) charge this leaf?
-    One exact leaf-law LP, the rows of `global_sup_lp`: maximize the leaf's
-    probability."""
+    One exact leaf-law LP, the rows of `reference_path_lp`: maximize the
+    leaf's probability."""
     xi = fam.claim or {}
     if xi.get(leaf) == NEG_INF:
         return False
-    leaves, A_eq, b_eq, A_ub, b_ub, _ = oracle_lp._build_path_lp(tree, xi, fam, tree.root)
+    leaves, A_eq, b_eq, A_ub, b_ub, _ = reference_path_lp(tree, xi, fam, tree.root)
     if leaf not in leaves:
         return False
     c = [1 if l == leaf else 0 for l in leaves]
@@ -555,3 +694,101 @@ def test_stopping_time_checks_match_pairwise_and_per_path(i):
         other = random_stopping_time(tree, rng)
         for a, b in ((sigma, tau), (tau, sigma), (sigma, other), (other, tau), (tau, tau)):
             assert stopping_time_below(tree, a, b) == naive_stopping_time_below(tree, a, b)
+
+
+# -- the family's rows from one source ----------------------------------------
+
+# float offsets whose steps between spots are not the offsets themselves;
+# the variance entries are squares of these steps
+FLOAT_OFFSET_TREE = {"dim": 1, "depth": 3, "generator": {"kind": "explicit", "offsets": [-0.7, -0.1, 0.3, 0.9]}}
+
+
+def lp_cases():
+    """Every instance above, plus VAR_BOUNDED on a float-offset tree and on
+    its exact image, each with and without -inf leaves and the claim
+    filter."""
+    out = list(INSTANCES + WIDE_INSTANCES)
+    for exact in (False, True):
+        tree = build_tree(_exact_tree_spec(FLOAT_OFFSET_TREE) if exact else FLOAT_OFFSET_TREE)
+        lo, hi = (Fraction(1, 10), Fraction(1, 2)) if exact else (0.1, 0.5)
+        fam = FamilySpec(cls=VAR_BOUNDED, var_lo=lo, var_hi=hi)
+        label = "float-offsets-" + ("exact" if exact else "float")
+        xi = make_claim(tree, {"kind": "asian", "strike": 0.1}, exact=exact)
+        out.append((label, tree, xi, fam))
+        xi = dict(xi)
+        for leaf in random.Random(label).sample(tree.leaves, 12):
+            xi[leaf] = NEG_INF
+        out.append((f"{label}-neg-inf", tree, xi, fam))
+        out.append((f"{label}-neg-inf-restricted", tree, xi, fam.with_claim(xi)))
+    return out
+
+
+LP_CASES = lp_cases()
+LP_IDS = [label for label, *_ in LP_CASES]
+VAR_BOUNDED_CASES = [case for case in LP_CASES if case[3].cls == VAR_BOUNDED]
+
+
+def lp_starts(tree):
+    """Every internal node of a tree of depth <= 3, else the root only."""
+    return tree.internal_nodes if tree.depth <= 3 else (tree.root,)
+
+
+@pytest.mark.parametrize("label,tree,xi,fam", LP_CASES, ids=LP_IDS)
+def test_leaf_law_rows_equal_per_class_rows(label, tree, xi, fam):
+    for start in lp_starts(tree):
+        got = oracle_lp._leaf_law_rows(tree, xi, fam, start)
+        want = reference_path_lp(tree, xi, fam, start)
+        assert repr(got) == repr(want)  # values bitwise, types and order
+
+
+def test_lp_cases_cover_classes_modes_and_shapes():
+    """The row comparisons see every family class, -inf leaves, d = 2,
+    subtree starts below the root, VAR_BOUNDED in float and in exact, and
+    float steps that are not the offsets."""
+    seen = set()
+    for label, tree, xi, fam in LP_CASES:
+        exact = not any(isinstance(v, float) and v != NEG_INF for v in xi.values())
+        seen.add((fam.cls, exact))
+        seen.add(("neg-inf", NEG_INF in xi.values()))
+        seen.add(("dim", tree.dim))
+        seen.add(("starts", len(lp_starts(tree)) > 1))
+    assert {(cls, exact) for cls in (ALL, MARTINGALE, VAR_BOUNDED) for exact in (False, True)} <= seen
+    assert {("neg-inf", True), ("dim", 2), ("starts", True)} <= seen
+    tree = build_tree(FLOAT_OFFSET_TREE)
+    steps = {tree.spot1(c) - tree.spot1(n) for n in tree.internal_nodes for c in tree.children(n)}
+    assert len(steps) > len(tree.offsets)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("label,tree,xi,fam", VAR_BOUNDED_CASES, ids=[c[0] for c in VAR_BOUNDED_CASES])
+def test_node_value_lp_equals_written_out_variance_rows(label, tree, xi, fam, exact, monkeypatch):
+    """The VAR_BOUNDED primal hands the same LP to the solver as the
+    reference, entry for entry, and returns the same value and hedge."""
+    lps = []
+    solve = simplex.solve
+
+    def recording(c, A_eq, b_eq, A_ub, b_ub, *, free_vars, **kwargs):
+        lps.append(repr((c, A_eq, b_eq, A_ub, b_ub, sorted(free_vars), kwargs)))
+        return solve(c, A_eq, b_eq, A_ub, b_ub, free_vars=free_vars, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve", recording)
+    X0, H = primal_lp(tree, xi, fam, exact=exact)
+    X0_ref, H_ref = reference_primal_lp_var_bounded(tree, xi, fam, exact)
+    assert len(lps) in (0, 2) and lps[: len(lps) // 2] == lps[len(lps) // 2 :]
+    assert repr((X0, H.h, H.flagged)) == repr((X0_ref, H_ref.h, H_ref.flagged))
+
+
+@pytest.mark.parametrize("label,tree,xi,fam", INSTANCES, ids=IDS)
+def test_factorized_kernels_equal_per_path_masses(label, tree, xi, fam):
+    """Kernels from bottom-up level sums equal those from path sums, on
+    exact optimal leaf laws below every start (zero-mass nodes included)."""
+    for start in lp_starts(tree):
+        leaves, A_eq, b_eq, A_ub, b_ub, c_obj = reference_path_lp(tree, xi, fam, start)
+        if not leaves:
+            continue
+        res = simplex.solve(c_obj, A_eq, b_eq, A_ub, b_ub, exact=True)
+        if res.status != "optimal":
+            continue
+        got = oracle_lp._factorize_leaf_law(tree, fam, leaves, res.x, start)
+        want = reference_factorize_leaf_law(tree, fam, leaves, res.x, start)
+        assert repr(got) == repr(want)
