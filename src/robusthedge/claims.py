@@ -1,8 +1,13 @@
 """Named payoffs on tree leaves.
 
-A claim is a mapping leaf id -> value in [-inf, +inf); +inf never occurs.
+A claim maps each leaf id to a value in [-inf, +inf); +inf never occurs.
 Named payoffs read the first spot coordinate; explicit tables may contain
 "-inf" entries to exercise the claim-restricted family.
+
+`make_claim` returns a `NodeValues` over the leaf id range: the values in
+one Python list in leaf order, plus, in float mode, the float64 array they
+came from, which the DP, `polar_paths` and `verify_superhedge` read
+directly.  Any other mapping from leaf id to value is a claim as well.
 
 Named payoffs are numpy passes over the tree's spot array
 (`MarketTree.spot_array`), converted to the claim's mode: float64 in float
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .market_tree import NEG_INF, MarketTree
+from .market_tree import NEG_INF, MarketTree, NodeValues
 from .simplex import rat
 
 NAMED_KINDS = ("call", "abs", "lookback", "asian", "digital", "linear")
@@ -50,26 +55,28 @@ def _mode_spots(tree: MarketTree, start: int, exact: bool):
     return xs
 
 
-def make_claim(tree: MarketTree, spec: Mapping, exact: bool = False) -> dict:
+def make_claim(tree: MarketTree, spec: Mapping, exact: bool = False) -> NodeValues:
     """Build a claim from a JSON-style spec: {"kind": ..., "strike": k} or
     {"kind": "table", "values": {leaf_id: value | "-inf"}}."""
+    import numpy as np
+
     kind = spec.get("kind")
+    leaves = tree.levels[-1]
     if kind == "table":
         values = spec["values"]
-        out = {}
-        for leaf in tree.leaves:
+        out = []
+        for leaf in leaves:
             key = str(leaf)
             if key not in values and leaf not in values:
                 raise ClaimError(f"table claim misses leaf {leaf}")
             v = values.get(key, values.get(leaf))
             if v == "-inf":
-                out[leaf] = NEG_INF
+                out.append(NEG_INF)
             else:
-                out[leaf] = rat(v) if exact else float(v)
-        return out
+                out.append(rat(v) if exact else float(v))
+        return NodeValues(leaves, out, None if exact else np.array(out))
     if kind not in NAMED_KINDS:
         raise ClaimError(f"unknown claim kind {kind!r}")
-    import numpy as np
 
     strike = spec.get("strike", 0)
     k = rat(strike) if exact else float(strike)
@@ -95,5 +102,5 @@ def make_claim(tree: MarketTree, spec: Mapping, exact: bool = False) -> dict:
         one = rat(1) if exact else 1.0
         vals = np.where(terminals >= k, one, 0 * one)
     else:  # linear
-        vals = terminals
-    return dict(zip(tree.leaves, vals.tolist()))
+        vals = terminals.copy()  # float mode: not a view of the tree's spots
+    return NodeValues.from_array(leaves, vals)

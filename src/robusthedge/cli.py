@@ -95,9 +95,9 @@ def _value_doc(v, exact):
 
 
 def _dump_json(path, doc):
+    # one write of the whole text, where json.dump writes it piece by piece
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_timings(out, timings):
@@ -259,12 +259,12 @@ def run_hedge(cfg, path, out, exact):
     rep = verify_superhedge(tree, dp, H, xi, fam)
     timings["verify"] = time.perf_counter() - t
     t = time.perf_counter()
+    # one list per coordinate, read down the hedge columns; json sorts the keys
+    coords = [[_value_doc(v, exact) for v in col.values()] for col in H.h.columns]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "X0": _value_doc(dp, exact),
-        "strategy": {
-            str(n): [_value_doc(v, exact) for v in h] for n, h in sorted(H.h.items())
-        },
+        "strategy": dict(zip(map(str, H.h), map(list, zip(*coords)))),
         "verification": {
             "min_slack": None if rep.min_slack is None else float(rep.min_slack),
             "polar_paths": len(rep.polar),
@@ -274,8 +274,7 @@ def run_hedge(cfg, path, out, exact):
     with open(out / "path_slacks.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["leaf", "slack"])
-        for leaf in sorted(rep.slacks):
-            w.writerow([leaf, repr(float(rep.slacks[leaf]))])
+        w.writerows(zip(rep.slacks, map(repr, map(float, rep.slacks.values()))))
     timings["write"] = time.perf_counter() - t
     timings["total"] = time.perf_counter() - t0
     _write_timings(out, timings)

@@ -10,17 +10,20 @@ and a node is worth -inf exactly when no family kernel avoids all of them.
 
 `backward_value` walks the tree level by level from the leaves up (the
 breadth-first ids make each level, and the children of each level, one
-contiguous block).  A level of a MARTINGALE family (claim-restricted or not)
-on a d = 1 tree is solved by numpy array passes over its (n x k) block of
-child values and spot steps when it has at least LEVEL_BATCH_MIN nodes, the
-tree's spot array (`MarketTree.spot_array`) is float64 and every leaf value
-is a float.  Those are checked once per call, not per level: the leaf
-values are read into a float64 array once, and each batched level hands
-its value array straight to the level above; the value field is still
-written level by level, with Python floats.  The passes repeat the float
-branch of `one_step_sup` operation for operation, so values and h are
-bitwise equal.  Every other level, and the root, goes through
-`one_step_sup` node by node; so do exact values, ALL, VAR_BOUNDED, d >= 2,
+contiguous block).  The value field is a `NodeValues` over every node id and
+its hedge a `NodeVectors` of d columns over the internal ids, each written
+one level slice at a time.  A level of a MARTINGALE family (claim-restricted
+or not) on a d = 1 tree is solved by numpy array passes over its (n x k)
+block of child values and spot steps when it has at least LEVEL_BATCH_MIN
+nodes, the tree's spot array (`MarketTree.spot_array`) is float64 and every
+leaf value is a float.  Those are checked once per call, not per level: the
+leaf values come as a float64 array (the claim's own, from `make_claim`, or
+read once), and each batched level hands its value array straight to the
+level above.  The field and hedge columns keep those arrays next to their
+Python floats, so `extract_strategy` and `verify_superhedge` read them too.
+The passes repeat the float branch of `one_step_sup` operation for
+operation, so values and h are bitwise equal.  Every other level, and the
+root, goes through `one_step_sup` node by node; so do exact values, ALL, VAR_BOUNDED, d >= 2,
 and Fraction or large int spots.  No level is narrower than the one above
 it, so once a level goes node by node every level above it does too.
 
@@ -38,7 +41,15 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import simplex
-from .market_tree import NEG_INF, MarketTree, stopping_time_below, validate_stopping_time
+from .market_tree import (
+    NEG_INF,
+    MarketTree,
+    NodeValues,
+    NodeVectors,
+    node_array,
+    stopping_time_below,
+    validate_stopping_time,
+)
 from .measure_families import (
     ALL,
     MARTINGALE,
@@ -74,14 +85,13 @@ def _is_exact(values) -> bool:
     return not any(isinstance(v, float) and v != NEG_INF for v in values)
 
 
-def _finite_children(tree, nid, child_values):
-    fin = []
-    for c in tree.children(nid):
-        if c not in child_values:
-            raise MeasureError(f"missing child value for node {c}")
-        if child_values[c] != NEG_INF:
-            fin.append(c)
-    return fin
+def _children_values(tree, nid, child_values) -> dict:
+    """{child: value} over nid's children, each read once from
+    `child_values` (a value field reads through a Python method)."""
+    try:
+        return {c: child_values[c] for c in tree.children(nid)}
+    except KeyError as exc:
+        raise MeasureError(f"missing child value for node {exc.args[0]}") from None
 
 
 def _as_mode(x, exact):
@@ -124,7 +134,8 @@ def one_step_sup(tree: MarketTree, nid: int, child_values: Mapping, fam: FamilyS
     (plus variance-dual terms for VAR_BOUNDED).
     """
     d = tree.dim
-    fin = _finite_children(tree, nid, child_values)
+    child_values = _children_values(tree, nid, child_values)
+    fin = [c for c, v in child_values.items() if v != NEG_INF]
     exact = _is_exact([child_values[c] for c in fin]) and _is_exact(
         [v for c in fin for v in tree.spot(c)]
     )
@@ -200,17 +211,19 @@ def _one_step_lp(tree, nid, child_values, fam, fin, exact):
     return OneStepSolution(value, Kernel(nid, probs), h)
 
 
-class ValueField(dict):
-    """The dual value field, node id -> value, as built by `backward_value`.
+class ValueField(NodeValues):
+    """The dual value field, node id -> value over every node id, as built
+    by `backward_value`.
 
     `hedge` maps each internal node to the multiplier h of its one-step
-    solve; `tree` and `fam` record what the field was built for.
+    solve, a d-tuple stored as d columns (`NodeVectors`); `tree` and `fam`
+    record what the field was built for.  Both start with every id empty.
     """
 
     def __init__(self, tree: MarketTree, fam: FamilySpec):
-        super().__init__()
+        super().__init__(range(len(tree.nodes)))
         self.tree, self.fam = tree, fam
-        self.hedge = {}
+        self.hedge = NodeVectors.empty(range(tree.levels[-1].start), tree.dim)
 
 
 def backward_value(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> ValueField:
@@ -218,40 +231,42 @@ def backward_value(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> ValueField
     with the one-step multipliers in `.hedge`.  Walks the levels from the
     leaves up; see the module docstring for the levels solved by arrays."""
     Y = ValueField(tree, fam)
+    leaves = tree.levels[-1]
+    # the values of the level below, as a float64 array while they are floats
+    vals = node_array(xi, leaves)
+    claim = list(xi.values()) if vals is not None else list(map(xi.__getitem__, leaves))
+    if vals is None and set(map(type, claim)) == {float}:
+        import numpy as np
+
+        vals = np.array(claim)
+    Y.write(leaves, claim, vals)
     batch = (
         fam.cls == MARTINGALE
         and tree.dim == 1
         and len(tree.levels[-2]) >= LEVEL_BATCH_MIN
         and tree.spot_array(0).dtype != object
     )
-    vals = None  # the values of the level below, when it is a float64 array
-    for t in reversed(range(tree.depth + 1)):
-        level, ids = tree.levels[t], tree.nodes_at(t)[::-1]
-        if tree.is_leaf(level.start):  # the level of leaves
-            claim = list(map(xi.__getitem__, level))
-            Y.update(zip(ids, reversed(claim)))
-            if batch and set(map(type, claim)) == {float}:
-                import numpy as np
-
-                vals = np.array(claim)
-        elif vals is not None and len(level) >= LEVEL_BATCH_MIN:
-            vals = _martingale_level_1d(tree, level, ids, Y, vals)
+    if not batch:
+        vals = None
+    for level in reversed(tree.levels[:-1]):
+        if vals is not None and len(level) >= LEVEL_BATCH_MIN:
+            vals = _martingale_level_1d(tree, level, Y, vals)
         else:
             vals = None
-            for nid in ids:
+            for nid in reversed(level):
                 sol = one_step_sup(tree, nid, Y, fam)
                 Y[nid] = sol.value
                 Y.hedge[nid] = sol.h
     return Y
 
 
-def _martingale_level_1d(tree: MarketTree, level: range, ids: list, Y: ValueField, vals):
+def _martingale_level_1d(tree: MarketTree, level: range, Y: ValueField, vals):
     """Solve every node of the internal `level` by the d = 1 martingale
     branch of `one_step_sup` in float mode, in array passes of _BLOCK_ROWS
-    nodes, and write the values and multipliers into Y under `ids` (the
-    level's ids, descending).  The level's children are the next level, k
-    per node in order, with the values `vals` (float64, in id order).
-    Returns the level's values as a float64 array in id order."""
+    nodes, and write the values and multipliers into Y's slices of the
+    level.  The level's children are the next level, k per node in order,
+    with the values `vals` (float64, in id order).  Returns the level's
+    values as a float64 array in id order."""
     import numpy as np
 
     k = len(tree.offsets)
@@ -263,9 +278,9 @@ def _martingale_level_1d(tree: MarketTree, level: range, ids: list, Y: ValueFiel
     ]
     values = np.concatenate([v for v, _ in blocks])
     hs = np.concatenate([h for _, h in blocks])
-    # Python floats, never np.float64, in descending id order
-    Y.update(zip(ids, reversed(values.tolist())))
-    Y.hedge.update(zip(ids, zip(reversed(hs.tolist()))))
+    # Python floats, never np.float64
+    Y.write(level, values.tolist(), values)
+    Y.hedge.columns[0].write(level, hs.tolist(), hs)
     return values
 
 

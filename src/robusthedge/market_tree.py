@@ -27,15 +27,24 @@ exact and Fraction trees run the same code.  They take O(N) time and build
 no per-node object.  `Node` is a value view for the suites and tests:
 `MarketTree.nodes` builds all of them, once, the first time it is indexed
 or iterated; its length costs nothing.
+
+Values per node travel between those passes in `NodeValues`: a mapping
+node id -> value over one contiguous id range (the leaves of a claim, every
+node of a value field, the internal nodes of a hedge coordinate), stored as
+one Python list indexed by id.  When a numpy pass made every value a float
+it also keeps that float64 array, so the next pass reads the array instead
+of looking the values up id by id (`node_array`).  `NodeVectors` holds a
+d-vector per node as d `NodeValues` columns.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import ItemsView, Mapping, MutableMapping, Sequence, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from itertools import compress
+from typing import Iterable, Optional
 
 NEG_INF = float("-inf")
 # int spots up to this size make every step and every difference of two
@@ -258,6 +267,233 @@ class MarketTree:
         """Spot increment along the edge nid -> child."""
         xn, xc = self.spot(nid), self.spot(child)
         return tuple(xc[k] - xn[k] for k in range(self.dim))
+
+
+# -- values per node ---------------------------------------------------
+
+
+class _Empty:
+    """The marker of an id that holds no value; pickles as the module's own
+    instance, so unpickled containers keep their empty ids empty."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return "_EMPTY"
+
+
+_EMPTY = _Empty()
+
+
+class _NodeValuesValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        m = self._mapping
+        if m._empty:
+            return (v for v in m._values if v is not _EMPTY)
+        return iter(m._values)
+
+    def __contains__(self, value):
+        # an empty id's marker equals no value
+        return value in self._mapping._values
+
+
+class _NodeValuesItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        m = self._mapping
+        return zip(m, m.values())
+
+
+class NodeValues(MutableMapping):
+    """A mapping node id -> value over the contiguous id range `ids`, stored
+    as one Python list indexed by id - ids.start.  An id may be empty, that
+    is absent from the mapping; no id outside `ids` can be added.
+
+    Reads return the stored objects themselves (float, int, Fraction,
+    NEG_INF), iteration goes in id order, and `==` and `repr` are those of
+    the dict of the same items in id order.  A container that a numpy pass
+    filled also keeps the float64 array of its values: `array` returns it,
+    as a read-only view, while every id holds a float, and assignment keeps
+    it in step with the list.  The container owns the list and the array it
+    is given.
+    """
+
+    __slots__ = ("_start", "_values", "_array", "_empty")
+
+    def __init__(self, ids: range, values: Optional[list] = None, array=None):
+        """`values`: one value per id of `ids`, in order (None leaves every id
+        empty); `array`: the same values as a float64 array, when a numpy
+        pass produced them."""
+        if values is None:
+            values, empty = [_EMPTY] * len(ids), len(ids)
+        elif len(values) != len(ids):
+            raise ValueError(f"{len(values)} values for {len(ids)} ids")
+        else:
+            empty = 0
+        if array is not None and array.shape != (len(ids),):
+            raise ValueError(f"array of shape {array.shape} for {len(ids)} ids")
+        self._start, self._values, self._array, self._empty = ids.start, values, array, empty
+
+    @classmethod
+    def from_array(cls, ids: range, array) -> "NodeValues":
+        """The values of a numpy array over `ids`, as Python objects; a
+        float64 array is kept as the container's array."""
+        return cls(ids, array.tolist(), array if array.dtype == float else None)
+
+    @classmethod
+    def where(cls, ids: range, keep, values) -> "NodeValues":
+        """`values` (a numpy array) at the ids of `ids` whose flag in the
+        bool array `keep` is set, in order; the other ids empty."""
+        import numpy as np
+
+        full = np.full(len(ids), _EMPTY, dtype=object)
+        full[keep] = values
+        out = cls(ids, full.tolist())
+        out._empty = len(ids) - int(np.count_nonzero(keep))
+        return out
+
+    @property
+    def ids(self) -> range:
+        return range(self._start, self._start + len(self._values))
+
+    @property
+    def array(self):
+        """The float64 array of the values over `ids` (read-only), or None
+        unless a numpy pass produced it and every id holds a float."""
+        if self._array is None or self._empty:
+            return None
+        view = self._array.view()
+        view.flags.writeable = False
+        return view
+
+    def write(self, ids: range, values: list, array=None) -> None:
+        """Set the ids of the subrange `ids` to `values`, one per id, and
+        to `array` (float64) in the array view, when given."""
+        a, b = ids.start - self._start, ids.stop - self._start
+        if not (0 <= a <= b <= len(self._values)) or len(values) != b - a:
+            raise ValueError(f"{len(values)} values for ids {ids} of {self.ids}")
+        if self._empty:
+            if self._empty == len(self._values) and array is not None and self._array is None:
+                import numpy as np
+
+                self._array = np.empty(len(self._values))
+            self._empty -= self._values[a:b].count(_EMPTY)
+        self._values[a:b] = values
+        if self._array is not None:
+            if array is None:
+                self._array = None
+            else:
+                self._array[a:b] = array
+
+    def copy(self) -> "NodeValues":
+        out = NodeValues(self.ids, list(self._values), None if self._array is None else self._array.copy())
+        out._empty = self._empty
+        return out
+
+    __copy__ = copy
+
+    def __getitem__(self, nid):
+        try:
+            i = nid - self._start
+            if i >= 0:
+                v = self._values[i]
+                if v is not _EMPTY:
+                    return v
+        except (TypeError, IndexError):
+            pass
+        raise KeyError(nid)
+
+    def __setitem__(self, nid, value) -> None:
+        try:
+            i = nid - self._start
+            if i < 0:
+                raise IndexError
+            old = self._values[i]
+        except (TypeError, IndexError):
+            raise KeyError(f"{nid!r} is not an id in {self.ids}") from None
+        self._values[i] = value
+        if old is _EMPTY:
+            self._empty -= 1
+        if self._array is not None:
+            if type(value) is float:
+                self._array[i] = value
+            else:
+                self._array = None
+
+    def __delitem__(self, nid) -> None:
+        if nid not in self:
+            raise KeyError(nid)
+        self._values[nid - self._start] = _EMPTY
+        self._empty += 1
+
+    def __iter__(self):
+        ids = self.ids
+        if self._empty:
+            return compress(ids, [v is not _EMPTY for v in self._values])
+        return iter(ids)
+
+    def __len__(self) -> int:
+        return len(self._values) - self._empty
+
+    def values(self):
+        return _NodeValuesValues(self)
+
+    def items(self):
+        return _NodeValuesItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class NodeVectors(MutableMapping):
+    """A mapping node id -> d-tuple, stored as d `NodeValues` columns over
+    the same ids: `columns[k]` maps each id to coordinate k.  Reads build
+    the tuple; iteration, `==` and `repr` are as for `NodeValues`."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+        if not self.columns or len({c.ids for c in self.columns}) != 1:
+            raise ValueError("a NodeVectors needs one or more columns over the same ids")
+
+    @classmethod
+    def empty(cls, ids: range, d: int) -> "NodeVectors":
+        return cls(NodeValues(ids) for _ in range(d))
+
+    def __getitem__(self, nid) -> tuple:
+        return tuple([c[nid] for c in self.columns])
+
+    def __setitem__(self, nid, vec) -> None:
+        if len(vec) != len(self.columns):
+            raise ValueError(f"{len(vec)} coordinates for {len(self.columns)} columns")
+        for c, v in zip(self.columns, vec):
+            c[nid] = v
+
+    def __delitem__(self, nid) -> None:
+        for c in self.columns:
+            del c[nid]
+
+    def __iter__(self):
+        return iter(self.columns[0])
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def node_array(values: Mapping, ids: range):
+    """The float64 array of `values` over the id range `ids` (read-only)
+    when `values` is a `NodeValues` over exactly those ids that keeps one;
+    None otherwise, and the caller reads the values id by id."""
+    if isinstance(values, NodeValues) and values.ids == ids:
+        return values.array
+    return None
 
 
 def _offsets_from_generator(gen: Mapping) -> list:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
-from .market_tree import NEG_INF, MarketTree, validate_stopping_time
+from .market_tree import NEG_INF, MarketTree, node_array, validate_stopping_time
 
 FEAS_TOL = 1e-12
 
@@ -151,7 +151,8 @@ def kernel_variance(tree: MarketTree, kernel: Kernel):
     xn = tree.spot(kernel.node)
     d = tree.dim
     if d == 1:
-        return sum(p * (tree.spot(c)[0] - xn[0]) ** 2 for c, p in kernel.probs.items())
+        dxs = [(p, tree.spot(c)[0] - xn[0]) for c, p in kernel.probs.items()]
+        return sum(p * (dx * dx) for p, dx in dxs)
     out = [[0] * d for _ in range(d)]
     for c, p in kernel.probs.items():
         dx = [tree.spot(c)[k] - xn[k] for k in range(d)]
@@ -349,7 +350,9 @@ def one_step_rows(tree: MarketTree, nid: int, children, fam: FamilySpec) -> tupl
     if fam.cls == VAR_BOUNDED:
         if d != 1:
             raise MeasureError("VAR_BOUNDED is implemented for d = 1 only")
-        g = [dx ** 2 for dx in A_eq[1]]  # the squared steps of the mean row
+        # the squared steps of the mean row; dx * dx, not dx ** 2, which
+        # CPython hands to the C library's pow, not always correctly rounded
+        g = [dx * dx for dx in A_eq[1]]
         A_ub.append(g)
         b_ub.append(fam.var_hi)
         A_ub.append([-v for v in g])
@@ -442,7 +445,9 @@ def polar_paths(tree: MarketTree, fam: FamilySpec, xi: Optional[Mapping] = None)
                 flags[c] = c not in charge
         gone = np.frombuffer(flags, dtype=bool)[tree.levels[-1].start :]
     if xi is not None:
-        claim = np.fromiter(map(xi.get, tree.leaves), dtype=object, count=len(tree.leaves))
+        claim = node_array(xi, tree.levels[-1])
+        if claim is None:
+            claim = np.fromiter(map(xi.get, tree.leaves), dtype=object, count=len(tree.leaves))
         gone = gone | (claim == NEG_INF)
     return [tree.path_to(tree.leaves[i]) for i in np.flatnonzero(gone).tolist()]
 

@@ -31,6 +31,7 @@ from typing import Mapping, Optional
 from . import simplex
 from .market_tree import NEG_INF, MarketTree
 from .measure_families import (
+    MARTINGALE,
     FamilySpec,
     Kernel,
     MeasureError,
@@ -170,7 +171,36 @@ def enumerate_vertex_kernels(tree: MarketTree, nid: int, fam: FamilySpec) -> lis
 
 
 def lex_smallest_kernel(tree: MarketTree, nid: int, fam: FamilySpec) -> Kernel:
-    """Deterministic completion kernel for uncharged nodes."""
+    """Deterministic completion kernel for uncharged nodes: the vertex
+    kernel whose probability vector over child-id order is lexicographically
+    smallest.
+
+    For the d = 1 martingale family the vertices are known in closed form,
+    so no enumeration runs and ORACLE_MAX_CHILDREN does not apply: a point
+    mass on a child with step 0, or the two-point kernel of a negative and
+    a positive step D_a < 0 < D_b (p_a = D_b / (D_b - D_a)).  A vertex whose
+    first charged child comes later is smaller, so the smallest one charges
+    first the last child that some vertex charges first; there a point mass,
+    or the least mass, which the partner step closest to 0 gives (the last
+    such partner on ties).  Steps are those of `one_step_rows`; the two
+    masses are exact rationals."""
+    if fam.cls == MARTINGALE and tree.dim == 1:
+        children = tree.children(nid)
+        if not children:
+            raise MeasureError(f"node {nid} is a leaf")
+        steps = one_step_rows(tree, nid, children, fam)[0][1]
+        for i in reversed(range(len(steps))):
+            d = steps[i]
+            partners = [j for j in range(i + 1, len(steps)) if (steps[j] > 0 if d < 0 else steps[j] < 0)]
+            if d == 0 or partners:
+                break
+        else:
+            raise MeasureError(f"no feasible family kernel at node {nid}")
+        if d == 0:
+            return Kernel(nid, {children[i]: RAT(1)})
+        j = max(partners, key=lambda j: (-abs(steps[j]), j))
+        di, dj = rat(d), rat(steps[j])
+        return Kernel(nid, {children[i]: dj / (dj - di), children[j]: di / (di - dj)})
     verts = enumerate_vertex_kernels(tree, nid, fam)
     if not verts:
         raise MeasureError(f"no feasible family kernel at node {nid}")

@@ -11,12 +11,12 @@ that optimum path by path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from . import simplex
 from .dual_dp import ValueField
-from .market_tree import NEG_INF, MarketTree
+from .market_tree import NEG_INF, MarketTree, NodeValues, NodeVectors, node_array
 from .measure_families import (
     ALL,
     VAR_BOUNDED,
@@ -38,10 +38,11 @@ class HedgeError(MeasureError):
 
 @dataclass
 class Strategy:
-    """Hedge vectors per non-leaf node; flagged nodes are polar-excluded
-    (their h is 0 by convention and never enters a checked inequality)."""
+    """Hedge vectors per non-leaf node (node id -> d-tuple); flagged nodes
+    are polar-excluded (their h is 0 by convention and never enters a
+    checked inequality)."""
 
-    h: dict
+    h: Mapping
     flagged: set = field(default_factory=set)
 
 
@@ -51,25 +52,38 @@ class HedgeReport:
     min_slack: Optional[float]
     violations: list
     polar: list
-    slacks: dict
+    slacks: Mapping  # leaf id -> slack over the non-polar leaves, in id order
 
 
 def extract_strategy(tree: MarketTree, Y: ValueField, fam: FamilySpec) -> Strategy:
     """The hedge read from the one-step dual multipliers that
-    `backward_value` kept in `Y.hedge`; -inf nodes are flagged."""
+    `backward_value` kept in `Y.hedge`; -inf nodes are flagged.  The hedge
+    is a `NodeVectors` over the internal ids, one column per coordinate;
+    the flags come from one mask over the field's float64 array when it
+    has one, and each column that keeps an array is copied as an array."""
+    import numpy as np
+
     if not isinstance(Y, ValueField) or Y.tree is not tree or Y.fam != fam or tree.root not in Y:
         raise HedgeError("Y is not the DP value field of this tree and family")
     if Y[tree.root] == NEG_INF:
         raise HedgeError("family is empty below the root: no hedge is defined")
-    h, flagged = {}, set()
-    zero = tuple([0.0] * tree.dim)
-    for nid in tree.internal_nodes:
-        if Y[nid] == NEG_INF:
-            h[nid] = zero
-            flagged.add(nid)
+    internal = range(tree.levels[-1].start)  # ids from 0, so each id is its index
+    ys = node_array(Y, Y.ids)
+    if ys is not None:
+        flagged = np.flatnonzero(ys[: len(internal)] == NEG_INF).tolist()
+    else:
+        flagged = [nid for nid in internal if Y[nid] == NEG_INF]
+    columns = []
+    for col in Y.hedge.columns:
+        hs = node_array(col, internal)
+        if hs is not None:
+            hs = hs.copy()
+            hs[flagged] = 0.0
+            columns.append(NodeValues.from_array(internal, hs))
         else:
-            h[nid] = Y.hedge[nid]
-    return Strategy(h=h, flagged=flagged)
+            zero = set(flagged)
+            columns.append(NodeValues(internal, [0.0 if nid in zero else col[nid] for nid in internal]))
+    return Strategy(h=NodeVectors(columns), flagged=set(flagged))
 
 
 def wealth(tree: MarketTree, X0, H: Strategy, path: Sequence[int]):
@@ -95,21 +109,30 @@ def verify_superhedge(tree: MarketTree, X0, H: Strategy, xi: Mapping, fam: Famil
     hedge entry and every spot is a float (or a spot array is float64 for
     small int spots), and on object arrays of the values themselves
     otherwise, so every slack has the value and type Python's arithmetic
-    gives it.
+    gives it.  The hedge columns and the claim are read as the float64
+    arrays they keep (`node_array`) when they have them, else id by id; the
+    slacks come back as a `NodeValues` over the leaf ids, with the polar
+    leaves empty.
     """
     import numpy as np
 
     polar = polar_paths(tree, fam, xi)
-    internal, leaves = tree.internal_nodes, tree.leaves
-    hs = list(map(H.h.__getitem__, internal))
+    internal, leaves = range(tree.levels[-1].start), tree.levels[-1]
+    columns = [node_array(c, internal) for c in H.h.columns] if isinstance(H.h, NodeVectors) else [None]
     spots = [tree.spot_array(j) for j in range(tree.dim)]
-    floats = (
-        type(X0) is float
-        and set(map(type, chain.from_iterable(hs))) == {float}
-        and all(xs.dtype != object for xs in spots)
-    )
+    if len(columns) == tree.dim and all(c is not None for c in columns):
+        hmat = np.stack(columns, axis=1)  # every entry a float
+        floats = type(X0) is float
+    else:
+        hs = list(map(H.h.__getitem__, internal))
+        hmat = None
+        floats = type(X0) is float and set(map(type, chain.from_iterable(hs))) == {float}
+    floats = floats and all(xs.dtype != object for xs in spots)
     dtype = float if floats else object
-    hmat = np.fromiter(chain.from_iterable(hs), dtype=dtype, count=len(hs) * tree.dim).reshape(-1, tree.dim)
+    if hmat is None:
+        hmat = np.fromiter(chain.from_iterable(hs), dtype=dtype, count=len(hs) * tree.dim).reshape(-1, tree.dim)
+    else:
+        hmat = hmat.astype(dtype, copy=False)
     W = np.array([X0], dtype=dtype)
     if not floats:
         spots = [np.array(tree.coords[j], dtype=object) for j in range(tree.dim)]
@@ -123,22 +146,27 @@ def verify_superhedge(tree: MarketTree, X0, H: Strategy, xi: Mapping, fam: Famil
             W = W + hmat[level.start : level.stop, j, None] * steps
         W = W.ravel()
     keep = np.ones(len(leaves), dtype=bool)
-    keep[[p[-1] - leaves[0] for p in polar]] = False  # -inf leaves are polar too
-    claim = list(map(xi.__getitem__, leaves))
-    if floats and set(map(type, claim)) == {float}:
-        claim = np.array(claim)
-    else:
-        W, claim = W.astype(object), np.array(claim, dtype=object)
+    keep[[p[-1] - leaves.start for p in polar]] = False  # -inf leaves are polar too
+    claim = node_array(xi, leaves)
+    if claim is None:
+        values = list(map(xi.__getitem__, leaves))
+        claim = np.array(values, dtype=float if set(map(type, values)) == {float} else object)
+    if not floats or claim.dtype == object:
+        W, claim = W.astype(object), claim.astype(object)
     slack = W[keep] - claim[keep]
     del W, claim
     bad = slack < -tol
     values = slack.tolist()
+    if keep.all():
+        slacks = NodeValues(leaves, values, slack if slack.dtype == float else None)
+    else:
+        slacks = NodeValues.where(leaves, keep, slack)
     return HedgeReport(
         ok=not bad.any(),
         min_slack=values[np.argmin(slack)] if values else None,
         violations=[tree.path_to(leaves[i]) for i in np.flatnonzero(keep)[bad].tolist()],
         polar=polar,
-        slacks=dict(zip(compress(leaves, keep.tolist()), values)),
+        slacks=slacks,
     )
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from robusthedge.dual_dp import one_step_sup
 from robusthedge.market_tree import build_tree
 from robusthedge.measure_families import Kernel, TreeMeasure
 
@@ -37,3 +38,31 @@ def fair_measure(tree):
 
 def seeded(i=0):
     return random.Random(20260823 + i)
+
+
+class DictField(dict):
+    """A value field as a plain dict, with the multipliers in a dict `hedge`."""
+
+    def __init__(self):
+        super().__init__()
+        self.hedge = {}
+
+
+def per_node_field(tree, xi, fam):
+    """The reference for the level pass: the value field from one
+    `one_step_sup` per internal node, in descending ids, kept in dicts."""
+    Y = DictField()
+    for nid in reversed(range(len(tree.nodes))):
+        if tree.is_leaf(nid):
+            Y[nid] = xi[nid]
+        else:
+            sol = one_step_sup(tree, nid, Y, fam)
+            Y[nid] = sol.value
+            Y.hedge[nid] = sol.h
+    return Y
+
+
+def in_id_order(values):
+    """`repr` of a dict as the dict of its items in id order, the order in
+    which a `NodeValues` lists them."""
+    return repr(dict(sorted(values.items())))

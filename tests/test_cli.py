@@ -181,17 +181,25 @@ def test_child_limit_in_a_needed_step_exits_2_with_one_line(tmp_path, capsys, ar
 
 
 @pytest.mark.parametrize("exact", [False, True])
-def test_child_limit_in_the_oracle_is_reported_as_such(tmp_path, capsys, exact):
-    """On 169 leaves the leaf-law LP runs, but completing its measure at an
-    uncharged 13-child node needs the vertex oracle: `solve` skips the
-    oracle cross-check with the child limit's message, and the rest holds."""
+def test_oracle_cross_check_past_the_child_limit(tmp_path, capsys, exact):
+    """On 169 leaves the leaf-law LP runs, and completing its measure at an
+    uncharged 13-child node takes the closed-form martingale kernel, not
+    the vertex oracle: `solve` reports the dual, oracle and primal values,
+    with no warning, and in exact mode every gap is 0."""
     doc = thirteen_offset_config(2, {"class": "martingale", "claim_restricted": False})
     cfg = write_config(tmp_path, doc)
     assert main(["solve", "--config", str(cfg), *(["--exact"] if exact else []), "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().err.splitlines() == [f"warning: {CHILD_LIMIT}; oracle cross-check skipped"]
+    assert capsys.readouterr().err == ""
     report = json.loads((tmp_path / "solve_report.json").read_text())
-    assert report["oracle_skipped"] and not report["primal_skipped"]
-    assert report["ok"] and abs(report["gaps"]["dp_minus_primal"]) <= (0 if exact else 1e-9)
+    assert not report["oracle_skipped"] and not report["primal_skipped"]
+    values = [report[key] for key in ("dual_value", "oracle_value", "primal_value")]
+    if exact:
+        assert values == ["6", "6", "6"]
+        assert report["gaps"] == {"dp_minus_oracle": 0.0, "dp_minus_primal": 0.0}
+    else:
+        assert all(abs(v - 6) <= 1e-9 for v in values)
+        assert all(abs(g) <= 1e-9 for g in report["gaps"].values())
+    assert report["ok"]
 
 
 D2_FLOAT_OFFSETS_CONFIG = {

@@ -33,7 +33,7 @@ from robusthedge.random_instances import (
 )
 from robusthedge.simplex import RAT
 
-from conftest import seeded
+from conftest import in_id_order, per_node_field, seeded
 
 MART = FamilySpec(cls=MARTINGALE)
 
@@ -296,20 +296,6 @@ def test_exact_and_float_roots_agree(seed):
 # -- level pass ------------------------------------------------------------
 
 
-def per_node_field(tree, xi, fam):
-    """The reference for the level pass: the value field from one
-    `one_step_sup` per internal node, in descending ids."""
-    Y = ValueField(tree, fam)
-    for nid in reversed(range(len(tree.nodes))):
-        if tree.is_leaf(nid):
-            Y[nid] = xi[nid]
-        else:
-            sol = one_step_sup(tree, nid, Y, fam)
-            Y[nid] = sol.value
-            Y.hedge[nid] = sol.h
-    return Y
-
-
 def counting_one_step_sup(monkeypatch):
     calls = []
     solve = dual_dp.one_step_sup
@@ -359,8 +345,9 @@ def table_claim(tree, rng, share, values):
 
 
 def assert_fields_identical(Y, ref):
-    assert repr(Y) == repr(ref)  # values bitwise, sign of zero, type, key order
-    assert repr(Y.hedge) == repr(ref.hedge)
+    assert isinstance(Y, ValueField)
+    assert repr(Y) == in_id_order(ref)  # values bitwise, sign of zero, type, key set
+    assert repr(Y.hedge) == in_id_order(ref.hedge)
     assert all(type(v) is float for v in Y.values())
     assert all(type(h1) is float for (h1,) in Y.hedge.values())
 
@@ -422,5 +409,6 @@ def test_other_levels_solve_every_node(label, tree, xi, fam, monkeypatch):
     calls = counting_one_step_sup(monkeypatch)
     Y = backward_value(tree, xi, fam)
     assert sorted(calls) == list(tree.internal_nodes)
-    assert repr(Y) == repr(per_node_field(tree, xi, fam))
+    ref = per_node_field(tree, xi, fam)
+    assert repr(Y) == in_id_order(ref) and repr(Y.hedge) == in_id_order(ref.hedge)
 

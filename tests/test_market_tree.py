@@ -1,6 +1,10 @@
+import copy
 import pickle
 from bisect import bisect_left
+from fractions import Fraction
 from operator import add
+
+import numpy as np
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +14,10 @@ from robusthedge.claims import make_claim
 from robusthedge.cli import _exact_tree_spec
 from robusthedge.dual_dp import backward_value
 from robusthedge.market_tree import (
+    NEG_INF,
     Node,
+    NodeValues,
+    NodeVectors,
     TreeError,
     _offsets_from_generator,
     build_tree,
@@ -285,3 +292,109 @@ def test_deep_path_builds_no_node(monkeypatch):
     assert "_node_tuple" not in vars(tree)
     monkeypatch.undo()
     assert tree.nodes[5] is tree.node(5) and "_node_tuple" in vars(tree)
+
+
+# -- id-indexed values -------------------------------------------------------
+
+
+def test_node_values_reads_like_a_dict():
+    tree = build_tree({"dim": 1, "depth": 2, "generator": {"kind": "trinomial", "step": 0.5}})
+    xi = make_claim(tree, {"kind": "linear"})
+    want = {leaf: tree.spot1(leaf) for leaf in tree.leaves}
+    assert isinstance(xi, NodeValues) and xi.ids == tree.levels[-1]
+    assert xi == want and want == xi and xi != {**want, 4: 1.0}
+    assert repr(xi) == repr(want)
+    assert list(xi.items()) == sorted(want.items())  # id order
+    assert list(xi) == list(tree.leaves) and list(xi.values()) == [want[l] for l in tree.leaves]
+    assert len(xi) == 9 and 0.5 in xi.values() and NEG_INF not in xi.values()
+    assert xi.array.tolist() == list(want.values())
+    for missing in (tree.root, 3, 13, -1, "4", None):
+        assert missing not in xi
+        assert xi.get(missing) is None and xi.get(missing, "x") == "x"
+        with pytest.raises(KeyError):
+            xi[missing]
+    with pytest.raises(KeyError):
+        xi[13] = 1.0  # no id outside the range can be added
+    emptied = xi.copy()
+    del emptied[5]
+    assert 5 not in emptied and emptied.get(5) is None and len(emptied) == 8
+    assert list(emptied) == [l for l in tree.leaves if l != 5]
+    assert repr(emptied) == repr({l: v for l, v in want.items() if l != 5}) and xi == want
+
+
+def test_node_values_assignment_keeps_the_array_in_step():
+    tree = build_tree({"dim": 1, "depth": 2, "generator": {"kind": "trinomial"}})
+    xi = make_claim(tree, {"kind": "abs"})
+    arr = xi.array
+    assert arr.dtype == float and arr.tolist() == list(xi.values())
+    with pytest.raises(ValueError):
+        arr[0] = 5.0  # a read-only view
+    xi[7] = NEG_INF
+    assert xi.array[7 - 4] == NEG_INF and xi[7] == NEG_INF
+    assert repr(xi.array.tolist()) == repr(list(xi.values()))
+    del xi[8]
+    assert xi.array is None  # not every id holds a value
+    xi[8] = -0.0
+    assert repr(xi.array.tolist()) == repr(list(xi.values()))
+    xi[9] = Fraction(1, 3)
+    assert xi.array is None and xi[9] == Fraction(1, 3)
+    field = NodeValues(range(3))
+    field.write(range(1, 3), [1.0, 2.0], np.array([1.0, 2.0]))
+    assert field.array is None and field == {1: 1.0, 2: 2.0}
+    field[0] = 0.5
+    assert field.array.tolist() == [0.5, 1.0, 2.0]
+
+
+def test_exact_claims_keep_their_rationals():
+    tree = build_tree(_exact_tree_spec({"dim": 1, "depth": 2, "generator": {"kind": "explicit", "offsets": [-0.5, 0.25, 1]}}))
+    for spec in ({"kind": "asian", "strike": 0.1}, {"kind": "table", "values": {str(l): l / 3 for l in tree.leaves}}):
+        xi = make_claim(tree, spec, exact=True)
+        assert xi.array is None
+        assert all(type(v) is Fraction for v in xi.values())
+
+
+def test_node_values_pickle_and_copy_keep_values_and_empty_ids():
+    values = NodeValues(range(10, 14), [1.5, Fraction(1, 2), NEG_INF, -0.0], np.array([0.0] * 4))
+    del values[11]
+    for clone in (pickle.loads(pickle.dumps(values)), copy.deepcopy(values), copy.copy(values), values.copy()):
+        assert repr(clone) == repr(values) and len(clone) == 3 and 11 not in clone
+        clone[11] = 2.0
+        assert 11 not in values
+
+
+def test_node_vectors_read_tuples_from_columns():
+    h = NodeVectors.empty(range(4), 2)
+    for nid in reversed(range(4)):
+        h[nid] = (float(nid), Fraction(nid, 2))
+    want = {nid: (float(nid), Fraction(nid, 2)) for nid in range(4)}
+    assert h == want and repr(h) == repr(want) and list(h.values()) == list(want.values())
+    assert [list(c.values()) for c in h.columns] == [[0.0, 1.0, 2.0, 3.0], [Fraction(n, 2) for n in range(4)]]
+    with pytest.raises(ValueError):
+        h[0] = (1.0,)
+    with pytest.raises(KeyError):
+        h[4]
+
+
+def test_float_deep_path_reads_no_value_id_by_id(monkeypatch):
+    """Claim, DP, hedge and verification hand each other float64 arrays on
+    a d = 1 martingale tree: values are read one id at a time only by the
+    per-node solves of the levels narrower than LEVEL_BATCH_MIN, which
+    read their children, and by the two checks of the root."""
+    read = []
+    getitem = NodeValues.__getitem__  # `in` and get() read through it too
+
+    def counted(self, nid):
+        read.append(nid)
+        return getitem(self, nid)
+
+    monkeypatch.setattr(NodeValues, "__getitem__", counted)
+    tree = build_tree({"dim": 1, "depth": 6, "generator": {"kind": "trinomial", "step": 0.1}})
+    fam = FamilySpec(cls=MARTINGALE)
+    xi = make_claim(tree, {"kind": "lookback", "strike": 0.1})
+    Y = backward_value(tree, xi, fam)
+    # levels 0-3 (40 nodes) go node by node; level 4 is one array pass
+    assert read and max(read) < tree.levels[5].start
+    read.clear()
+    H = extract_strategy(tree, Y, fam)
+    rep = verify_superhedge(tree, 0.25, H, xi, fam)
+    assert read == [tree.root, tree.root] and len(rep.slacks) == len(tree.leaves)

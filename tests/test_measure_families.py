@@ -132,6 +132,24 @@ def test_one_step_rows_cases(trinomial1):
         one_step_rows(d2, d2.root, d2.children(d2.root), var)
 
 
+# 27 significant bits: on some C libraries pow(x, 2) rounds x * x the wrong
+# way in the last bit for this step (glibc 2.36 among them)
+POW_STEP = 0.8585355058312416
+
+
+def test_float_variance_rows_square_by_multiplication():
+    """The variance row of a float step and `kernel_variance` hold
+    dx * dx bitwise, whatever the C library's pow gives for dx ** 2."""
+    tree = build_tree({"dim": 1, "depth": 1, "generator": {"kind": "explicit", "offsets": [-POW_STEP, 0.0, POW_STEP]}})
+    fam = FamilySpec(cls=VAR_BOUNDED, var_lo=0.25, var_hi=0.75)
+    kids = tree.children(tree.root)
+    A_eq, _, A_ub, _ = one_step_rows(tree, tree.root, kids, fam)
+    assert A_eq[1] == [-POW_STEP, 0.0, POW_STEP]
+    squares = [dx * dx for dx in A_eq[1]]
+    assert repr(A_ub) == repr([squares, [-v for v in squares]])
+    assert repr(kernel_variance(tree, Kernel(tree.root, {kids[2]: 1.0}))) == repr(POW_STEP * POW_STEP)
+
+
 def test_rcpd_at_root_is_identity(binomial2):
     P = fair_measure(binomial2)
     assert rcpd(binomial2, P, binomial2.root).kernels == P.kernels

@@ -32,13 +32,14 @@ from robusthedge.measure_families import (
     VAR_BOUNDED,
     FamilySpec,
     Kernel,
+    MeasureError,
     TreeMeasure,
     _martingale_dead_leaves_1d,
     alive_nodes,
     chargeable_children,
     polar_paths,
 )
-from robusthedge.oracle_lp import enumerate_vertex_kernels
+from robusthedge.oracle_lp import enumerate_vertex_kernels, lex_smallest_kernel
 from robusthedge.primal_hedge import (
     HedgeError,
     Strategy,
@@ -55,7 +56,7 @@ from robusthedge.random_instances import (
 )
 from robusthedge.simplex import RAT, rat
 
-from conftest import seeded
+from conftest import in_id_order, per_node_field, seeded
 
 # -- per-path oracles -------------------------------------------------------
 
@@ -612,6 +613,47 @@ def test_extracted_hedge_equals_resolved_multipliers(label, tree, xi, fam):
     assert H.flagged == flagged
 
 
+DEPTH8 = {"dim": 1, "depth": 8, "generator": {"kind": "trinomial"}}
+
+
+@pytest.mark.parametrize("claim", ["lookback", "asian", "table-neg-inf"])
+def test_depth8_container_path_equals_per_node_dicts(claim):
+    """On 6,561 leaves in float mode, the id-indexed path (the claim's
+    array, the DP's level slices, the strategy's masks, the slack arrays)
+    gives the values, hedge, strategy and slacks of per-node dict
+    references bit for bit, with the same types and ids."""
+    tree = build_tree(DEPTH8)
+    fam = FamilySpec(cls=MARTINGALE)
+    if claim == "table-neg-inf":
+        rng = random.Random(claim)
+        table = {str(leaf): rng.choice([-0.0, 0.0, 0.5, rng.uniform(-2, 2)]) for leaf in tree.leaves}
+        for leaf in rng.sample(tree.leaves, 300):
+            table[str(leaf)] = "-inf"
+        xi = make_claim(tree, {"kind": "table", "values": table})
+        ref_xi = {leaf: NEG_INF if table[str(leaf)] == "-inf" else table[str(leaf)] for leaf in tree.leaves}
+        fam = fam.with_claim(xi)
+    else:
+        xi = make_claim(tree, {"kind": claim, "strike": 0.5})
+        ref_xi = naive_claim(tree, claim, 0.5, exact=False)
+    assert repr(xi) == repr(ref_xi)
+    Y = backward_value(tree, xi, fam)
+    ref = per_node_field(tree, ref_xi, fam.with_claim(ref_xi) if fam.claim is not None else fam)
+    assert repr(Y) == in_id_order(ref) and repr(Y.hedge) == in_id_order(ref.hedge)
+    H = extract_strategy(tree, Y, fam)
+    h, flagged = resolved_hedge(tree, ref, fam)
+    assert repr(H.h) == repr(h) and H.flagged == flagged
+    X0 = Y[tree.root]
+    rep = verify_superhedge(tree, X0, H, xi, fam)
+    polar_leaves = {p[-1] for p in naive_polar_paths(tree, fam, ref_xi, lp=False)}
+    assert (len(polar_leaves) > 300) == (claim == "table-neg-inf")
+    ref_H = Strategy(h=h, flagged=flagged)
+    expected = {
+        p[-1]: wealth(tree, X0, ref_H, p) - ref_xi[p[-1]] for p in tree.paths() if p[-1] not in polar_leaves
+    }
+    assert repr(rep.slacks) == repr(expected)
+    assert repr(rep.min_slack) == repr(min(expected.values()))
+
+
 def test_hedge_instances_cover_classes_modes_and_neg_inf_nodes():
     """The comparison above sees every family class in both numeric modes
     with a finite root, and -inf internal nodes below a finite root."""
@@ -792,3 +834,51 @@ def test_factorized_kernels_equal_per_path_masses(label, tree, xi, fam):
         got = oracle_lp._factorize_leaf_law(tree, fam, leaves, res.x, start)
         want = reference_factorize_leaf_law(tree, fam, leaves, res.x, start)
         assert repr(got) == repr(want)
+
+
+def lex_kernel_trees():
+    """d = 1 trees of the tests above and trees of 3 to 12 offsets with
+    int, float and Fraction steps, one-sided ones among them."""
+    trees = {id(tree): tree for _, tree, *_ in INSTANCES + WIDE_INSTANCES + LP_CASES if tree.dim == 1}
+    for offsets in ([-1, 0, 1], [-2, -1, 1, 3], [-2, -1, 0, 1, 2], [0, 1, 2], list(range(-3, 5)), list(range(-6, 6))):
+        for kind in (int, float, lambda v: Fraction(v, 3)):
+            spec = {"dim": 1, "depth": 2, "generator": {"kind": "explicit", "offsets": [kind(v) for v in offsets]}}
+            tree = build_tree(spec)
+            trees[id(tree)] = tree
+    return list(trees.values())
+
+
+def test_closed_form_lex_kernel_equals_the_vertex_oracle():
+    """For the d = 1 martingale family, `lex_smallest_kernel` takes the
+    smallest of the closed-form vertices; on every node of at most 12
+    children it is the vertex oracle's first kernel, bit for bit."""
+    fam = FamilySpec(cls=MARTINGALE)
+    seen = set()
+    for tree in lex_kernel_trees():
+        for nid in tree.internal_nodes[:400]:
+            verts = enumerate_vertex_kernels(tree, nid, fam)
+            if not verts:
+                with pytest.raises(MeasureError):
+                    lex_smallest_kernel(tree, nid, fam)
+                continue
+            got = lex_smallest_kernel(tree, nid, fam)
+            assert repr(got) == repr(verts[0])
+            seen.add((len(tree.offsets), len(got.probs)))
+    assert {k for k, _ in seen} >= {3, 4, 5, 8, 12} and {n for _, n in seen} == {1, 2}
+
+
+def test_closed_form_lex_kernel_past_the_child_limit():
+    """13 offsets: the vertex oracle refuses the node; the closed form
+    gives the lexicographically smallest vertex.  Steps -6..6 in child
+    order: every two-point kernel charges a child before the zero step,
+    so the smallest vertex is the point mass on it; with the zero step
+    first, it is the pair of the two steps closest to 0, -1 and 1, which
+    puts the least mass on the last down step."""
+    fam = FamilySpec(cls=MARTINGALE)
+    for offsets, want in ((list(range(-6, 7)), {6: RAT(1)}), ([0, *range(-6, 0), *range(1, 7)], {6: RAT(1, 2), 7: RAT(1, 2)})):
+        tree = build_tree({"dim": 1, "depth": 1, "generator": {"kind": "explicit", "offsets": offsets}})
+        with pytest.raises(oracle_lp.OracleScaleError):
+            enumerate_vertex_kernels(tree, tree.root, fam)
+        kids = tree.children(tree.root)
+        got = lex_smallest_kernel(tree, tree.root, fam)
+        assert repr(got) == repr(Kernel(tree.root, {kids[i]: p for i, p in want.items()}))
