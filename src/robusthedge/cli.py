@@ -167,8 +167,9 @@ def run_solve(cfg, path, out, exact):
             "min_slack": None if rep.min_slack is None else float(rep.min_slack),
         }
         if fam.cls != "var_bounded":
-            # pathwise domination is a martingale-cone statement; the
-            # var-bounded value needs variance instruments, checked in primal_lp
+            # pathwise domination by the spot hedge alone is a martingale-cone
+            # statement; the var-bounded value also needs variance positions,
+            # which the primal LP holds as the variables of its `<=` rows
             ok = ok and hedge_ok
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -241,16 +242,17 @@ def run_hedge(cfg, path, out, exact):
     timings["dp"] = time.perf_counter() - t
     if dp == NEG_INF:
         t = time.perf_counter()
+        polar = len(polar_paths(tree, fam, xi))
         _dump_json(out / "hedge.json", {
             "schema_version": SCHEMA_VERSION,
             "X0": "-inf",
             "strategy": {},
-            "verification": {"min_slack": None, "polar_paths": len(tree.leaves)},
+            "verification": {"min_slack": None, "polar_paths": polar},
         })
         timings["write"] = time.perf_counter() - t
         timings["total"] = time.perf_counter() - t0
         _write_timings(out, timings)
-        print("value is -inf: every path is polar, no hedge")
+        print(f"value is -inf: no hedge; polar={polar}")
         return 0
     t = time.perf_counter()
     H = extract_strategy(tree, Y, fam)

@@ -335,9 +335,10 @@ def one_step_rows(tree: MarketTree, nid: int, children, fam: FamilySpec) -> tupl
     A_eq[1 + k] is the mean row of coordinate k (k < d; the DP reads the
     hedge from the duals `y_eq[1 + k]`), further equalities would follow
     them, and A_ub holds the `<=` rows.  The vertex oracle and the DP's
-    one-step LP take the rows as they are; `oracle_lp._leaf_law_rows` lifts
-    every row after the mass row into leaf space, and
-    `primal_hedge._node_value_lp` gives each such row a variable."""
+    one-step LP take the rows as they are; `oracle_lp.leaf_law_rows` lifts
+    every row after the mass row into leaf space once, and the two LP
+    cross-checks read that lift: the leaf-law LP as its rows, the primal
+    hedging LP as its columns (one variable per lifted row)."""
     d = tree.dim
     xn = tree.spot(nid)
     A_eq = [[1] * len(children)]

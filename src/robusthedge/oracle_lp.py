@@ -210,42 +210,42 @@ def lex_smallest_kernel(tree: MarketTree, nid: int, fam: FamilySpec) -> Kernel:
 # -- global path LP ------------------------------------------------------
 
 
-def _leaf_law_rows(tree, xi, fam, start):
-    """(leaves, A_eq, b_eq, A_ub, b_ub, c_obj): the leaf-law LP below
-    `start`, over the probabilities of the leaves whose claim is not -inf
-    (the -inf leaves are forced to zero, so their columns are dropped).
+def leaf_law_rows(tree, xi, fam, start):
+    """(leaves, claim, eq, ub): the family's rows below `start` lifted into
+    leaf space, over the leaves whose claim is not -inf (a -inf leaf has
+    probability zero, so it has no position), with their claim values.
 
-    Row 0 is total mass 1.  Every other row lifts a row (a, b) of
-    `one_step_rows` at an internal node n: the kernel constraint
-    sum_c p_c a_c = b (or <= b), times n's mass, is sum_l q_l (a_c - b) = 0
-    (or <= 0) over the leaves l below n, where c is n's child on l's path;
-    the other leaves take 0.  A child's leaves are one contiguous block of
-    the breadth-first leaf ids, so each lifted row is filled block by block.
-    Internal nodes come breadth-first, each with its rows in the order
-    `one_step_rows` gives them (equalities after the mass row, then `<=`).
+    Every row (a, b) of `one_step_rows` after the mass row at an internal
+    node n is lifted: the kernel constraint sum_c p_c a_c = b (or <= b),
+    times n's mass, is sum_l q_l (a_c - b) = 0 (or <= 0) over the leaves l
+    below n, where c is n's child on l's path; the other leaves take 0.  A
+    child's leaves are one contiguous block of the breadth-first leaf ids,
+    and so are their positions, so a lifted row is (n, blocks) with one
+    block (lo, hi, a_c - b) per child: the entry at positions lo..hi-1.
+    `eq` holds the equality rows and `ub` the `<=` rows, nodes breadth-first
+    and each node's rows in the order `one_step_rows` gives them.
+
+    Both LP cross-checks read these rows: `global_sup_lp` as the rows of
+    the leaf-law LP, and `primal_hedge.primal_lp`, its LP dual, as columns.
     """
     ranges = tree._ranges_below(start)
     all_leaves = ranges[-1]
-    claim = [xi.get(l, 0) for l in all_leaves]
-    keep = [i for i, v in enumerate(claim) if v != NEG_INF]
-    dropped = len(keep) < len(all_leaves)
-    leaves = [all_leaves[i] for i in keep]
-    A_eq, b_eq, A_ub, b_ub = [[1] * len(leaves)], [1], [], []
+    values = [xi.get(l, 0) for l in all_leaves]
+    kept = [v != NEG_INF for v in values]
+    pos = list(itertools.accumulate(kept, initial=0))  # pos[i]: kept leaves before all_leaves[i]
+    leaves, claim = list(itertools.compress(all_leaves, kept)), list(itertools.compress(values, kept))
+    eq, ub = [], []
     for level, below in zip(ranges, ranges[1:]):
         width = len(all_leaves) // len(below)  # leaves below each child
         for n in level:
             children = tree.children(n)
-            eq, eq_rhs, ub, ub_rhs = one_step_rows(tree, n, children, fam)
-            for rows, rhs, A, b in ((eq[1:], eq_rhs[1:], A_eq, b_eq), (ub, ub_rhs, A_ub, b_ub)):
-                for a, a_rhs in zip(rows, rhs):
-                    row = [0] * len(all_leaves)
-                    for c, a_c in zip(children, a):
-                        first = (c - below.start) * width
-                        row[first : first + width] = [a_c - a_rhs] * width
-                    A.append([row[i] for i in keep] if dropped else row)
-                    b.append(0)
-    c_obj = [claim[i] for i in keep]
-    return leaves, A_eq, b_eq, A_ub, b_ub, c_obj
+            A_eq, b_eq, A_ub, b_ub = one_step_rows(tree, n, children, fam)
+            first = (children[0] - below.start) * width
+            blocks = [(pos[i], pos[i + width]) for i in range(first, first + len(children) * width, width)]
+            for rows, rhs, out in ((A_eq[1:], b_eq[1:], eq), (A_ub, b_ub, ub)):
+                for a, b in zip(rows, rhs):
+                    out.append((n, [(lo, hi, a_c - b) for (lo, hi), a_c in zip(blocks, a)]))
+    return leaves, claim, eq, ub
 
 
 def _factorize_leaf_law(tree, fam, leaves, q, start):
@@ -284,10 +284,21 @@ def global_sup_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: Optiona
     n_leaves = len(tree._ranges_below(start)[-1])
     if n_leaves > ORACLE_MAX_LEAVES:
         raise OracleScaleError(f"{n_leaves} leaves exceed the oracle leaf limit {ORACLE_MAX_LEAVES}")
-    leaves, A_eq, b_eq, A_ub, b_ub, c_obj = _leaf_law_rows(tree, xi, fam, start)
+    leaves, c_obj, eq, ub = leaf_law_rows(tree, xi, fam, start)
     if not leaves:
         return NEG_INF, None
-    res = simplex.solve(c_obj, A_eq, b_eq, A_ub, b_ub, exact=exact)
+
+    def dense(rows):
+        out = []
+        for _, blocks in rows:
+            row = [0] * len(leaves)
+            for lo, hi, v in blocks:
+                row[lo:hi] = [v] * (hi - lo)
+            out.append(row)
+        return out
+
+    A_eq, b_eq = [[1] * len(leaves), *dense(eq)], [1] + [0] * len(eq)
+    res = simplex.solve(c_obj, A_eq, b_eq, dense(ub), [0] * len(ub), exact=exact)
     if res.status == "infeasible":
         return NEG_INF, None
     if res.status != "optimal":  # pragma: no cover

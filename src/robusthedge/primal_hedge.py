@@ -1,11 +1,14 @@
 """Primal superhedging: strategy extraction, verification, Doob-Meyer split.
 
 The primal LP minimizes the initial capital subject to terminal wealth
-dominating the claim on every non-polar path; its optimum matches the dual
-DP value (strong duality on finite trees).  The extracted strategy is read
-from the one-step dual multipliers that the DP keeps in its value field, so
-the hedge comes from the same backward pass as the value, and it achieves
-that optimum path by path.
+dominating the claim on every leaf whose claim is finite.  It is the LP
+dual of the leaf-law LP of `oracle_lp.global_sup_lp`: both read the one
+leaf-space lift of the family's rows (`oracle_lp.leaf_law_rows`), the
+leaf-law LP as rows and the primal as columns, one variable per lifted
+row.  Its optimum matches the dual DP value (strong duality on finite
+trees).  The extracted strategy is read from the one-step dual multipliers
+that the DP keeps in its value field, so the hedge comes from the same
+backward pass as the value, and it achieves that optimum path by path.
 """
 
 from __future__ import annotations
@@ -17,17 +20,8 @@ from typing import Mapping, Optional, Sequence
 from . import simplex
 from .dual_dp import ValueField
 from .market_tree import NEG_INF, MarketTree, NodeValues, NodeVectors, node_array
-from .measure_families import (
-    ALL,
-    VAR_BOUNDED,
-    FamilySpec,
-    MeasureError,
-    TreeMeasure,
-    alive_nodes,
-    one_step_rows,
-    polar_paths,
-)
-from .oracle_lp import ORACLE_MAX_LEAVES, OracleScaleError, enumerate_vertex_kernels
+from .measure_families import FamilySpec, MeasureError, TreeMeasure, alive_nodes, polar_paths
+from .oracle_lp import ORACLE_MAX_LEAVES, OracleScaleError, enumerate_vertex_kernels, leaf_law_rows
 
 HEDGE_TOL = 1e-9
 
@@ -174,16 +168,24 @@ def verify_superhedge(tree: MarketTree, X0, H: Strategy, xi: Mapping, fam: Famil
 
 
 def primal_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, exact: bool = True):
-    """(minimal initial capital, optimal Strategy).
+    """(minimal initial capital, optimal Strategy): the LP dual of the
+    leaf-law LP of `oracle_lp.global_sup_lp`, over the same lifted rows.
 
-    MARTINGALE / ALL: path-wise wealth constraints (ALL additionally
-    constrains the hedge to the admissible cone h . step <= 0).  VAR_BOUNDED
-    hedging needs variance instruments, so it uses the equivalent node-value
-    formulation over the family's one-step rows (`_node_value_lp`), with
-    per-node variance-position variables.
+    Minimize X0 such that X0 + sum_r y_r (a_c - b) >= xi_l at every leaf l
+    whose claim is finite, r over the rows of `oracle_lp.leaf_law_rows`
+    (every `one_step_rows` row after the mass row, at every node n above l)
+    and c n's child on l's path.  y_r is free for an equality row and >= 0
+    for a `<=` row; a mean row's y_r is the hedge at its node.  One LP row
+    per leaf and one column per lifted row: the matrix is the leaf-law LP's
+    transposed and negated.  Polar leaves keep their rows; every family
+    measure gives them probability zero, so by LP duality they do not move
+    the optimum.  The LP is unbounded exactly when no family measure avoids
+    the -inf leaves, and then the value is -inf and every node is flagged;
+    otherwise the flagged nodes are those that `alive_nodes` does not flag,
+    where the DP value is -inf, and their hedge is 0.
 
     The exact LP raises OracleScaleError, before it builds a row, on trees
-    of more than ORACLE_MAX_LEAVES leaves (one path row per leaf): its dense
+    of more than ORACLE_MAX_LEAVES leaves (one row per leaf): its dense
     rational tableau grows with rows times columns.  On trinomial lookback
     trees it took 9.9 s of CPU time at 729 leaves and 166 s at 2,187 (one
     core of an Intel Xeon, Python 3.11, Fraction arithmetic).
@@ -192,130 +194,29 @@ def primal_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, exact: bool = True
         raise OracleScaleError(
             f"{len(tree.leaves)} paths exceed the exact primal LP limit {ORACLE_MAX_LEAVES}"
         )
-    if fam.cls == VAR_BOUNDED:
-        return _node_value_lp(tree, xi, fam, exact)
-    polar = polar_paths(tree, fam, xi)
-    polar_leaves = {p[-1] for p in polar}
-    paths = [
-        p
-        for p in tree.paths()
-        if p[-1] not in polar_leaves and xi[p[-1]] != NEG_INF
-    ]
-    if not paths:
-        return NEG_INF, Strategy(
-            h={n: tuple([0.0] * tree.dim) for n in tree.internal_nodes},
-            flagged=set(tree.internal_nodes),
-        )
-    d = tree.dim
-    hedge_nodes = sorted({n for p in paths for n in p[:-1]})
-    var_index = {"X0": 0}
-    for n in hedge_nodes:
-        for k in range(d):
-            var_index[(n, k)] = len(var_index)
-    nv = len(var_index)
-    A_ub, b_ub = [], []
-    for p in paths:
-        row = [0] * nv
-        row[0] = -1
-        for i in range(len(p) - 1):
-            n, c = p[i], p[i + 1]
-            step = tree.step(n, c)
-            for k in range(d):
-                row[var_index[(n, k)]] -= step[k]
-        A_ub.append(row)
-        b_ub.append(-xi[p[-1]])
-    if fam.cls == ALL:
-        # admissible cone: no strategy may profit in conditional mean
-        for n in hedge_nodes:
-            for c in tree.children(n):
-                step = tree.step(n, c)
-                row = [0] * nv
-                for k in range(d):
-                    row[var_index[(n, k)]] = step[k]
-                A_ub.append(row)
-                b_ub.append(0)
-    c_obj = [0] * nv
-    c_obj[0] = 1
-    res = simplex.solve(c_obj, None, None, A_ub, b_ub, maximize=False, free_vars=range(nv), exact=exact)
+    leaves, claim, eq, ub = leaf_law_rows(tree, xi, fam, tree.root)
+    nv = 1 + len(eq) + len(ub)
+    A_ub = [[-1] + [0] * (nv - 1) for _ in leaves]
+    for j, (_, blocks) in enumerate(eq + ub, 1):
+        for lo, hi, v in blocks:
+            v = 0 - v  # not -v: a float 0.0 stays +0.0
+            for row in A_ub[lo:hi]:
+                row[j] = v
+    c_obj = [1] + [0] * (nv - 1)
+    free = range(1 + len(eq))  # X0 and the equality rows' variables
+    res = simplex.solve(c_obj, None, None, A_ub, [-v for v in claim], maximize=False, free_vars=free, exact=exact)
+    internal, zero = tree.internal_nodes, tuple([0.0] * tree.dim)
+    if res.status == "unbounded":
+        return NEG_INF, Strategy(h=dict.fromkeys(internal, zero), flagged=set(internal))
     if res.status != "optimal":
         raise HedgeError(f"primal LP status {res.status}")
-    x = res.x
-    X0 = x[0]
-    h = {}
-    flagged = set()
-    zero = tuple([0.0] * d)
-    for n in tree.internal_nodes:
-        if n in hedge_nodes:
-            h[n] = tuple(x[var_index[(n, k)]] for k in range(d))
-        else:
-            h[n] = zero
-            flagged.add(n)
-    return X0, Strategy(h=h, flagged=flagged)
-
-
-def _node_value_lp(tree, xi, fam, exact):
-    """The primal LP over node values, read off the family's one-step rows.
-
-    Per alive internal node n, in id order, there is one variable per row of
-    `one_step_rows`: its value W_n for the mass row, a free variable for
-    each other equality row (the hedge, one per mean row) and a
-    nonnegative one for each `<=` row (for VAR_BOUNDED, the two variance
-    positions).  Each alive child c of n gives the row
-    W_c <= W_n + sum_r y_r (a_c - b) over n's rows (a, b) after the mass
-    row, with y_r their variables; at a leaf the claim stands for W_c.  This
-    is the dual of the one-step LP at every node, so the optimum is the DP
-    value at the root.
-    """
     alive = alive_nodes(tree, fam, xi)
-    if not alive[tree.root]:
-        return NEG_INF, Strategy(
-            h={n: tuple([0.0] * tree.dim) for n in tree.internal_nodes},
-            flagged=set(tree.internal_nodes),
-        )
-    internal = [n for n in tree.internal_nodes if alive[n]]
-    # per node: W_n's index, its number of equality rows, and -(a_c - b) for
-    # each row (a, b) after the mass row, one list over the children per
-    # row; the `<=` rows write it b - a_c, which gives +0.0 where a_c == b
-    layout, nv = {}, 0
-    for n in internal:
-        eq, eq_rhs, ub, ub_rhs = one_step_rows(tree, n, tree.children(n), fam)
-        coef = [[-(a_c - b) for a_c in a] for a, b in zip(eq[1:], eq_rhs[1:])]
-        coef += [[b - a_c for a_c in a] for a, b in zip(ub, ub_rhs)]
-        layout[n] = (nv, len(eq), coef)
-        nv += 1 + len(coef)
-    free = [w + r for w, n_eq, _ in layout.values() for r in range(n_eq)]
-    A_ub, b_ub = [], []
-    for n, (w, _, coef) in layout.items():
-        for i, c in enumerate(tree.children(n)):
-            if not alive[c]:
-                continue
-            row = [0] * nv
-            rhs = 0
-            row[w] = -1
-            row[w + 1 : w + 1 + len(coef)] = [a[i] for a in coef]
-            if tree.is_leaf(c):
-                rhs = -xi[c]
-            else:
-                row[layout[c][0]] = 1
-            A_ub.append(row)
-            b_ub.append(rhs)
-    root = layout[tree.root][0]
-    c_obj = [0] * nv
-    c_obj[root] = 1
-    res = simplex.solve(c_obj, None, None, A_ub, b_ub, maximize=False, free_vars=free, exact=exact)
-    if res.status != "optimal":
-        raise HedgeError(f"primal LP status {res.status}")
-    x = res.x
-    h, flagged = {}, set()
-    zero = tuple([0.0] * tree.dim)
-    for n in tree.internal_nodes:
-        if alive[n]:
-            w, n_eq, _ = layout[n]
-            h[n] = tuple(x[w + 1 : w + n_eq])
-        else:
-            h[n] = zero
-            flagged.add(n)
-    return x[root], Strategy(h=h, flagged=flagged)
+    hedge = {n: [] for n in internal if alive[n]}
+    for (n, _), y in zip(eq, res.x[1:]):
+        if n in hedge:
+            hedge[n].append(y)  # the node's mean rows come first, one per coordinate
+    h = {n: tuple(hedge[n][: tree.dim]) if hedge.get(n) else zero for n in internal}
+    return res.x[0], Strategy(h=h, flagged={n for n in internal if not alive[n]})
 
 
 # -- Doob-Meyer and admissibility ----------------------------------------

@@ -359,6 +359,29 @@ NEG_INF_CONFIG = {
 }
 
 
+# an unrestricted martingale family on one binomial step: every kernel
+# charges the -inf up leaf, so the value is -inf, and only that leaf is polar
+UNBOUNDED_PRIMAL_CONFIG = {
+    "tree": {"dim": 1, "depth": 1, "generator": {"kind": "binomial"}},
+    "claim": {"kind": "table", "values": {"1": 1.0, "2": "-inf"}},
+    "family": {"class": "martingale"},
+}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_neg_inf_value_of_an_unrestricted_family(tmp_path, capsys, exact):
+    cfg = write_config(tmp_path, UNBOUNDED_PRIMAL_CONFIG)
+    flags = ["--exact"] if exact else []
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)] + flags) == 0
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["dual_value"] == report["oracle_value"] == report["primal_value"] == "-inf"
+    assert report["ok"] and report["polar_path_count"] == 1
+    assert main(["hedge", "--config", str(cfg), "--out", str(tmp_path)] + flags) == 0
+    hedge = json.loads((tmp_path / "hedge.json").read_text())
+    assert hedge["X0"] == "-inf" and hedge["verification"]["polar_paths"] == 1
+    assert "every path is polar" not in capsys.readouterr().out
+
+
 def test_config_matches_schema():
     config = schema_validator("robusthedge/config/v1")
     config.validate(BASE_CONFIG)

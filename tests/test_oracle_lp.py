@@ -330,7 +330,7 @@ def test_restricted_polar_paths_past_the_leaf_limit_build_no_lp(monkeypatch):
     def no_rows(*args, **kwargs):
         raise AssertionError("a leaf-law LP row was built")
 
-    monkeypatch.setattr(oracle_lp, "_leaf_law_rows", no_rows)
+    monkeypatch.setattr(oracle_lp, "leaf_law_rows", no_rows)
     monkeypatch.setattr(simplex, "solve", no_rows)
     want = [tree.path_to(tree.leaves[0]), tree.path_to(tree.leaves[2])]
     assert polar_paths(tree, fam) == want

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robusthedge import dual_dp, simplex
+from robusthedge import dual_dp, primal_hedge, simplex
 from robusthedge.dual_dp import backward_value, optimizer_measure
-from robusthedge.market_tree import NEG_INF, MarketTree, build_tree
+from robusthedge.market_tree import NEG_INF, build_tree
 from robusthedge.measure_families import (
     ALL,
     MARTINGALE,
@@ -163,6 +163,19 @@ def test_primal_all_polar_is_neg_inf():
     assert X0 == NEG_INF
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_primal_unbounded_lp_is_neg_inf(binomial1, exact):
+    """An unrestricted family whose every kernel charges the -inf leaf: the
+    finite leaf's row leaves the LP unbounded, and the value is -inf, with
+    every node flagged, as the DP and the oracle have it."""
+    up = next(l for l in binomial1.leaves if binomial1.spot1(l) > 0)
+    xi = {leaf: (NEG_INF if leaf == up else 1.0) for leaf in binomial1.leaves}
+    X0, H = primal_lp(binomial1, xi, MART, exact=exact)
+    assert X0 == NEG_INF and H.flagged == set(binomial1.internal_nodes)
+    assert backward_value(binomial1, xi, MART)[binomial1.root] == NEG_INF
+    assert global_sup_lp(binomial1, xi, MART, exact=exact)[0] == NEG_INF
+
+
 def test_primal_value_ignores_polar_leaf(trinomial1):
     # changing the claim on a polar path must not move the hedging cost
     mid = next(l for l in trinomial1.leaves if trinomial1.spot1(l) == 0)
@@ -307,6 +320,6 @@ def test_exact_primal_lp_refuses_trees_past_the_leaf_limit(monkeypatch, fam):
         raise AssertionError("the LP was built")
 
     monkeypatch.setattr(simplex, "solve", no_rows)
-    monkeypatch.setattr(MarketTree, "paths", no_rows)
+    monkeypatch.setattr(primal_hedge, "leaf_law_rows", no_rows)
     with pytest.raises(OracleScaleError):
         primal_lp(tree, xi, fam, exact=True)
