@@ -9,7 +9,6 @@ from .market_tree import (
     NEG_INF,
     MarketTree,
     build_tree,
-    shift_claim,
     validate_stopping_time,
 )
 from .measure_families import (

@@ -61,7 +61,7 @@ def make_claim(tree: MarketTree, spec: Mapping, exact: bool = False) -> NodeValu
     import numpy as np
 
     kind = spec.get("kind")
-    leaves = tree.levels[-1]
+    leaves = tree.leaves
     if kind == "table":
         values = spec["values"]
         out = []

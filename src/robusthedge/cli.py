@@ -10,7 +10,8 @@ and verification check passes.  When an oracle scale limit refuses one of
 warns with the limit's message and says so in its report.  When a limit
 refuses a step that `solve` or `hedge` cannot skip (the vertex enumeration
 behind a polar set past ORACLE_MAX_CHILDREN children), the run prints one
-`error: <message>` line to stderr and exits 2.
+`error: <message>` line to stderr and exits 2.  A config that cannot be
+read or that the builders reject ends with one `config ...` line, exit 1.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from pathlib import Path
 
-from .claims import make_claim
+from .claims import ClaimError, make_claim
 from .counterexample import divergence_demo, phi_limit, phi_trunc
 from .dual_dp import backward_value
-from .market_tree import NEG_INF, build_tree
-from .measure_families import family_from_doc, polar_paths
+from .market_tree import NEG_INF, TreeError, build_tree
+from .measure_families import MeasureError, family_from_doc, polar_paths
 from .oracle_lp import OracleScaleError, global_sup_lp
 from .primal_hedge import extract_strategy, primal_lp, verify_superhedge
 from .simplex import rat
@@ -41,11 +42,13 @@ DEFAULT_SEED = 0
 
 
 def _load_config(path):
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"config parse error in {path}: line {exc.lineno}, {exc.msg}")
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"config parse error in {path}: line {exc.lineno}, {exc.msg}")
+    except OSError as exc:
+        raise SystemExit(f"config {path}: {exc.strerror}")
 
 
 def _require(cfg, field, path):
@@ -72,17 +75,20 @@ def _exact_tree_spec(spec):
 
 def _instance_from_config(cfg, path, exact, timings=None):
     """(tree, claim, family) of a config; `timings`, when given, receives
-    the seconds of the "tree" and "claim" stages."""
+    the seconds of the "tree" and "claim" stages.  A spec the builders
+    reject ends the run with one `config <path>: <message>` line."""
     timings = {} if timings is None else timings
-    t = time.perf_counter()
-    tree_spec = _require(cfg, "tree", path)
-    tree = build_tree(_exact_tree_spec(tree_spec) if exact else tree_spec)
-    timings["tree"] = time.perf_counter() - t
-    t = time.perf_counter()
-    xi = make_claim(tree, _require(cfg, "claim", path), exact=exact)
-    timings["claim"] = time.perf_counter() - t
-    fam_doc = _require(cfg, "family", path)
-    fam = family_from_doc(fam_doc, claim=xi)
+    try:
+        t = time.perf_counter()
+        tree_spec = _require(cfg, "tree", path)
+        tree = build_tree(_exact_tree_spec(tree_spec) if exact else tree_spec)
+        timings["tree"] = time.perf_counter() - t
+        t = time.perf_counter()
+        xi = make_claim(tree, _require(cfg, "claim", path), exact=exact)
+        timings["claim"] = time.perf_counter() - t
+        fam = family_from_doc(_require(cfg, "family", path), claim=xi)
+    except (TreeError, ClaimError, MeasureError) as exc:
+        raise SystemExit(f"config {path}: {exc}")
     if exact and fam.var_lo is not None:
         fam = type(fam)(cls=fam.cls, var_lo=rat(fam.var_lo), var_hi=rat(fam.var_hi), claim=fam.claim)
     return tree, xi, fam

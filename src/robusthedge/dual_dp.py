@@ -221,9 +221,9 @@ class ValueField(NodeValues):
     """
 
     def __init__(self, tree: MarketTree, fam: FamilySpec):
-        super().__init__(range(len(tree.nodes)))
+        super().__init__(tree.nodes)
         self.tree, self.fam = tree, fam
-        self.hedge = NodeVectors.empty(range(tree.levels[-1].start), tree.dim)
+        self.hedge = NodeVectors.empty(tree.internal_nodes, tree.dim)
 
 
 def backward_value(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> ValueField:
@@ -231,7 +231,7 @@ def backward_value(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> ValueField
     with the one-step multipliers in `.hedge`.  Walks the levels from the
     leaves up; see the module docstring for the levels solved by arrays."""
     Y = ValueField(tree, fam)
-    leaves = tree.levels[-1]
+    leaves = tree.leaves
     # the values of the level below, as a float64 array while they are floats
     vals = node_array(xi, leaves)
     claim = list(xi.values()) if vals is not None else list(map(xi.__getitem__, leaves))

@@ -1,4 +1,4 @@
-"""Finite scenario trees: paths, stopping times, claim shifting.
+"""Finite scenario trees: paths, stopping times, values per node.
 
 A tree models the discrete market: each node carries a spot vector, the
 root spot is zero, and every leaf sits at the terminal time N.  Trees are
@@ -9,24 +9,25 @@ Every tree is uniform: the same k spot offsets are applied at every
 internal node, so a tree is stored as its generator (dimension, offsets,
 depth) and its structure is arithmetic on breadth-first ids.  The root is
 0, the children of node i are k*i + 1 .. k*i + k, its parent is
-(i - 1) // k, and its time is the level whose id range holds it.  Every
-time level is one contiguous id range (`MarketTree.levels`), and the
-children of a level are the next level, in order.
+(i - 1) // k, and its time is the level whose id range holds it.  Every id
+set is a `range`: all nodes, the leaves, the internal nodes, the children
+of a node and each time level (`MarketTree.levels`); the children of a
+level are the next level, in order.
 
 Only the spots are stored: one plain Python list per coordinate, level
-after level (`MarketTree.coords`), each level built from the one above by
-adding the offsets, so spots keep the numeric type of the offsets (int,
-float, Fraction).  `MarketTree.spot_array` turns one coordinate list into
-a numpy array, once per tree: float64 when every spot is a float or an int
-within +-INT_SPOT_BOUND, so that each step and each difference of two steps
-is an exact double; dtype=object, holding the spots themselves, otherwise.
-The deep-tree passes (path-dependent claims, hedge wealth, polar flags, the
-backward DP) are numpy passes over level slices of these arrays: on an
-object array numpy applies the same Python operators in the same order, so
-exact and Fraction trees run the same code.  They take O(N) time and build
-no per-node object.  `Node` is a value view for the suites and tests:
-`MarketTree.nodes` builds all of them, once, the first time it is indexed
-or iterated; its length costs nothing.
+after level, each level built from the one above by adding the offsets, so
+spots keep the numeric type of the offsets (int, float, Fraction).  The
+lists grow on demand: `spot`, `spot1` and `step` build the levels down to
+the id they read, and `MarketTree.coords` builds them all.
+`MarketTree.spot_array` gives one coordinate as a numpy array, once per
+tree: float64 when every spot is a float or an int within +-INT_SPOT_BOUND,
+so that each step and each difference of two steps is an exact double,
+built from the offsets without the lists; dtype=object, holding the spots
+themselves, otherwise.  The deep-tree passes (path-dependent claims, hedge
+wealth, polar flags, the backward DP) are numpy passes over level slices of
+these arrays: on an object array numpy applies the same Python operators in
+the same order, so exact and Fraction trees run the same code.  They take
+O(N) time and build no per-node object.
 
 Values per node travel between those passes in `NodeValues`: a mapping
 node id -> value over one contiguous id range (the leaves of a claim, every
@@ -40,7 +41,7 @@ d-vector per node as d `NodeValues` columns.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import ItemsView, Mapping, MutableMapping, Sequence, ValuesView
+from collections.abc import ItemsView, Mapping, MutableMapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -56,41 +57,12 @@ class TreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
-    """One node as a value, built on demand by `MarketTree.nodes`."""
-
-    id: int
-    t: int
-    x: tuple
-    parent: Optional[int]
-    children: tuple
-
-
-class _NodeView(Sequence):
-    """`MarketTree.nodes`: the Node values in id order.  len() is O(1); the
-    Node tuple is built and cached on the tree on first index or iteration."""
-
-    __slots__ = ("_tree",)
-
-    def __init__(self, tree):
-        self._tree = tree
-
-    def __len__(self):
-        return self._tree._size
-
-    def __getitem__(self, i):
-        return self._tree._node_tuple[i]
-
-    def __iter__(self):
-        return iter(self._tree._node_tuple)
-
-
 @dataclass(frozen=True)
 class MarketTree:
     """Immutable uniform non-recombining tree with breadth-first integer ids,
     stored as its generator: `offsets` holds the k spot steps (each a
-    `dim`-tuple) applied at every internal node."""
+    `dim`-tuple) applied at every internal node.  `nodes`, `leaves`,
+    `internal_nodes` and `levels` (one per time) are id ranges."""
 
     dim: int
     offsets: tuple
@@ -116,33 +88,38 @@ class MarketTree:
         # that equality, hashing and pickling use
         put = object.__setattr__
         put(self, "levels", tuple(map(range, starts, starts[1:])))
+        put(self, "nodes", range(starts[-1]))
+        put(self, "leaves", self.levels[-1])
+        put(self, "internal_nodes", range(starts[-2]))
         put(self, "_k", k)
         put(self, "_starts", starts[:-1])
         put(self, "_n_internal", starts[-2])
-        put(self, "_size", starts[-1])
+        put(self, "_xs", [[0] for _ in range(self.dim)])  # the spot lists, grown by `_grow`
 
     def __reduce__(self):
         return type(self), (self.dim, self.offsets, self.depth)
 
     # -- spots -----------------------------------------------------------
 
+    def _grow(self, nid: int) -> None:
+        """Extend the spot lists level by level down to the level of `nid`
+        (the whole tree past the last id).  Each new level is `[x + o for x
+        in <level above> for o in <offsets' coordinate j>]`: a child's
+        coordinate is always its parent's plus the offset's, in that operand
+        order, so spots are reproducible and keep the offsets' numeric
+        types."""
+        t = self.time(min(nid, self.nodes[-1]))
+        for j, xs in enumerate(self._xs):
+            offs = [off[j] for off in self.offsets]
+            for level in self.levels[self.time(len(xs) - 1) : t]:
+                xs += [x + o for x in xs[level.start :] for o in offs]
+
     @cached_property
     def coords(self) -> tuple:
-        """The spots, one list per coordinate: `coords[j][i]` is coordinate j
-        of node i's spot.  Each level is `[x + o for x in <level above> for
-        o in <offsets' coordinate j>]`: a child's coordinate is always its
-        parent's plus the offset's, in that operand order, so spots are
-        reproducible and keep the offsets' numeric types."""
-        out = []
-        for j in range(self.dim):
-            offs = [off[j] for off in self.offsets]
-            level = [0]
-            xs = [0]
-            for _ in range(self.depth):
-                level = [x + o for x in level for o in offs]
-                xs += level
-            out.append(xs)
-        return tuple(out)
+        """The spots of every node, one list per coordinate: `coords[j][i]`
+        is coordinate j of node i's spot."""
+        self._grow(self.nodes[-1])
+        return tuple(self._xs)
 
     def spot_array(self, j: int = 0):
         """Coordinate j of every spot as one numpy array, built on first use
@@ -172,28 +149,35 @@ class MarketTree:
         return arrays[j]
 
     def spot(self, nid: int) -> tuple:
-        coords = self.coords
+        coords = self._xs
+        if nid >= len(coords[0]):
+            self._grow(nid)
         if len(coords) == 1:
             return (coords[0][nid],)
         return tuple([xs[nid] for xs in coords])
 
     def spot1(self, nid: int):
         """Scalar spot, d = 1 convenience."""
-        return self.coords[0][nid]
+        xs = self._xs[0]
+        if nid >= len(xs):
+            self._grow(nid)
+        return xs[nid]
 
-    # -- structure -------------------------------------------------------
+    def step(self, nid: int, child: int) -> tuple:
+        """Spot increment along the edge nid -> child."""
+        xn, xc = self.spot(nid), self.spot(child)
+        return tuple(xc[k] - xn[k] for k in range(self.dim))
 
-    @cached_property
-    def _ids(self) -> tuple:
-        """Every id, in order: the id tuples below are slices of it, so they
-        share one int object per id (as do dict keys taken from them)."""
-        return tuple(range(self._size))
+    # -- structure: id ranges and arithmetic -----------------------------
 
-    def children(self, nid: int) -> tuple:
+    def nodes_at(self, t: int) -> range:
+        return self.levels[t] if 0 <= t < len(self.levels) else range(0)
+
+    def children(self, nid: int) -> range:
         if nid >= self._n_internal:
-            return ()
+            return range(0)
         first = self._k * nid + 1
-        return self._ids[first : first + self._k]
+        return range(first, first + self._k)
 
     def parent(self, nid: int) -> Optional[int]:
         return (nid - 1) // self._k if nid else None
@@ -203,35 +187,6 @@ class MarketTree:
 
     def time(self, nid: int) -> int:
         return bisect_right(self._starts, nid) - 1
-
-    @property
-    def nodes(self) -> Sequence:
-        return _NodeView(self)
-
-    def node(self, nid: int) -> Node:
-        return self._node_tuple[nid]
-
-    @cached_property
-    def _node_tuple(self) -> tuple:
-        spots = list(zip(*self.coords))
-        return tuple(
-            Node(i, t, spots[i], self.parent(i), self.children(i))
-            for t, level in enumerate(self.levels)
-            for i in level
-        )
-
-    @cached_property
-    def leaves(self) -> tuple:
-        return self._ids[self._n_internal :]
-
-    @cached_property
-    def internal_nodes(self) -> tuple:
-        return self._ids[: self._n_internal]
-
-    def nodes_at(self, t: int) -> tuple:
-        if not 0 <= t < len(self.levels):
-            return ()
-        return self._ids[self.levels[t].start : self.levels[t].stop]
 
     # -- path structure --------------------------------------------------
 
@@ -243,9 +198,6 @@ class MarketTree:
             out.append(nid)
         out.reverse()
         return out
-
-    def paths(self) -> list:
-        return [self.path_to(leaf) for leaf in self.leaves]
 
     def _ranges_below(self, nid: int) -> list:
         """The ids weakly below `nid`, one range per time from nid's own:
@@ -262,11 +214,6 @@ class MarketTree:
 
     def leaves_below(self, nid: int) -> list:
         return list(self._ranges_below(nid)[-1])
-
-    def step(self, nid: int, child: int) -> tuple:
-        """Spot increment along the edge nid -> child."""
-        xn, xc = self.spot(nid), self.spot(child)
-        return tuple(xc[k] - xn[k] for k in range(self.dim))
 
 
 # -- values per node ---------------------------------------------------
@@ -518,18 +465,11 @@ def build_tree(spec: Mapping) -> MarketTree:
     Schema: {"dim": d, "depth": N, "generator": {"kind": "binomial"|"trinomial"
     |"explicit", ...}}.  The same k child offsets are applied at every non-leaf
     node, in the generator's order; node ids are breadth-first (see the
-    module docstring), so outputs are reproducible.  The spots are built
-    here, level by level.
+    module docstring), so outputs are reproducible.  No spot is computed
+    here: the tree builds its spot levels when they are first read.
     """
     offsets = tuple(_offsets_from_generator(spec["generator"]))
-    tree = MarketTree(int(spec.get("dim", 1)), offsets, int(spec["depth"]))
-    tree.coords  # the spots are built here, not on first use
-    return tree
-
-
-def shift_claim(tree: MarketTree, xi: Mapping, nid: int) -> dict:
-    """Restrict a claim to the leaves below `nid` (values unchanged)."""
-    return {leaf: xi[leaf] for leaf in tree.leaves_below(nid)}
+    return MarketTree(int(spec.get("dim", 1)), offsets, int(spec["depth"]))
 
 
 def validate_stopping_time(tree: MarketTree, members: Iterable[int]) -> tuple:
@@ -542,7 +482,7 @@ def validate_stopping_time(tree: MarketTree, members: Iterable[int]) -> tuple:
     """
     S = set(members)
     for nid in S:
-        if not (0 <= nid < len(tree.nodes)):
+        if nid not in tree.nodes:
             return False, f"unknown node id {nid}"
     n_nodes = len(tree.nodes)
     # smallest member strictly below each node (n_nodes when there is none)
@@ -557,7 +497,7 @@ def validate_stopping_time(tree: MarketTree, members: Iterable[int]) -> tuple:
             return False, f"{a} is an ancestor of {below[a]}"
     # members met on the path from the root, parents first
     hits = [0] * n_nodes
-    for nid in range(n_nodes):
+    for nid in tree.nodes:
         p = tree.parent(nid)
         hits[nid] = (0 if p is None else hits[p]) + (nid in S)
     for leaf in tree.leaves:
@@ -573,7 +513,7 @@ def stopping_time_below(tree: MarketTree, sigma: Iterable[int], tau: Iterable[in
     sig, ta = set(sigma), set(tau)
     met_sigma = bytearray(len(tree.nodes))
     late = bytearray(len(tree.nodes))
-    for nid in range(len(tree.nodes)):
+    for nid in tree.nodes:
         p = tree.parent(nid)
         if p is not None and (met_sigma[p] or late[p]):
             met_sigma[nid], late[nid] = met_sigma[p], late[p]

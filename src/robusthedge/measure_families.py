@@ -52,7 +52,7 @@ class TreeMeasure:
     def node_mass(self, tree: MarketTree, start: Optional[int] = None) -> dict:
         """Probability of reaching each node from `start` (default: root)."""
         start = tree.root if start is None else start
-        mass = {n: 0 for n in range(len(tree.nodes))}
+        mass = dict.fromkeys(tree.nodes, 0)
         mass[start] = 1
         for nid in tree.subtree_nodes(start):
             m = mass[nid]
@@ -412,7 +412,7 @@ def alive_nodes(tree: MarketTree, fam: FamilySpec, xi: Mapping) -> bytearray:
     children.  These are the nodes where the DP value is finite, found
     without the DP."""
     alive = bytearray(len(tree.nodes))
-    alive[tree.levels[-1].start :] = bytes(v != NEG_INF for v in map(xi.get, tree.leaves))
+    alive[tree.leaves.start :] = bytes(v != NEG_INF for v in map(xi.get, tree.leaves))
     for n in reversed(tree.internal_nodes):
         alive[n] = bool(chargeable_children(tree, n, fam, alive))
     return alive
@@ -444,9 +444,9 @@ def polar_paths(tree: MarketTree, fam: FamilySpec, xi: Optional[Mapping] = None)
             charge = () if flags[n] else chargeable_children(tree, n, fam, alive)
             for c in tree.children(n):
                 flags[c] = c not in charge
-        gone = np.frombuffer(flags, dtype=bool)[tree.levels[-1].start :]
+        gone = np.frombuffer(flags, dtype=bool)[tree.leaves.start :]
     if xi is not None:
-        claim = node_array(xi, tree.levels[-1])
+        claim = node_array(xi, tree.leaves)
         if claim is None:
             claim = np.fromiter(map(xi.get, tree.leaves), dtype=object, count=len(tree.leaves))
         gone = gone | (claim == NEG_INF)

@@ -36,6 +36,7 @@ from .measure_families import (
     Kernel,
     MeasureError,
     TreeMeasure,
+    alive_nodes,
     bifurcate,
     in_family,
     one_step_rows,
@@ -278,7 +279,8 @@ def global_sup_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: Optiona
     """sup of E[xi] over the family below `start` plus an optimal measure.
 
     Returns (value, TreeMeasure); (-inf, None) when no family measure avoids
-    the -inf leaves.  Exact mode solves in rationals; float mode uses HiGHS.
+    the -inf leaves.  Exact mode solves in rationals; float mode uses HiGHS
+    and raises MeasureError on an "infeasible" that `alive_nodes` refutes.
     """
     start = tree.root if start is None else start
     n_leaves = len(tree._ranges_below(start)[-1])
@@ -300,6 +302,8 @@ def global_sup_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: Optiona
     A_eq, b_eq = [[1] * len(leaves), *dense(eq)], [1] + [0] * len(eq)
     res = simplex.solve(c_obj, A_eq, b_eq, dense(ub), [0] * len(ub), exact=exact)
     if res.status == "infeasible":
+        if not exact and alive_nodes(tree, fam, xi)[start]:
+            raise MeasureError(f"float path LP infeasible, but a family measure below node {start} avoids the -inf leaves")
         return NEG_INF, None
     if res.status != "optimal":  # pragma: no cover
         raise MeasureError(f"path LP status {res.status}")

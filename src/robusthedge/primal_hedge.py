@@ -61,7 +61,7 @@ def extract_strategy(tree: MarketTree, Y: ValueField, fam: FamilySpec) -> Strate
         raise HedgeError("Y is not the DP value field of this tree and family")
     if Y[tree.root] == NEG_INF:
         raise HedgeError("family is empty below the root: no hedge is defined")
-    internal = range(tree.levels[-1].start)  # ids from 0, so each id is its index
+    internal = tree.internal_nodes  # ids from 0, so each id is its index
     ys = node_array(Y, Y.ids)
     if ys is not None:
         flagged = np.flatnonzero(ys[: len(internal)] == NEG_INF).tolist()
@@ -111,7 +111,7 @@ def verify_superhedge(tree: MarketTree, X0, H: Strategy, xi: Mapping, fam: Famil
     import numpy as np
 
     polar = polar_paths(tree, fam, xi)
-    internal, leaves = range(tree.levels[-1].start), tree.levels[-1]
+    internal, leaves = tree.internal_nodes, tree.leaves
     columns = [node_array(c, internal) for c in H.h.columns] if isinstance(H.h, NodeVectors) else [None]
     spots = [tree.spot_array(j) for j in range(tree.dim)]
     if len(columns) == tree.dim and all(c is not None for c in columns):
@@ -230,8 +230,8 @@ def doob_meyer(tree: MarketTree, Y: Mapping, H: Strategy, P: TreeMeasure, tol: f
     """
     mass = P.node_mass(tree)
     K = {tree.root: 0}
-    for nid in tree.subtree_nodes(tree.root):
-        if tree.is_leaf(nid) or mass[nid] == 0:
+    for nid in tree.internal_nodes:
+        if mass[nid] == 0:
             continue
         if Y[nid] == NEG_INF:
             raise HedgeError(f"charged node {nid} has value -inf")

@@ -36,6 +36,11 @@ def fair_measure(tree):
     return TreeMeasure(kernels)
 
 
+def all_paths(tree):
+    """Every root-to-leaf path as its list of node ids, in leaf order."""
+    return [tree.path_to(leaf) for leaf in tree.leaves]
+
+
 def seeded(i=0):
     return random.Random(20260823 + i)
 
@@ -52,7 +57,7 @@ def per_node_field(tree, xi, fam):
     """The reference for the level pass: the value field from one
     `one_step_sup` per internal node, in descending ids, kept in dicts."""
     Y = DictField()
-    for nid in reversed(range(len(tree.nodes))):
+    for nid in reversed(tree.nodes):
         if tree.is_leaf(nid):
             Y[nid] = xi[nid]
         else:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -334,6 +337,47 @@ def test_malformed_config_is_reported(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--config", str(path), "--out", str(tmp_path)])
     assert "line" in str(exc.value)
+
+
+def with_field(section, **fields):
+    return dict(BASE_CONFIG, **{section: dict(BASE_CONFIG[section], **fields)})
+
+
+BAD_CONFIGS = [
+    (with_field("tree", generator={"kind": "pentanomial"}), "unknown generator kind 'pentanomial'"),
+    (with_field("tree", depth=0), "depth must be >= 1"),
+    (with_field("claim", kind="put"), "unknown claim kind 'put'"),
+    (with_field("family", **{"class": "mart"}), "unknown family class 'mart'"),
+]
+
+
+@pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["float", "exact"])
+@pytest.mark.parametrize("command", ["solve", "hedge"])
+@pytest.mark.parametrize("doc,message", BAD_CONFIGS, ids=["generator", "depth", "claim", "family"])
+def test_rejected_config_ends_with_one_config_line(tmp_path, doc, message, command, exact):
+    cfg = write_config(tmp_path, doc)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *exact])
+    assert exc.value.code == f"config {cfg}: {message}"
+
+
+def test_missing_config_file_ends_with_one_config_line(tmp_path):
+    cfg = tmp_path / "absent.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["hedge", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == f"config {cfg}: No such file or directory"
+
+
+def test_rejected_config_exits_1_with_one_stderr_line(tmp_path):
+    """Through the interpreter: no traceback, exit status 1."""
+    cfg = write_config(tmp_path, BAD_CONFIGS[0][0])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "robusthedge.cli", "hedge", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [f"config {cfg}: {BAD_CONFIGS[0][1]}"]
 
 
 # -- reports against docs/schemas ------------------------------------------

@@ -1,8 +1,10 @@
 import copy
 import pickle
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import Optional
 
 import numpy as np
 
@@ -12,16 +14,14 @@ from hypothesis import given, strategies as st
 from robusthedge import market_tree
 from robusthedge.claims import make_claim
 from robusthedge.cli import _exact_tree_spec
-from robusthedge.dual_dp import backward_value
+from robusthedge.dual_dp import LEVEL_BATCH_MIN, backward_value
 from robusthedge.market_tree import (
     NEG_INF,
-    Node,
     NodeValues,
     NodeVectors,
     TreeError,
     _offsets_from_generator,
     build_tree,
-    shift_claim,
     stopping_time_below,
     validate_stopping_time,
 )
@@ -42,7 +42,7 @@ def test_trinomial_depth2_shape(trinomial2):
     assert len(trinomial2.nodes) == 13  # 1 + 3 + 9
     for t in range(3):
         assert len(trinomial2.nodes_at(t)) == 3**t
-    assert all(trinomial2.node(leaf).t == 2 for leaf in trinomial2.leaves)
+    assert all(trinomial2.time(leaf) == 2 for leaf in trinomial2.leaves)
 
 
 def test_explicit_positive_children_tree_is_valid():
@@ -86,15 +86,14 @@ def test_build_tree_id_invariant(spec, k):
     """Breadth-first ids: children consecutive and after their parent."""
     tree = build_tree(spec)
     assert len(tree.nodes) == sum(k**t for t in range(spec["depth"] + 1))
-    for node in tree.nodes:
-        assert tree.node(node.id) is node
-        kids = node.children
+    for nid in tree.nodes:
+        kids = tree.children(nid)
         if not kids:
-            assert node.t == spec["depth"]
+            assert tree.time(nid) == spec["depth"]
             continue
         assert list(kids) == list(range(kids[0], kids[0] + k))
-        assert kids[0] > node.id
-        assert all(tree.parent(c) == node.id and tree.node(c).t == node.t + 1 for c in kids)
+        assert kids[0] > nid
+        assert all(tree.parent(c) == nid and tree.time(c) == tree.time(nid) + 1 for c in kids)
     assert tree.subtree_nodes(tree.root) == list(range(len(tree.nodes)))
 
 
@@ -106,21 +105,6 @@ def test_tree_pickle_round_trip(spec, k):
     assert clone == tree
     assert (clone.leaves, clone.internal_nodes, clone.depth) == cached
     assert pickle.loads(pickle.dumps(build_tree(spec))) == tree  # before caching
-
-
-def test_shift_claim_root_and_leaf(trinomial2):
-    xi = {leaf: abs(trinomial2.spot1(leaf)) for leaf in trinomial2.leaves}
-    assert shift_claim(trinomial2, xi, trinomial2.root) == xi
-    leaf = trinomial2.leaves[0]
-    assert shift_claim(trinomial2, xi, leaf) == {leaf: xi[leaf]}
-
-
-def test_shift_claim_mid_node(trinomial2):
-    xi = {leaf: abs(trinomial2.spot1(leaf)) for leaf in trinomial2.leaves}
-    mid = trinomial2.children(trinomial2.root)[0]
-    piece = shift_claim(trinomial2, xi, mid)
-    assert set(piece) == set(trinomial2.leaves_below(mid))
-    assert all(piece[leaf] == abs(trinomial2.spot1(leaf)) for leaf in piece)
 
 
 def test_stopping_time_validation(trinomial2):
@@ -153,6 +137,17 @@ def test_random_stopping_times_are_valid(seed):
 
 
 # -- the per-node builder the array-backed tree replaced ----------------------
+
+
+@dataclass(frozen=True)
+class Node:
+    """One node of the reference builder, as a value."""
+
+    id: int
+    t: int
+    x: tuple
+    parent: Optional[int]
+    children: tuple
 
 
 def naive_build_tree(spec):
@@ -213,21 +208,21 @@ def random_tree_specs(n):
 
 def assert_matches_reference(tree, spec):
     nodes, levels, leaves, internal = naive_build_tree(spec)
-    assert len(tree.nodes) == len(nodes)
-    # repr: ids, times, spots (values and types), parents and children
-    assert repr(list(tree.nodes)) == repr(nodes)
+    assert tree.nodes == range(len(nodes))
+    # repr: spot values and types
     for ref in nodes:
         i = ref.id
-        assert tree.node(i) is tree.nodes[i]
         assert repr(tree.spot(i)) == repr(ref.x) and repr(tree.spot1(i)) == repr(ref.x[0])
-        assert (tree.time(i), tree.parent(i), tree.children(i)) == (ref.t, ref.parent, ref.children)
+        assert (tree.time(i), tree.parent(i), tuple(tree.children(i))) == (ref.t, ref.parent, ref.children)
         assert tree.is_leaf(i) == (not ref.children)
     assert repr(tree.levels) == repr(levels)
-    assert repr(tree.leaves) == repr(leaves)
-    assert repr(tree.internal_nodes) == repr(internal)
+    assert tuple(tree.leaves) == leaves
+    assert tuple(tree.internal_nodes) == internal
     assert tree.depth == len(levels) - 1
     for t in range(-1, len(levels) + 1):
-        assert tree.nodes_at(t) == tuple(n.id for n in nodes if n.t == t)
+        assert tuple(tree.nodes_at(t)) == tuple(n.id for n in nodes if n.t == t)
+    id_sets = (tree.nodes, tree.leaves, tree.internal_nodes, tree.nodes_at(0), tree.nodes_at(-1))
+    assert all(type(ids) is range for ids in id_sets + tuple(map(tree.children, tree.nodes)))
 
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS + random_tree_specs(50))
@@ -271,27 +266,66 @@ def test_spot_array_matches_coordinate_lists(spec):
             assert all(a is x for a, x in zip(arr.tolist(), xs))
 
 
-def test_deep_path_builds_no_node(monkeypatch):
-    """Build, claim, DP, hedge and verification read the coordinate lists
-    and spot arrays:
-    none of them builds a Node, and len(tree.nodes) does not either."""
+# float, int, mixed int and float, and Fraction spots, in d = 1 and d = 2
+ON_DEMAND_SPECS = [
+    {"dim": 1, "depth": 5, "generator": {"kind": "trinomial", "step": 0.1}},
+    {"dim": 1, "depth": 4, "generator": {"kind": "binomial"}},
+    explicit_spec(1, 4, [-1, 0.5, 2, -0.3]),
+    explicit_spec(2, 3, D2_OFFSETS),
+    _exact_tree_spec({"dim": 1, "depth": 4, "generator": {"kind": "trinomial", "step": 0.1}}),
+    _exact_tree_spec(explicit_spec(2, 3, D2_OFFSETS)),
+]
 
-    def no_node(*args):
-        raise AssertionError("a Node was built")
 
-    monkeypatch.setattr(market_tree, "Node", no_node)
-    # level 5 has 243 nodes, so the DP solves it in one array pass
-    tree = build_tree({"dim": 1, "depth": 6, "generator": {"kind": "trinomial", "step": 0.1}})
-    assert len(tree.nodes) == 1093
+def read_orders(tree):
+    """Orders in which to read every spot: deepest leaf first, then the
+    root; root first; a middle level first; one leaf's step first."""
+    ids = list(tree.nodes)
+    mid = list(tree.levels[len(tree.levels) // 2])
+    leaf = tree.leaves[-1]
+    yield "deepest-first", ids[::-1], None
+    yield "root-first", ids, None
+    yield "middle-first", mid + ids, None
+    yield "step-first", ids, (tree.parent(leaf), leaf)
+
+
+@pytest.mark.parametrize("spec", ON_DEMAND_SPECS)
+def test_spots_on_demand_match_reference_in_any_read_order(spec):
+    """However the spot lists are grown, each spot is `repr`-equal to the
+    per-node builder's: the same additions, in the same order."""
+    nodes = naive_build_tree(spec)[0]
+    orders = list(read_orders(build_tree(spec)))
+    for order, ids, edge in orders:
+        tree = build_tree(spec)
+        if edge is not None:
+            n, c = edge
+            assert repr(tree.step(n, c)) == repr(tuple(a - b for a, b in zip(nodes[c].x, nodes[n].x))), order
+        for i in ids:
+            assert repr(tree.spot(i)) == repr(nodes[i].x), (order, i)
+            assert repr(tree.spot1(i)) == repr(nodes[i].x[0]), (order, i)
+        assert repr(tree.coords) == repr(tuple(list(xs) for xs in zip(*(n.x for n in nodes)))), order
+    # the full lists first, then the reads
+    tree = build_tree(spec)
+    tree.coords
+    assert all(repr(tree.spot(n.id)) == repr(n.x) for n in nodes)
+
+
+def test_deep_path_grows_only_the_narrow_spot_levels():
+    """Claim, DP, hedge and verification on a float tree read the spot
+    arrays, built from the offsets; only the DP's per-node levels (fewer than
+    LEVEL_BATCH_MIN nodes) read spots from the lists, so these are not grown
+    past the first level of LEVEL_BATCH_MIN or more nodes, and the full
+    lists are never built."""
+    tree = build_tree({"dim": 1, "depth": 8, "generator": {"kind": "trinomial", "step": 0.5}})
+    first_wide = next(level for level in tree.levels if len(level) >= LEVEL_BATCH_MIN)
     fam = FamilySpec(cls=MARTINGALE)
     for kind in ("lookback", "asian"):
         xi = make_claim(tree, {"kind": kind, "strike": 0.1})
         Y = backward_value(tree, xi, fam)
         rep = verify_superhedge(tree, Y[tree.root], extract_strategy(tree, Y, fam), xi, fam)
         assert rep.ok and rep.polar == polar_paths(tree, fam) == []
-    assert "_node_tuple" not in vars(tree)
-    monkeypatch.undo()
-    assert tree.nodes[5] is tree.node(5) and "_node_tuple" in vars(tree)
+    assert 1 < len(tree._xs[0]) <= first_wide.stop
+    assert "coords" not in vars(tree)
 
 
 # -- id-indexed values -------------------------------------------------------

@@ -26,7 +26,7 @@ from robusthedge.oracle_lp import ORACLE_MAX_LEAVES, OracleScaleError, global_su
 from robusthedge.random_instances import random_claim, random_family, random_tree
 from robusthedge.simplex import RAT, rat
 
-from conftest import seeded
+from conftest import all_paths, seeded
 
 MART = FamilySpec(cls=MARTINGALE)
 
@@ -50,13 +50,13 @@ def unit_strategy(tree):
 
 def test_wealth_zero_strategy_is_constant(trinomial2):
     H = zero_strategy(trinomial2)
-    for path in trinomial2.paths():
+    for path in all_paths(trinomial2):
         assert wealth(trinomial2, 3.5, H, path) == 3.5
 
 
 def test_wealth_unit_strategy_telescopes(trinomial2):
     H = unit_strategy(trinomial2)
-    for path in trinomial2.paths():
+    for path in all_paths(trinomial2):
         assert wealth(trinomial2, 0.0, H, path) == trinomial2.spot1(path[-1])
 
 

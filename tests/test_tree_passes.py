@@ -24,7 +24,6 @@ from robusthedge.dual_dp import backward_value, one_step_sup
 from robusthedge.market_tree import (
     NEG_INF,
     build_tree,
-    shift_claim,
     stopping_time_below,
     validate_stopping_time,
 )
@@ -58,7 +57,7 @@ from robusthedge.random_instances import (
 )
 from robusthedge.simplex import RAT, rat
 
-from conftest import in_id_order, per_node_field, seeded
+from conftest import all_paths, in_id_order, per_node_field, seeded
 
 # -- per-path oracles -------------------------------------------------------
 
@@ -95,7 +94,7 @@ def reference_path_lp(tree, xi, fam, start):
     in leaf space, with one `below` set per internal node and the child on
     every (node, leaf) path.  -inf leaves are dropped (their probability is
     forced to zero)."""
-    xi = shift_claim(tree, xi, start) if start != tree.root else dict(xi)
+    xi = {leaf: xi[leaf] for leaf in tree.leaves_below(start)}
     all_leaves = tree.leaves_below(start)
     leaves = [l for l in all_leaves if xi.get(l, 0) != NEG_INF]
     d = tree.dim
@@ -231,7 +230,7 @@ def reference_primal_lp_paths(tree, xi, fam, exact):
     every edge below a hedge node.  An unbounded LP (no family measure
     avoids the -inf leaves) gives -inf."""
     polar_leaves = {p[-1] for p in naive_polar_paths(tree, fam, xi, lp=False)}
-    paths = [p for p in tree.paths() if p[-1] not in polar_leaves and xi[p[-1]] != NEG_INF]
+    paths = [p for p in all_paths(tree) if p[-1] not in polar_leaves and xi[p[-1]] != NEG_INF]
     if not paths:
         return NEG_INF, Strategy(
             h={n: tuple([0.0] * tree.dim) for n in tree.internal_nodes},
@@ -323,7 +322,7 @@ def naive_polar_paths(tree, fam, xi=None, lp=True):
     else:
         charge = {n: naive_chargeable(tree, n, fam) for n in tree.internal_nodes}
     polar = []
-    for path in tree.paths():
+    for path in all_paths(tree):
         if any(path[i + 1] not in charge[path[i]] for i in range(len(path) - 1)):
             polar.append(path)
         elif xi is not None and xi.get(path[-1]) == NEG_INF:
@@ -398,7 +397,7 @@ def naive_validate_stopping_time(tree, members):
         for b in sorted(S):
             if a != b and is_ancestor(tree, a, b):
                 return False, f"{a} is an ancestor of {b}"
-    for path in tree.paths():
+    for path in all_paths(tree):
         hits = [n for n in path if n in S]
         if len(hits) != 1:
             return False, f"path to leaf {path[-1]} meets the set {len(hits)} times"
@@ -407,7 +406,7 @@ def naive_validate_stopping_time(tree, members):
 
 def naive_stopping_time_below(tree, sigma, tau):
     sig, ta = set(sigma), set(tau)
-    for path in tree.paths():
+    for path in all_paths(tree):
         i_s = next(i for i, n in enumerate(path) if n in sig)
         i_t = next(i for i, n in enumerate(path) if n in ta)
         if i_s > i_t:
@@ -589,7 +588,7 @@ def test_martingale_dead_flags_charge_alive_children_only():
             continue
         finite = dp_finite_nodes(tree, xi, fam)
         charge = {n: naive_chargeable(tree, n, fam, finite) for n in tree.internal_nodes}
-        want = [any(p[i + 1] not in charge[p[i]] for i in range(len(p) - 1)) for p in tree.paths()]
+        want = [any(p[i + 1] not in charge[p[i]] for i in range(len(p) - 1)) for p in all_paths(tree)]
         assert _martingale_dead_leaves_1d(tree, alive_nodes(tree, fam, xi)).tolist() == want
         cases += 1
     assert cases >= 20
@@ -620,14 +619,14 @@ def test_verify_slacks_equal_pathwise_wealth(label, tree, xi, fam, lp):
             assert rep.polar == polar
             expected = {
                 p[-1]: wealth(tree, X0, H, p) - xi[p[-1]]
-                for p in tree.paths()
+                for p in all_paths(tree)
                 if p[-1] not in polar_leaves and xi[p[-1]] != NEG_INF
             }
             assert repr(rep.slacks) == repr(expected)  # bitwise, types and leaf order
             assert rep.min_slack == (min(expected.values()) if expected else None)
             assert repr(rep.min_slack) == repr(min(expected.values()) if expected else None)
             assert rep.violations == [
-                p for p in tree.paths() if p[-1] in expected and expected[p[-1]] < -1e-9
+                p for p in all_paths(tree) if p[-1] in expected and expected[p[-1]] < -1e-9
             ]
             assert rep.ok == (not rep.violations)
 
@@ -656,7 +655,7 @@ def test_signed_zero_slacks_match_pathwise_wealth(name):
             polar_leaves = {p[-1] for p in naive_polar_paths(tree, fam, xi)}
             expected = {
                 p[-1]: wealth(tree, X0, H, p) - xi[p[-1]]
-                for p in tree.paths()
+                for p in all_paths(tree)
                 if p[-1] not in polar_leaves
             }
             assert repr(rep.slacks) == repr(expected)
@@ -713,7 +712,7 @@ def test_depth8_container_path_equals_per_node_dicts(claim):
     assert (len(polar_leaves) > 300) == (claim == "table-neg-inf")
     ref_H = Strategy(h=h, flagged=flagged)
     expected = {
-        p[-1]: wealth(tree, X0, ref_H, p) - ref_xi[p[-1]] for p in tree.paths() if p[-1] not in polar_leaves
+        p[-1]: wealth(tree, X0, ref_H, p) - ref_xi[p[-1]] for p in all_paths(tree) if p[-1] not in polar_leaves
     }
     assert repr(rep.slacks) == repr(expected)
     assert repr(rep.min_slack) == repr(min(expected.values()))
@@ -759,8 +758,8 @@ def test_subtree_nodes_match_naive_bfs(label, tree, xi, fam):
 def test_levels_match_per_node_scan(label, tree, xi, fam):
     assert len(tree.levels) == tree.depth + 1
     for t in range(-1, tree.depth + 2):
-        want = tuple(n.id for n in tree.nodes if n.t == t)
-        assert tree.nodes_at(t) == want
+        want = tuple(n for n in tree.nodes if len(tree.path_to(n)) == t + 1)
+        assert tuple(tree.nodes_at(t)) == want
         if 0 <= t <= tree.depth:
             assert tuple(tree.levels[t]) == want
 
@@ -926,8 +925,8 @@ def spots_past_2_52(tree):
     return max(abs(x) for xs in tree.coords for x in xs) >= 2**52
 
 
-# HiGHS reports the primal LP infeasible (and the leaf-law LP too, which
-# then reads -inf) on the trees whose spots pass 2**52
+# HiGHS reports the primal LP infeasible (and the leaf-law LP too, where the
+# float oracle raises) on the trees whose spots pass 2**52
 FLOAT_LP_FAILS = pytest.mark.xfail(raises=HedgeError, strict=True, reason="float LPs on spots past 2**52")
 # every case in float mode; in exact mode those of exact claims on the
 # small trees, where the exact primal LPs take milliseconds
@@ -960,6 +959,20 @@ def test_primal_value_equals_the_dp_and_the_references(label, tree, xi, fam, exa
     assert H.flagged == {n for n in tree.internal_nodes if Y[n] == NEG_INF}
     zero = tuple([0.0] * tree.dim)
     assert all(H.h[n] == zero for n in H.flagged)
+
+
+@pytest.mark.parametrize("name", ["rounding", "rounding-symmetric", "large-int"])
+def test_float_oracle_raises_where_highs_fails_on_a_finite_value(name):
+    """HiGHS reports the leaf-law LP infeasible on spots past 2**52 while the
+    DP and the exact LP are finite: the float oracle raises rather than
+    report -inf."""
+    tree = build_tree(WIDE_TREES[name])
+    xi = make_claim(tree, {"kind": "lookback", "strike": 0.5})
+    fam = FamilySpec(cls=MARTINGALE)
+    assert backward_value(tree, xi, fam)[tree.root] != NEG_INF
+    assert oracle_lp.global_sup_lp(tree, xi, fam, exact=True)[0] != NEG_INF
+    with pytest.raises(MeasureError, match="float path LP infeasible"):
+        oracle_lp.global_sup_lp(tree, xi, fam, exact=False)
 
 
 # MARTINGALE cases with no -inf and no polar leaf, where the path LP has a
