@@ -9,9 +9,11 @@ and verification check passes.  When an oracle scale limit refuses one of
 `solve`'s LP cross-checks (the oracle, or the primal LP), `solve` skips it,
 warns with the limit's message and says so in its report.  When a limit
 refuses a step that `solve` or `hedge` cannot skip (the vertex enumeration
-behind a polar set past ORACLE_MAX_CHILDREN children), the run prints one
-`error: <message>` line to stderr and exits 2.  A config that cannot be
-read or that the builders reject ends with one `config ...` line, exit 1.
+behind a polar set past ORACLE_MAX_CHILDREN children), or one of `solve`'s
+float LPs fails, the run prints one `error: <message>` line to stderr and
+exits 2.  A config that cannot be read or that the builders reject ends
+with one `config ...` line, exit 1.  `--exact` reads a config's numbers as
+the decimals they spell (0.1 is 1/10), not as doubles.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .market_tree import NEG_INF, TreeError, build_tree
 from .measure_families import MeasureError, family_from_doc, polar_paths
 from .oracle_lp import OracleScaleError, global_sup_lp
 from .primal_hedge import extract_strategy, primal_lp, verify_superhedge
-from .simplex import rat
+from .simplex import RAT
 from . import suites as suites_mod
 
 SCHEMA_VERSION = 1
@@ -41,10 +43,10 @@ GAP_TOL = 1e-9
 DEFAULT_SEED = 0
 
 
-def _load_config(path):
+def _load_config(path, exact):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=RAT if exact else None)
     except json.JSONDecodeError as exc:
         raise SystemExit(f"config parse error in {path}: line {exc.lineno}, {exc.msg}")
     except OSError as exc:
@@ -57,22 +59,6 @@ def _require(cfg, field, path):
     return cfg[field]
 
 
-def _exact_tree_spec(spec):
-    """A copy of the tree spec whose generator numbers (`up`, `step`, and
-    `offsets`, scalar or vector) are exact rationals, so that every spot of
-    an exact run is rational."""
-    gen = dict(spec["generator"])
-    for key in ("up", "step"):
-        if key in gen:
-            gen[key] = rat(gen[key])
-    if gen.get("offsets"):
-        gen["offsets"] = [
-            [rat(v) for v in off] if isinstance(off, (list, tuple)) else rat(off)
-            for off in gen["offsets"]
-        ]
-    return dict(spec, generator=gen)
-
-
 def _instance_from_config(cfg, path, exact, timings=None):
     """(tree, claim, family) of a config; `timings`, when given, receives
     the seconds of the "tree" and "claim" stages.  A spec the builders
@@ -80,8 +66,7 @@ def _instance_from_config(cfg, path, exact, timings=None):
     timings = {} if timings is None else timings
     try:
         t = time.perf_counter()
-        tree_spec = _require(cfg, "tree", path)
-        tree = build_tree(_exact_tree_spec(tree_spec) if exact else tree_spec)
+        tree = build_tree(_require(cfg, "tree", path))
         timings["tree"] = time.perf_counter() - t
         t = time.perf_counter()
         xi = make_claim(tree, _require(cfg, "claim", path), exact=exact)
@@ -89,8 +74,6 @@ def _instance_from_config(cfg, path, exact, timings=None):
         fam = family_from_doc(_require(cfg, "family", path), claim=xi)
     except (TreeError, ClaimError, MeasureError) as exc:
         raise SystemExit(f"config {path}: {exc}")
-    if exact and fam.var_lo is not None:
-        fam = type(fam)(cls=fam.cls, var_lo=rat(fam.var_lo), var_hi=rat(fam.var_hi), claim=fam.claim)
     return tree, xi, fam
 
 
@@ -386,7 +369,8 @@ def main(argv=None):
             p.add_argument(flag, **FLAG_OPTIONS[flag])
     args = parser.parse_args(argv)
 
-    cfg = _load_config(args.config) if args.config else {}
+    exact = getattr(args, "exact", False)  # counterexample and proptest have no --exact
+    cfg = _load_config(args.config, exact) if args.config else {}
     if args.command in ("solve", "hedge") and not args.config:
         raise SystemExit(f"{args.command} requires --config")
     out = args.out
@@ -395,13 +379,13 @@ def main(argv=None):
     if args.command in ("solve", "hedge"):
         run = run_solve if args.command == "solve" else run_hedge
         try:
-            return run(cfg, args.config, out, args.exact)
-        except OracleScaleError as exc:
-            # a step the run cannot skip hit an oracle scale limit
+            return run(cfg, args.config, out, exact)
+        except MeasureError as exc:
+            # a scale limit or a failed float LP in a step the run cannot skip
             print(f"error: {exc}", file=sys.stderr)
             return 2
     if args.command == "oracle":
-        return run_oracle(cfg, out, args.exact, args.seed, max(1, args.threads))
+        return run_oracle(cfg, out, exact, args.seed, max(1, args.threads))
     if args.command == "counterexample":
         return run_counterexample(cfg, out)
     return run_proptest(cfg, out, args.seed)

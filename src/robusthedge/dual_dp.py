@@ -8,6 +8,12 @@ cross-check independently.
 -inf is handled symbolically: a kernel may never put mass on a -inf child,
 and a node is worth -inf exactly when no family kernel avoids all of them.
 
+The claim sets the numeric mode, once per `backward_value` call: exact iff
+no finite claim value is a float.  `ValueField.exact` records it and every
+`one_step_sup` takes it.  Exact mode reads float spots and variance bounds
+by their exact binary value, as `one_step_rows` and the exact LPs do, so it
+equals both LPs with no gap; float mode gives floats, leaves included.
+
 `backward_value` walks the tree level by level from the leaves up (the
 breadth-first ids make each level, and the children of each level, one
 contiguous block).  The value field is a `NodeValues` over every node id and
@@ -15,8 +21,8 @@ its hedge a `NodeVectors` of d columns over the internal ids, each written
 one level slice at a time.  A level of a MARTINGALE family (claim-restricted
 or not) on a d = 1 tree is solved by numpy array passes over its (n x k)
 block of child values and spot steps when it has at least LEVEL_BATCH_MIN
-nodes, the tree's spot array (`MarketTree.spot_array`) is float64 and every
-leaf value is a float.  Those are checked once per call, not per level: the
+nodes, the tree's spot array (`MarketTree.spot_array`) is float64 and the
+claim is in float mode.  Those are checked once per call, not per level: the
 leaf values come as a float64 array (the claim's own, from `make_claim`, or
 read once), and each batched level hands its value array straight to the
 level above.  The field and hedge columns keep those arrays next to their
@@ -81,10 +87,6 @@ class OneStepSolution:
     h: tuple
 
 
-def _is_exact(values) -> bool:
-    return not any(isinstance(v, float) and v != NEG_INF for v in values)
-
-
 def _children_values(tree, nid, child_values) -> dict:
     """{child: value} over nid's children, each read once from
     `child_values` (a value field reads through a Python method)."""
@@ -94,14 +96,16 @@ def _children_values(tree, nid, child_values) -> dict:
         raise MeasureError(f"missing child value for node {exc.args[0]}") from None
 
 
-def _as_mode(x, exact):
-    if exact or x == NEG_INF:
-        return x
-    return float(x)
-
-
 def _infeasible(d):
     return OneStepSolution(NEG_INF, None, tuple([0.0] * d))
+
+
+def _solution(nid, value, probs, h, exact) -> OneStepSolution:
+    """A one-step solution in the claim's mode: floats in float mode."""
+    if not exact:
+        value, h = float(value), tuple(map(float, h))
+        probs = {c: float(p) for c, p in probs.items()}
+    return OneStepSolution(value, Kernel(nid, probs), h)
 
 
 def _h_interval_midpoint(deltas, values, value, chargeable):
@@ -126,28 +130,23 @@ def _h_interval_midpoint(deltas, values, value, chargeable):
     return 0
 
 
-def one_step_sup(tree: MarketTree, nid: int, child_values: Mapping, fam: FamilySpec) -> OneStepSolution:
+def one_step_sup(tree: MarketTree, nid: int, child_values: Mapping, fam: FamilySpec, *, exact: bool) -> OneStepSolution:
     """Maximize the expected child value over family kernels at `nid`.
 
     Mass is forced to zero on -inf children.  The returned h is a dual
     multiplier: value + h.(x_c - x_n) >= V_c at every chargeable child
-    (plus variance-dual terms for VAR_BOUNDED).
+    (plus variance-dual terms for VAR_BOUNDED).  `exact` is the claim's
+    numeric mode (see the module docstring).
     """
     d = tree.dim
     child_values = _children_values(tree, nid, child_values)
     fin = [c for c, v in child_values.items() if v != NEG_INF]
-    exact = _is_exact([child_values[c] for c in fin]) and _is_exact(
-        [v for c in fin for v in tree.spot(c)]
-    )
     if not fin:
         return _infeasible(d)
 
     if fam.cls == ALL:
         best = max(fin, key=lambda c: (child_values[c], -c))
-        value = child_values[best]
-        h = tuple([0] * d) if exact else tuple([0.0] * d)
-        kernel = Kernel(nid, {best: 1 if exact else 1.0})
-        return OneStepSolution(_as_mode(value, exact), kernel, h)
+        return _solution(nid, child_values[best], {best: 1}, (0,) * d, exact)
 
     if fam.cls == MARTINGALE and d == 1:
         xn = tree.spot1(nid)
@@ -183,11 +182,7 @@ def one_step_sup(tree: MarketTree, nid: int, child_values: Mapping, fam: FamilyS
             probs = {a: db / (db - da), b: -da / (db - da)}
         chargeable = martingale_chargeable_1d(deltas)
         h1 = _h_interval_midpoint(deltas, child_values, value, chargeable)
-        if not exact:
-            value = float(value)
-            h1 = float(h1)
-            probs = {c: float(p) for c, p in probs.items()}
-        return OneStepSolution(value, Kernel(nid, probs), (h1,))
+        return _solution(nid, value, probs, (h1,), exact)
 
     return _one_step_lp(tree, nid, child_values, fam, fin, exact)
 
@@ -201,14 +196,8 @@ def _one_step_lp(tree, nid, child_values, fam, fin, exact):
         return _infeasible(d)
     if res.status != "optimal":  # pragma: no cover
         raise MeasureError(f"one-step LP ended with status {res.status}")
-    value = res.value
     probs = {c: p for c, p in zip(fin, res.x) if p > 0}
-    h = tuple(res.y_eq[1 + k] for k in range(d))
-    if not exact:
-        value = float(value)
-        probs = {c: float(p) for c, p in probs.items()}
-        h = tuple(float(v) for v in h)
-    return OneStepSolution(value, Kernel(nid, probs), h)
+    return _solution(nid, res.value, probs, tuple(res.y_eq[1 : 1 + d]), exact)
 
 
 class ValueField(NodeValues):
@@ -216,29 +205,32 @@ class ValueField(NodeValues):
     by `backward_value`.
 
     `hedge` maps each internal node to the multiplier h of its one-step
-    solve, a d-tuple stored as d columns (`NodeVectors`); `tree` and `fam`
-    record what the field was built for.  Both start with every id empty.
+    solve, a d-tuple stored as d columns (`NodeVectors`); `tree`, `fam` and
+    `exact` record what the field was built for.  Both start with every id
+    empty.
     """
 
-    def __init__(self, tree: MarketTree, fam: FamilySpec):
+    def __init__(self, tree: MarketTree, fam: FamilySpec, exact: bool):
         super().__init__(tree.nodes)
-        self.tree, self.fam = tree, fam
+        self.tree, self.fam, self.exact = tree, fam, exact
         self.hedge = NodeVectors.empty(tree.internal_nodes, tree.dim)
 
 
 def backward_value(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> ValueField:
     """The dual value field: node id -> sup over the family below that node,
     with the one-step multipliers in `.hedge`.  Walks the levels from the
-    leaves up; see the module docstring for the levels solved by arrays."""
-    Y = ValueField(tree, fam)
+    leaves up; see the module docstring for the mode and the array levels."""
     leaves = tree.leaves
     # the values of the level below, as a float64 array while they are floats
     vals = node_array(xi, leaves)
     claim = list(xi.values()) if vals is not None else list(map(xi.__getitem__, leaves))
-    if vals is None and set(map(type, claim)) == {float}:
+    exact = vals is None and not any(isinstance(v, float) and v != NEG_INF for v in claim)
+    if vals is None and not exact:
         import numpy as np
 
-        vals = np.array(claim)
+        vals = np.array(claim, dtype=float)
+        claim = vals.tolist()
+    Y = ValueField(tree, fam, exact)
     Y.write(leaves, claim, vals)
     batch = (
         fam.cls == MARTINGALE
@@ -254,7 +246,7 @@ def backward_value(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> ValueField
         else:
             vals = None
             for nid in reversed(level):
-                sol = one_step_sup(tree, nid, Y, fam)
+                sol = one_step_sup(tree, nid, Y, fam, exact=exact)
                 Y[nid] = sol.value
                 Y.hedge[nid] = sol.h
     return Y
@@ -354,7 +346,7 @@ def optimizer_measure(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> Optiona
         return None
     kernels = {}
     for nid in tree.internal_nodes:
-        kernel = one_step_sup(tree, nid, Y, fam).kernel
+        kernel = one_step_sup(tree, nid, Y, fam, exact=Y.exact).kernel
         if kernel is not None:
             kernels[nid] = kernel
     return TreeMeasure(kernels)
@@ -406,7 +398,7 @@ def check_tower(tree: MarketTree, xi: Mapping, fam: FamilySpec, sigma, tau, tol:
             return Y[nid]
         if nid not in memo:
             child_vals = {c: val(c) for c in tree.children(nid)}
-            memo[nid] = one_step_sup(tree, nid, child_vals, fam).value
+            memo[nid] = one_step_sup(tree, nid, child_vals, fam, exact=Y.exact).value
         return memo[nid]
 
     for m in sigma:

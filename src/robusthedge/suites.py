@@ -325,7 +325,7 @@ def envelope_suite(seed: int, n: int = 1000) -> SuiteResult:
             {"dim": 1, "depth": 1, "generator": {"kind": "explicit", "offsets": offs}}
         )
         V = {leaf: rng.uniform(-2.0, 2.0) for leaf in tree.leaves}
-        sol = one_step_sup(tree, tree.root, V, fam)
+        sol = one_step_sup(tree, tree.root, V, fam, exact=False)
         env = upper_concave_envelope(
             [(tree.spot1(leaf), V[leaf]) for leaf in tree.leaves], 0.0
         )

@@ -1,9 +1,11 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from robusthedge.dual_dp import one_step_sup
-from robusthedge.market_tree import build_tree
+from robusthedge.market_tree import NEG_INF, build_tree
 from robusthedge.measure_families import Kernel, TreeMeasure
 
 
@@ -46,22 +48,35 @@ def seeded(i=0):
 
 
 class DictField(dict):
-    """A value field as a plain dict, with the multipliers in a dict `hedge`."""
+    """A value field as a plain dict, with the multipliers in a dict `hedge`
+    and the numeric mode in `exact`."""
 
-    def __init__(self):
+    def __init__(self, exact):
         super().__init__()
-        self.hedge = {}
+        self.hedge, self.exact = {}, exact
+
+
+def exact_spec(spec):
+    """`spec` as `--exact` reads it from a config: decimals become the
+    rationals they spell."""
+    return json.loads(json.dumps(spec), parse_float=Fraction)
+
+
+def claim_is_exact(xi):
+    """The numeric mode of a claim: exact iff no finite value is a float."""
+    return not any(isinstance(v, float) and v != NEG_INF for v in xi.values())
 
 
 def per_node_field(tree, xi, fam):
     """The reference for the level pass: the value field from one
     `one_step_sup` per internal node, in descending ids, kept in dicts."""
-    Y = DictField()
+    exact = claim_is_exact(xi)
+    Y = DictField(exact)
     for nid in reversed(tree.nodes):
         if tree.is_leaf(nid):
             Y[nid] = xi[nid]
         else:
-            sol = one_step_sup(tree, nid, Y, fam)
+            sol = one_step_sup(tree, nid, Y, fam, exact=exact)
             Y[nid] = sol.value
             Y.hedge[nid] = sol.h
     return Y

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -240,6 +241,68 @@ def test_exact_runs_keep_float_offsets_exact(tmp_path, offsets):
     assert min(slacks) == 0.0
     if doc["tree"]["dim"] == 2:
         assert report["dual_value"] == "3/8"
+
+
+# decimals that no double holds: --exact reads them as the rationals they
+# spell, so the values are 21/25 and 1/20, not the binary fractions of the
+# doubles nearest 0.2, 0.6, 0.1 and 0.05
+DECIMAL_CONFIGS = {
+    "var-bounded": dict(BASE_CONFIG, family={"class": "var_bounded", "var_lo": 0.2, "var_hi": 0.6, "claim_restricted": False}),
+    "call": dict(
+        BASE_CONFIG,
+        tree={"dim": 1, "depth": 3, "generator": {"kind": "trinomial", "step": 0.1}},
+        claim={"kind": "call", "strike": 0.05},
+    ),
+}
+DECIMAL_VALUES = {"var-bounded": "21/25", "call": "1/20"}
+# the float reports' bytes: float mode reads the same decimals as doubles
+DECIMAL_FLOAT_REPORTS = {
+    "var-bounded": "9aaaa2d7d77581d7bd065c85062a34bdac12e74e1c437a5fcbfc480e6015e28d",
+    "call": "903e45503cb656fb66b4dd782a5bebe097c851eadeaaf127430d3a5a23fd4f76",
+}
+
+
+@pytest.mark.parametrize("name", list(DECIMAL_CONFIGS))
+def test_exact_solve_reads_config_decimals(tmp_path, name):
+    cfg = write_config(tmp_path, DECIMAL_CONFIGS[name])
+    assert main(["solve", "--config", str(cfg), "--exact", "--out", str(tmp_path / "exact")]) == 0
+    report = json.loads((tmp_path / "exact" / "solve_report.json").read_text())
+    values = [report[key] for key in ("dual_value", "oracle_value", "primal_value", "X0")]
+    assert values == [DECIMAL_VALUES[name]] * 4
+    assert report["gaps"] == {"dp_minus_oracle": 0.0, "dp_minus_primal": 0.0}
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "float")]) == 0
+    blob = (tmp_path / "float" / "solve_report.json").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == DECIMAL_FLOAT_REPORTS[name]
+
+
+# spots past 2**52, where HiGHS finds the float leaf-law LP infeasible
+# although the value is finite
+ROUNDING_CONFIG = dict(
+    BASE_CONFIG,
+    tree={"dim": 1, "depth": 5, "generator": {"kind": "explicit", "offsets": [1e16, 1.0, -1.0]}},
+    claim={"kind": "lookback", "strike": 0.5},
+)
+FLOAT_LP_FAILURE = "error: float path LP infeasible, but a family measure below node 0 avoids the -inf leaves"
+
+
+def test_failed_float_lp_in_solve_exits_2_with_one_line(tmp_path, capsys):
+    """The float oracle raises a MeasureError, which `solve` cannot skip:
+    one error line, exit 2.  `hedge` runs no LP and still exits 0."""
+    cfg = write_config(tmp_path, ROUNDING_CONFIG)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [FLOAT_LP_FAILURE]
+    assert main(["hedge", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+def test_failed_float_lp_in_solve_exits_2_with_no_traceback(tmp_path):
+    cfg = write_config(tmp_path, ROUNDING_CONFIG)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "robusthedge.cli", "solve", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == [FLOAT_LP_FAILURE]
 
 
 def test_oracle_csv(tmp_path):

@@ -24,6 +24,8 @@ from robusthedge.measure_families import (
     MeasureError,
     TreeMeasure,
 )
+from robusthedge.oracle_lp import global_sup_lp
+from robusthedge.primal_hedge import extract_strategy, primal_lp
 from robusthedge.random_instances import (
     random_claim,
     random_family,
@@ -33,7 +35,7 @@ from robusthedge.random_instances import (
 )
 from robusthedge.simplex import RAT
 
-from conftest import in_id_order, per_node_field, seeded
+from conftest import claim_is_exact, in_id_order, per_node_field, seeded
 
 MART = FamilySpec(cls=MARTINGALE)
 
@@ -55,7 +57,7 @@ def by_spot(tree, values):
 
 def test_one_step_unique_martingale_kernel():
     tree = one_step_tree([-1, 1])
-    sol = one_step_sup(tree, 0, by_spot(tree, {-1: 1, 1: 1}), MART)
+    sol = one_step_sup(tree, 0, by_spot(tree, {-1: 1, 1: 1}), MART, exact=True)
     assert sol.value == 1
     assert sol.h == (0,)
     assert sorted(sol.kernel.probs.values()) == [RAT(1, 2), RAT(1, 2)]
@@ -63,7 +65,7 @@ def test_one_step_unique_martingale_kernel():
 
 def test_one_step_trinomial_two_point_optimum():
     tree = one_step_tree([-1, 0, 1])
-    sol = one_step_sup(tree, 0, by_spot(tree, {-1: 1, 0: 0, 1: 1}), MART)
+    sol = one_step_sup(tree, 0, by_spot(tree, {-1: 1, 0: 0, 1: 1}), MART, exact=True)
     assert sol.value == 1
     lo = next(l for l in tree.leaves if tree.spot1(l) == -1)
     hi = next(l for l in tree.leaves if tree.spot1(l) == 1)
@@ -72,13 +74,13 @@ def test_one_step_trinomial_two_point_optimum():
 
 def test_one_step_infeasible_polytope_is_neg_inf():
     tree = one_step_tree([1, 2])
-    sol = one_step_sup(tree, 0, by_spot(tree, {1: 5, 2: 7}), MART)
+    sol = one_step_sup(tree, 0, by_spot(tree, {1: 5, 2: 7}), MART, exact=True)
     assert sol.value == NEG_INF and sol.kernel is None
 
 
 def test_one_step_neg_inf_child_excluded():
     tree = one_step_tree([-1, 0, 1])
-    sol = one_step_sup(tree, 0, by_spot(tree, {-1: 1, 0: NEG_INF, 1: 1}), MART)
+    sol = one_step_sup(tree, 0, by_spot(tree, {-1: 1, 0: NEG_INF, 1: 1}), MART, exact=True)
     assert sol.value == 1
     mid = next(l for l in tree.leaves if tree.spot1(l) == 0)
     assert sol.kernel.probs.get(mid, 0) == 0
@@ -87,7 +89,7 @@ def test_one_step_neg_inf_child_excluded():
 def test_one_step_variance_cap_binds():
     tree = one_step_tree([-1, 0, 1])
     fam = FamilySpec(cls=VAR_BOUNDED, var_lo=RAT(1, 5), var_hi=RAT(3, 5))
-    sol = one_step_sup(tree, 0, by_spot(tree, {-1: 1, 0: 0, 1: 1}), fam)
+    sol = one_step_sup(tree, 0, by_spot(tree, {-1: 1, 0: 0, 1: 1}), fam, exact=True)
     assert sol.value == RAT(3, 5)
     probs = {tree.spot1(c): p for c, p in sol.kernel.probs.items()}
     assert probs == {-1: RAT(3, 10), 0: RAT(2, 5), 1: RAT(3, 10)}
@@ -95,7 +97,7 @@ def test_one_step_variance_cap_binds():
 
 def test_one_step_all_family_picks_best_dirac():
     tree = one_step_tree([1, 2])
-    sol = one_step_sup(tree, 0, by_spot(tree, {1: 5, 2: 7}), FamilySpec(cls=ALL))
+    sol = one_step_sup(tree, 0, by_spot(tree, {1: 5, 2: 7}), FamilySpec(cls=ALL), exact=True)
     assert sol.value == 7 and sol.h == (0,)
     assert list(sol.kernel.probs.values()) == [1]
 
@@ -240,12 +242,13 @@ def recorded_kernels(tree, xi, fam):
     """The kernels the backward loop found, recorded as it went, in node
     order (None if the root is -inf): each node solved once, against the
     values below it."""
+    exact = claim_is_exact(xi)
     values, kernels = {}, {}
     for nid in reversed(tree.subtree_nodes(tree.root)):
         if tree.is_leaf(nid):
             values[nid] = xi[nid]
             continue
-        sol = one_step_sup(tree, nid, values, fam)
+        sol = one_step_sup(tree, nid, values, fam, exact=exact)
         values[nid] = sol.value
         if sol.kernel is not None:
             kernels[nid] = sol.kernel
@@ -293,6 +296,50 @@ def test_exact_and_float_roots_agree(seed):
         assert float(ve) == pytest.approx(vf, abs=1e-9)
 
 
+# -- numeric mode ----------------------------------------------------------
+
+# trees whose spots are floats, with exact claims: the claim sets the mode
+TRINOMIAL_01 = {"dim": 1, "depth": 3, "generator": {"kind": "trinomial", "step": 0.1}}
+D2_FLOAT = {"dim": 2, "depth": 2, "generator": {"kind": "explicit", "offsets": [[1, 1], [-1, -1], [2, -1], [-0.5, -0.5]]}}
+FLOAT_SPOT_CASES = {
+    "martingale": (TRINOMIAL_01, {"kind": "call", "strike": 0.05}, MART),
+    "var-bounded": (TRINOMIAL_01, {"kind": "call", "strike": 0.05}, FamilySpec(cls=VAR_BOUNDED, var_lo=0.002, var_hi=0.006)),
+    "d2": (D2_FLOAT, {"kind": "call", "strike": 0.5}, MART),
+}
+
+
+@pytest.mark.parametrize("name", list(FLOAT_SPOT_CASES))
+def test_exact_claim_on_float_spots_gives_an_exact_field(name):
+    """Float spots and variance bounds are read by their exact binary value,
+    as the exact LPs read them: every value and multiplier is rational, and
+    the root equals both exact LPs."""
+    spec, claim, fam = FLOAT_SPOT_CASES[name]
+    tree = build_tree(spec)
+    xi = make_claim(tree, claim, exact=True)
+    Y = backward_value(tree, xi, fam)
+    assert Y.exact
+    assert all(type(v) is RAT for v in Y.values())
+    assert all(type(v) is RAT for h in Y.hedge.values() for v in h)
+    root = Y[tree.root]
+    assert root == global_sup_lp(tree, xi, fam, exact=True)[0] == primal_lp(tree, xi, fam, exact=True)[0]
+    assert extract_strategy(tree, Y, fam).h == Y.hedge
+
+
+@pytest.mark.parametrize("fam", [MART, FamilySpec(cls=ALL), FamilySpec(cls=VAR_BOUNDED, var_lo=RAT(1, 5), var_hi=RAT(3, 5))], ids=lambda f: f.cls)
+def test_mixed_claim_gives_a_float_field(fam):
+    """One float leaf puts the claim in float mode: the field, leaves
+    included, and its multipliers are the floats of the all-float claim."""
+    tree = build_tree({"dim": 1, "depth": 3, "generator": {"kind": "trinomial"}})
+    xi = {leaf: RAT(leaf % 5, 3) if leaf % 2 else (leaf % 7) / 4 for leaf in tree.leaves}
+    xi[tree.leaves[4]] = NEG_INF
+    Y = backward_value(tree, xi, fam)
+    assert not Y.exact
+    assert all(type(v) is float for v in Y.values())
+    assert all(type(v) is float for h in Y.hedge.values() for v in h)
+    ref = backward_value(tree, {leaf: float(v) for leaf, v in xi.items()}, fam)
+    assert repr(Y) == repr(ref) and repr(Y.hedge) == repr(ref.hedge)
+
+
 # -- level pass ------------------------------------------------------------
 
 
@@ -300,9 +347,9 @@ def counting_one_step_sup(monkeypatch):
     calls = []
     solve = dual_dp.one_step_sup
 
-    def counted(tree, nid, *args):
+    def counted(tree, nid, *args, **kwargs):
         calls.append(nid)
-        return solve(tree, nid, *args)
+        return solve(tree, nid, *args, **kwargs)
 
     monkeypatch.setattr(dual_dp, "one_step_sup", counted)
     return calls

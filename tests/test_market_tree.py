@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 
 from robusthedge import market_tree
 from robusthedge.claims import make_claim
-from robusthedge.cli import _exact_tree_spec
 from robusthedge.dual_dp import LEVEL_BATCH_MIN, backward_value
 from robusthedge.market_tree import (
     NEG_INF,
@@ -29,7 +28,7 @@ from robusthedge.measure_families import MARTINGALE, FamilySpec, polar_paths
 from robusthedge.primal_hedge import extract_strategy, verify_superhedge
 from robusthedge.random_instances import random_stopping_time, random_tree
 
-from conftest import seeded
+from conftest import exact_spec, seeded
 
 
 def test_binomial_depth1_shape(binomial1):
@@ -183,10 +182,10 @@ def explicit_spec(dim, depth, offsets):
 
 D2_OFFSETS = [[1, 1], [-1, -1], [2, -1], [-0.5, -0.5]]
 REFERENCE_SPECS = [spec for spec, _ in INVARIANT_SPECS] + [
-    # Fraction offsets, as the --exact CLI path converts them
-    _exact_tree_spec({"dim": 1, "depth": 4, "generator": {"kind": "trinomial", "step": 0.1}}),
-    _exact_tree_spec(explicit_spec(1, 4, [1.5, -0.25, -0.5])),
-    _exact_tree_spec(explicit_spec(2, 3, D2_OFFSETS)),
+    # Fraction offsets, as --exact reads them from a config
+    exact_spec({"dim": 1, "depth": 4, "generator": {"kind": "trinomial", "step": 0.1}}),
+    exact_spec(explicit_spec(1, 4, [1.5, -0.25, -0.5])),
+    exact_spec(explicit_spec(2, 3, D2_OFFSETS)),
     # accumulated float spots
     {"dim": 1, "depth": 6, "generator": {"kind": "trinomial", "step": 0.1}},
     {"dim": 1, "depth": 5, "generator": {"kind": "binomial", "up": 0.3}},
@@ -272,8 +271,8 @@ ON_DEMAND_SPECS = [
     {"dim": 1, "depth": 4, "generator": {"kind": "binomial"}},
     explicit_spec(1, 4, [-1, 0.5, 2, -0.3]),
     explicit_spec(2, 3, D2_OFFSETS),
-    _exact_tree_spec({"dim": 1, "depth": 4, "generator": {"kind": "trinomial", "step": 0.1}}),
-    _exact_tree_spec(explicit_spec(2, 3, D2_OFFSETS)),
+    exact_spec({"dim": 1, "depth": 4, "generator": {"kind": "trinomial", "step": 0.1}}),
+    exact_spec(explicit_spec(2, 3, D2_OFFSETS)),
 ]
 
 
@@ -380,7 +379,7 @@ def test_node_values_assignment_keeps_the_array_in_step():
 
 
 def test_exact_claims_keep_their_rationals():
-    tree = build_tree(_exact_tree_spec({"dim": 1, "depth": 2, "generator": {"kind": "explicit", "offsets": [-0.5, 0.25, 1]}}))
+    tree = build_tree(exact_spec({"dim": 1, "depth": 2, "generator": {"kind": "explicit", "offsets": [-0.5, 0.25, 1]}}))
     for spec in ({"kind": "asian", "strike": 0.1}, {"kind": "table", "values": {str(l): l / 3 for l in tree.leaves}}):
         xi = make_claim(tree, spec, exact=True)
         assert xi.array is None

@@ -19,7 +19,6 @@ import pytest
 
 from robusthedge import oracle_lp, simplex
 from robusthedge.claims import NAMED_KINDS, make_claim
-from robusthedge.cli import _exact_tree_spec
 from robusthedge.dual_dp import backward_value, one_step_sup
 from robusthedge.market_tree import (
     NEG_INF,
@@ -57,7 +56,7 @@ from robusthedge.random_instances import (
 )
 from robusthedge.simplex import RAT, rat
 
-from conftest import all_paths, in_id_order, per_node_field, seeded
+from conftest import all_paths, claim_is_exact, exact_spec, in_id_order, per_node_field, seeded
 
 # -- per-path oracles -------------------------------------------------------
 
@@ -373,7 +372,7 @@ def resolved_hedge(tree, Y, fam):
             h[nid] = zero
             flagged.add(nid)
             continue
-        h[nid] = one_step_sup(tree, nid, {c: Y[c] for c in tree.children(nid)}, fam).h
+        h[nid] = one_step_sup(tree, nid, {c: Y[c] for c in tree.children(nid)}, fam, exact=Y.exact).h
     return h, flagged
 
 
@@ -492,7 +491,7 @@ WIDE_TREES = {
     "trinomial-0.1": {"dim": 1, "depth": 6, "generator": {"kind": "trinomial", "step": 0.1}},
     "five": {"dim": 1, "depth": 4, "generator": {"kind": "explicit", "offsets": [-2, -1, 0, 1, 2]}},
     "one-sided": {"dim": 1, "depth": 5, "generator": {"kind": "explicit", "offsets": [0, 1, 2]}},
-    "fraction": _exact_tree_spec({"dim": 1, "depth": 5, "generator": {"kind": "explicit", "offsets": [1.5, -0.25, -0.5]}}),
+    "fraction": exact_spec({"dim": 1, "depth": 5, "generator": {"kind": "explicit", "offsets": [1.5, -0.25, -0.5]}}),
     "d2": dict(D2_TREE, depth=4),
     # float spots past 2**53, where a step of 1.0 rounds to 0: some nodes
     # keep only one nonzero step, and their up child is dead although every
@@ -572,7 +571,7 @@ def test_claim_filter_kills_paths_below_finite_roots():
         if fam.claim is None or tree.root not in dp_finite_nodes(tree, xi, fam):
             continue
         if len(polar_paths(tree, fam, xi)) > len(polar_paths(tree, fam.unrestricted(), xi)):
-            exact = not any(isinstance(v, float) and v != NEG_INF for v in xi.values())
+            exact = claim_is_exact(xi)
             seen.add((fam.cls, lp, exact))
     for exact in (False, True):
         assert (VAR_BOUNDED, True, exact) in seen and (MARTINGALE, False, exact) in seen
@@ -675,6 +674,10 @@ def test_extracted_hedge_equals_resolved_multipliers(label, tree, xi, fam):
     h, flagged = resolved_hedge(tree, Y, fam)
     assert repr(H.h) == repr(h)  # values bitwise, types and node order
     assert H.flagged == flagged
+    # the claim's mode, d2-exact's float offsets notwithstanding: no float
+    # multiplier at a finite node in exact mode, only floats in float mode
+    assert Y.exact == claim_is_exact(xi)
+    assert all(isinstance(v, float) != Y.exact for n in tree.internal_nodes if n not in flagged for v in H.h[n])
 
 
 DEPTH8 = {"dim": 1, "depth": 8, "generator": {"kind": "trinomial"}}
@@ -726,8 +729,7 @@ def test_hedge_instances_cover_classes_modes_and_neg_inf_nodes():
         Y = backward_value(tree, xi, fam)
         if Y[tree.root] == NEG_INF:
             continue
-        exact = not any(isinstance(v, float) for v in xi.values())
-        seen.add((fam.cls, exact))
+        seen.add((fam.cls, Y.exact))
         if any(Y[n] == NEG_INF for n in tree.internal_nodes):
             flagged.add((fam.cls, fam.claim is not None, tree.dim))
     assert seen == {(cls, exact) for cls in (ALL, MARTINGALE, VAR_BOUNDED) for exact in (False, True)}
@@ -815,7 +817,7 @@ def lp_cases():
     filter."""
     out = list(INSTANCES + WIDE_INSTANCES)
     for exact in (False, True):
-        tree = build_tree(_exact_tree_spec(FLOAT_OFFSET_TREE) if exact else FLOAT_OFFSET_TREE)
+        tree = build_tree(exact_spec(FLOAT_OFFSET_TREE) if exact else FLOAT_OFFSET_TREE)
         lo, hi = (Fraction(1, 10), Fraction(1, 2)) if exact else (0.1, 0.5)
         fam = FamilySpec(cls=VAR_BOUNDED, var_lo=lo, var_hi=hi)
         label = "float-offsets-" + ("exact" if exact else "float")
@@ -881,7 +883,7 @@ def test_lp_cases_cover_classes_modes_and_shapes():
     float steps that are not the offsets."""
     seen = set()
     for label, tree, xi, fam in LP_CASES:
-        exact = not any(isinstance(v, float) and v != NEG_INF for v in xi.values())
+        exact = claim_is_exact(xi)
         seen.add((fam.cls, exact))
         seen.add(("neg-inf", NEG_INF in xi.values()))
         seen.add(("dim", tree.dim))
@@ -917,10 +919,6 @@ def test_primal_matrix_is_the_negated_transpose_of_the_lifted_rows(label, tree, 
     assert sorted(kw["free_vars"]) == list(range(len(oracle_eq)))
 
 
-def is_exact_claim(xi):
-    return not any(isinstance(v, float) and v != NEG_INF for v in xi.values())
-
-
 def spots_past_2_52(tree):
     return max(abs(x) for xs in tree.coords for x in xs) >= 2**52
 
@@ -933,7 +931,7 @@ FLOAT_LP_FAILS = pytest.mark.xfail(raises=HedgeError, strict=True, reason="float
 PRIMAL_VALUE_CASES = [
     pytest.param(*case, False, marks=FLOAT_LP_FAILS if spots_past_2_52(case[1]) else ())
     for case in LP_CASES
-] + [pytest.param(*case, True) for case in LP_CASES if is_exact_claim(case[2]) and len(case[1].leaves) <= 100]
+] + [pytest.param(*case, True) for case in LP_CASES if claim_is_exact(case[2]) and len(case[1].leaves) <= 100]
 
 
 @pytest.mark.parametrize(
@@ -1005,7 +1003,7 @@ def test_primal_cases_cover_classes_modes_and_shapes():
         seen.add(("neg-inf root", backward_value(tree, xi, fam)[tree.root] == NEG_INF))
     assert {(cls, exact) for cls in (ALL, MARTINGALE, VAR_BOUNDED) for exact in (False, True)} <= seen
     assert {("dim", 2, False), ("dim", 2, True), ("neg-inf root", True)} <= seen
-    assert {is_exact_claim(case[2]) for case in FULL_MARTINGALE_CASES} == {False, True}
+    assert {claim_is_exact(case[2]) for case in FULL_MARTINGALE_CASES} == {False, True}
     assert max(len(case[1].leaves) for case in FULL_MARTINGALE_CASES) > 100
 
 
