@@ -158,7 +158,7 @@ def run_solve(cfg, path, out, exact):
         if fam.cls != "var_bounded":
             # pathwise domination by the spot hedge alone is a martingale-cone
             # statement; the var-bounded value also needs variance positions,
-            # which the primal LP holds as the variables of its `<=` rows
+            # which `primal_lp` reads as the leaf-law LP's `<=` row duals (`y_ub`)
             ok = ok and hedge_ok
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -7,6 +7,13 @@ characterize induced laws of family measures (each node's
 enumeration solves square subsystems exactly in rationals.  Agreement
 between the two routes is the main acceptance gate.
 
+The leaf-law LP is solved once per instance (`solve_leaf_law`, a one-entry
+memo keyed on the lift's exact content): its optimal law is the oracle's
+measure and its row duals are `primal_hedge.primal_lp`'s hedge.  Neither is
+taken on the solver's word: `certify_leaf_law` checks the law against the
+lifted rows here, and `primal_hedge.certify_hedge` the hedge leaf by leaf,
+in rationals in exact mode.
+
 Vertex enumeration is memoised: one module-level LRU cache of 256 entries
 is keyed on the polytope's rows as the caller gives them, as tuples of native
 numbers (int, float, Fraction).  Python compares and hashes these by exact
@@ -226,8 +233,10 @@ def leaf_law_rows(tree, xi, fam, start):
     `eq` holds the equality rows and `ub` the `<=` rows, nodes breadth-first
     and each node's rows in the order `one_step_rows` gives them.
 
-    Both LP cross-checks read these rows: `global_sup_lp` as the rows of
-    the leaf-law LP, and `primal_hedge.primal_lp`, its LP dual, as columns.
+    Both LP cross-checks read the LP these rows make, solved once by
+    `solve_leaf_law`: `global_sup_lp` its optimal law, and
+    `primal_hedge.primal_lp`, its LP dual over the same rows read as
+    columns, its row duals.
     """
     ranges = tree._ranges_below(start)
     all_leaves = ranges[-1]
@@ -247,6 +256,79 @@ def leaf_law_rows(tree, xi, fam, start):
                 for a, b in zip(rows, rhs):
                     out.append((n, [(lo, hi, a_c - b) for (lo, hi), a_c in zip(blocks, a)]))
     return leaves, claim, eq, ub
+
+
+def solve_leaf_law(claim, eq, ub, exact: bool) -> simplex.LPResult:
+    """The leaf-law LP of `leaf_law_rows`'s output (claim, eq, ub), solved:
+    maximize sum_l q_l claim_l over q >= 0 with total mass 1, the lifted
+    `eq` rows = 0 and the `ub` rows <= 0.  Its row duals are the primal
+    hedge: y_eq[0] is the initial capital and y_eq[1:] + y_ub the positions
+    on the lifted rows, in their order.
+
+    Memoised in one entry keyed on the exact content (the mode, the claim
+    values and every row's (lo, hi, v) blocks, compared by value), so
+    `global_sup_lp` and `primal_lp` on one instance, in either order, solve
+    it once.  The LPResult is shared between the callers, which only read it.
+    """
+    return _solved_leaf_law(exact, tuple(claim), _content(eq), _content(ub))
+
+
+def _content(rows) -> tuple:
+    return tuple(tuple(blocks) for _, blocks in rows)
+
+
+@functools.lru_cache(maxsize=1)
+def _solved_leaf_law(exact: bool, claim: tuple, eq: tuple, ub: tuple) -> simplex.LPResult:
+    def dense(rows):
+        out = []
+        for blocks in rows:
+            row = [0] * len(claim)
+            for lo, hi, v in blocks:
+                row[lo:hi] = [v] * (hi - lo)
+            out.append(row)
+        return out
+
+    A_eq, b_eq = [[1] * len(claim), *dense(eq)], [1] + [0] * len(eq)
+    return simplex.solve(list(claim), A_eq, b_eq, dense(ub), [0] * len(ub), exact=exact)
+
+
+def scaled(values, exact: bool):
+    """(numbers, den) with numbers[i] / den == values[i]: in exact mode the
+    integer numerators over their least common denominator, in float mode
+    the floats over 1.0.  den > 0, so the certificates compare and add
+    integers where they would compare and add rationals, and float mode
+    reads its values as they are."""
+    if exact:
+        return simplex.over_common_denominator(values)
+    return [float(v) for v in values], 1.0
+
+
+def certify_leaf_law(claim, eq, ub, q, value, exact: bool) -> None:
+    """Raise MeasureError unless the leaf law q is feasible for the lifted
+    rows and E_q[claim] is `value`: q >= 0, total mass 1, every `eq` row
+    = 0 and every `ub` row <= 0.  Exact mode compares rationals with `==`
+    and `<=` (as integers over common denominators, `scaled`); float mode
+    allows 1e-9.  No solver runs: each row is summed over its blocks from
+    the prefix sums of q."""
+    tol = 0 if exact else 1e-9
+    qs, dq = scaled(q, exact)
+    if min(qs, default=0) < -tol:
+        raise MeasureError("leaf law has a negative probability")
+    mass = list(itertools.accumulate(qs, initial=0))
+    if abs(mass[-1] - dq) > tol:
+        raise MeasureError(f"leaf law has total mass {mass[-1] / dq}")
+    rows = eq + ub
+    vs, dv = scaled([v for _, blocks in rows for _, _, v in blocks], exact)
+    v = iter(vs)
+    for r, (n, blocks) in enumerate(rows):
+        lhs = sum(next(v) * (mass[hi] - mass[lo]) for lo, hi, _ in blocks)
+        if (abs(lhs) if r < len(eq) else lhs) > tol:
+            kind = "=" if r < len(eq) else "<="
+            raise MeasureError(f"leaf law fails a lifted {kind} row of node {n}: {lhs / (dq * dv)}")
+    cs, dc = scaled(claim, exact)
+    mean = sum(c * p for c, p in zip(cs, qs))
+    if abs(mean - value * dq * dc) > tol:
+        raise MeasureError(f"leaf law has mean claim {mean / (dq * dc)}, not the LP value {value}")
 
 
 def _factorize_leaf_law(tree, fam, leaves, q, start):
@@ -281,6 +363,7 @@ def global_sup_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: Optiona
     Returns (value, TreeMeasure); (-inf, None) when no family measure avoids
     the -inf leaves.  Exact mode solves in rationals; float mode uses HiGHS
     and raises MeasureError on an "infeasible" that `alive_nodes` refutes.
+    The optimal law is certified (`certify_leaf_law`) before it is read.
     """
     start = tree.root if start is None else start
     n_leaves = len(tree._ranges_below(start)[-1])
@@ -289,24 +372,14 @@ def global_sup_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: Optiona
     leaves, c_obj, eq, ub = leaf_law_rows(tree, xi, fam, start)
     if not leaves:
         return NEG_INF, None
-
-    def dense(rows):
-        out = []
-        for _, blocks in rows:
-            row = [0] * len(leaves)
-            for lo, hi, v in blocks:
-                row[lo:hi] = [v] * (hi - lo)
-            out.append(row)
-        return out
-
-    A_eq, b_eq = [[1] * len(leaves), *dense(eq)], [1] + [0] * len(eq)
-    res = simplex.solve(c_obj, A_eq, b_eq, dense(ub), [0] * len(ub), exact=exact)
+    res = solve_leaf_law(c_obj, eq, ub, exact)
     if res.status == "infeasible":
         if not exact and alive_nodes(tree, fam, xi)[start]:
             raise MeasureError(f"float path LP infeasible, but a family measure below node {start} avoids the -inf leaves")
         return NEG_INF, None
     if res.status != "optimal":  # pragma: no cover
         raise MeasureError(f"path LP status {res.status}")
+    certify_leaf_law(c_obj, eq, ub, res.x, res.value, exact)
     q, value = res.x, res.value
     if not exact:
         # clamp solver noise so the factorized kernels stay well conditioned

@@ -2,11 +2,14 @@
 
 The primal LP minimizes the initial capital subject to terminal wealth
 dominating the claim on every leaf whose claim is finite.  It is the LP
-dual of the leaf-law LP of `oracle_lp.global_sup_lp`: both read the one
-leaf-space lift of the family's rows (`oracle_lp.leaf_law_rows`), the
-leaf-law LP as rows and the primal as columns, one variable per lifted
-row.  Its optimum matches the dual DP value (strong duality on finite
-trees).  The extracted strategy is read from the one-step dual multipliers
+dual of the leaf-law LP of `oracle_lp.global_sup_lp`, over the one
+leaf-space lift of the family's rows (`oracle_lp.leaf_law_rows`) read as
+columns, one variable per lifted row.  So it solves no LP of its own: its
+optimum is read from the row duals of the one leaf-law LP solve
+(`oracle_lp.solve_leaf_law`) and certified leaf by leaf without a solver
+(`certify_hedge`), after Applegate, Cook, Dash & Espinoza (2007).  The
+optimum matches the dual DP value (strong duality on finite trees).  The
+extracted strategy is read from the one-step dual multipliers
 that the DP keeps in its value field, so the hedge comes from the same
 backward pass as the value, and it achieves that optimum path by path.
 """
@@ -17,11 +20,10 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping, Optional, Sequence
 
-from . import simplex
 from .dual_dp import ValueField
 from .market_tree import NEG_INF, MarketTree, NodeValues, NodeVectors, node_array
 from .measure_families import FamilySpec, MeasureError, TreeMeasure, alive_nodes, polar_paths
-from .oracle_lp import ORACLE_MAX_LEAVES, OracleScaleError, enumerate_vertex_kernels, leaf_law_rows
+from .oracle_lp import ORACLE_MAX_LEAVES, OracleScaleError, enumerate_vertex_kernels, leaf_law_rows, scaled, solve_leaf_law
 
 HEDGE_TOL = 1e-9
 
@@ -175,48 +177,79 @@ def primal_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, exact: bool = True
     whose claim is finite, r over the rows of `oracle_lp.leaf_law_rows`
     (every `one_step_rows` row after the mass row, at every node n above l)
     and c n's child on l's path.  y_r is free for an equality row and >= 0
-    for a `<=` row; a mean row's y_r is the hedge at its node.  One LP row
-    per leaf and one column per lifted row: the matrix is the leaf-law LP's
-    transposed and negated.  Polar leaves keep their rows; every family
-    measure gives them probability zero, so by LP duality they do not move
-    the optimum.  The LP is unbounded exactly when no family measure avoids
-    the -inf leaves, and then the value is -inf and every node is flagged;
-    otherwise the flagged nodes are those that `alive_nodes` does not flag,
-    where the DP value is -inf, and their hedge is 0.
+    for a `<=` row; a mean row's y_r is the hedge at its node, and for
+    VAR_BOUNDED the `<=` rows' y_r are the variance positions.  No LP of
+    its own is solved: (X0, y) are the row duals of the leaf-law LP
+    (`oracle_lp.solve_leaf_law`, shared with `global_sup_lp`), and
+    `certify_hedge` proves them optimal before they are read; a failed
+    check raises HedgeError.  The value is -inf, with every node flagged,
+    exactly when no family measure avoids the -inf leaves (the leaf-law LP
+    is infeasible and `alive_nodes` does not mark the root; an
+    "infeasible" at an alive root raises HedgeError).  Otherwise the
+    flagged nodes are those that `alive_nodes` does not mark, where the DP
+    value is -inf, and their hedge is 0.
 
     The exact LP raises OracleScaleError, before it builds a row, on trees
-    of more than ORACLE_MAX_LEAVES leaves (one row per leaf): its dense
-    rational tableau grows with rows times columns.  On trinomial lookback
-    trees it took 9.9 s of CPU time at 729 leaves and 166 s at 2,187 (one
-    core of an Intel Xeon, Python 3.11, Fraction arithmetic).
+    of more than ORACLE_MAX_LEAVES leaves: its dense rational tableau grows
+    with leaves times lifted rows.  On trinomial lookback trees the exact
+    leaf-law LP took about 0.7 s of CPU time at 729 leaves (one core of an
+    Intel Xeon, Python 3.11, Fraction arithmetic).
     """
     if exact and len(tree.leaves) > ORACLE_MAX_LEAVES:
         raise OracleScaleError(
             f"{len(tree.leaves)} paths exceed the exact primal LP limit {ORACLE_MAX_LEAVES}"
         )
     leaves, claim, eq, ub = leaf_law_rows(tree, xi, fam, tree.root)
-    nv = 1 + len(eq) + len(ub)
-    A_ub = [[-1] + [0] * (nv - 1) for _ in leaves]
-    for j, (_, blocks) in enumerate(eq + ub, 1):
-        for lo, hi, v in blocks:
-            v = 0 - v  # not -v: a float 0.0 stays +0.0
-            for row in A_ub[lo:hi]:
-                row[j] = v
-    c_obj = [1] + [0] * (nv - 1)
-    free = range(1 + len(eq))  # X0 and the equality rows' variables
-    res = simplex.solve(c_obj, None, None, A_ub, [-v for v in claim], maximize=False, free_vars=free, exact=exact)
     internal, zero = tree.internal_nodes, tuple([0.0] * tree.dim)
-    if res.status == "unbounded":
+    if not leaves:
+        return NEG_INF, Strategy(h=dict.fromkeys(internal, zero), flagged=set(internal))
+    res = solve_leaf_law(claim, eq, ub, exact)
+    alive = alive_nodes(tree, fam, xi)
+    if res.status == "infeasible" and not alive[tree.root]:
         return NEG_INF, Strategy(h=dict.fromkeys(internal, zero), flagged=set(internal))
     if res.status != "optimal":
-        raise HedgeError(f"primal LP status {res.status}")
-    alive = alive_nodes(tree, fam, xi)
+        raise HedgeError(f"leaf-law LP status {res.status}")
+    certify_hedge(claim, eq, ub, res.y_eq, res.y_ub, res.value, exact)
     hedge = {n: [] for n in internal if alive[n]}
-    for (n, _), y in zip(eq, res.x[1:]):
+    for (n, _), y in zip(eq, res.y_eq[1:]):
         if n in hedge:
             hedge[n].append(y)  # the node's mean rows come first, one per coordinate
     h = {n: tuple(hedge[n][: tree.dim]) if hedge.get(n) else zero for n in internal}
-    return res.x[0], Strategy(h=h, flagged={n for n in internal if not alive[n]})
+    return res.y_eq[0], Strategy(h=h, flagged={n for n in internal if not alive[n]})
+
+
+def certify_hedge(claim, eq, ub, y_eq, y_ub, value, exact: bool) -> None:
+    """Raise HedgeError unless X0 = y_eq[0] with the positions
+    y_eq[1:] + y_ub on the lifted rows (claim, eq, ub) of
+    `oracle_lp.leaf_law_rows` is a superhedge at cost `value`: y_ub >= 0,
+    X0 + sum_r y_r (a_c - b) >= claim_l at every leaf position l, and
+    X0 == value.  With a feasible leaf law of mean `value` (which
+    `oracle_lp.certify_leaf_law` checks) weak duality then proves both
+    optimal.  Exact mode compares rationals with `==` and `<=` (a float
+    entry is read as its exact binary value), as integers over common
+    denominators (`oracle_lp.scaled`); float mode allows HEDGE_TOL.  No
+    solver runs: each row adds its constant y_r (a_c - b) over each block
+    of leaf positions."""
+    tol = 0 if exact else HEDGE_TOL
+    ys, dy = scaled([*y_eq, *y_ub], exact)
+    if min(ys[len(y_eq) :], default=0) < -tol:
+        raise HedgeError("negative position on a lifted <= row")
+    rows = eq + ub
+    vs, dv = scaled([v for _, blocks in rows for _, _, v in blocks], exact)
+    cs, dc = scaled(claim, exact)
+    # wealth times dy * dv, so that each gain is one product of numerators
+    wealth = [ys[0] * dv] * len(claim)
+    v = iter(vs)
+    for (_, blocks), y in zip(rows, ys[1:]):
+        for lo, hi, _ in blocks:
+            gain = y * next(v)
+            wealth[lo:hi] = [w + gain for w in wealth[lo:hi]]
+    scale = dy * dv
+    short = next((l for l, (w, c) in enumerate(zip(wealth, cs)) if w * dc < c * scale - tol), None)
+    if short is not None:
+        raise HedgeError(f"wealth {wealth[short] / scale} below the claim {claim[short]} at leaf position {short}")
+    if abs(ys[0] - value * dy) > tol:
+        raise HedgeError(f"initial capital {y_eq[0]} is not the LP value {value}")
 
 
 # -- Doob-Meyer and admissibility ----------------------------------------

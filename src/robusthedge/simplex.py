@@ -28,7 +28,8 @@ rhs entry minus the objective value.
 picks the arithmetic.  Exact mode is `solve_lp` above.  Float mode makes the
 package's single call to HiGHS (`scipy.optimize.linprog`, looked up when
 called): per-variable bounds from `free_vars`, primal and dual feasibility
-tolerances 1e-10, and no duals in the result.
+tolerances 1e-10, and the row duals read from HiGHS's `eqlin` and `ineqlin`
+marginals in `solve_lp`'s sign convention.
 
 Scale target: a few hundred rows/columns.  Not a general-purpose LP code.
 """
@@ -77,8 +78,9 @@ def _ratio(v):
         return v.numerator, v.denominator
 
 
-def _ints(values):
-    """Integer numerators of `values` over their least common denominator."""
+def over_common_denominator(values):
+    """(numerators, den): the integers n_i with n_i / den == values[i] over
+    their least common denominator den > 0 (1 for no values)."""
     pairs = [_ratio(v) for v in values]
     den = lcm(*(q for _, q in pairs))
     return [p * (den // q) for p, q in pairs], den
@@ -211,7 +213,7 @@ def solve_lp(
 
     T, D, flips = [], [], []
     for i, (arow, b) in enumerate(list(zip(A_eq, b_eq or [])) + list(zip(A_ub, b_ub or []))):
-        nums, den = _ints(list(arow) + [b])
+        nums, den = over_common_denominator(list(arow) + [b])
         full = [0] * (ncols + 1)
         full[: len(nums) - 1] = nums[:-1]
         full[-1] = nums[-1]
@@ -241,7 +243,7 @@ def solve_lp(
         return LPResult(status="infeasible")
 
     # Phase 2 on the real objective; artificials may not re-enter.
-    cn, c_den = _ints(c)
+    cn, c_den = over_common_denominator(c)
     if not maximize:
         cn = [-v for v in cn]
     c2 = cn + [-cn[j] for j in free] + [0] * (ncols - slack0)
@@ -272,9 +274,12 @@ _HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *, maximize=True, free_vars=(), exact) -> LPResult:
-    """Solve the LP exactly (`solve_lp`, with duals) or in floats by HiGHS.
+    """Solve the LP exactly (`solve_lp`) or in floats by HiGHS, with duals.
 
-    The float result carries status, x and value only.  A HiGHS outcome
+    Float duals follow `solve_lp`'s convention: y is the derivative of the
+    stated objective's value in the rhs, so y_ub >= 0 when maximizing and
+    <= 0 when minimizing.  HiGHS's marginals are the derivatives of the
+    minimized objective, so they are negated for a maximization.  A HiGHS outcome
     other than optimal, infeasible or unbounded is reported as status
     "error: <solver message>"; callers raise their own error types for every
     non-optimal status they do not handle.
@@ -285,7 +290,8 @@ def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *, maximize=True, free_
     from scipy.optimize import linprog
 
     def matrix(rows):
-        return np.array([[float(v) for v in row] for row in rows]) if rows else None
+        # numpy converts each entry as float() does, without a Python loop
+        return np.array(rows, dtype=float) if rows else None
 
     free = set(free_vars)
     res = linprog(
@@ -305,4 +311,10 @@ def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *, maximize=True, free_
     if status != "optimal":
         return LPResult(status=status)
     value = float(-res.fun) if maximize else float(res.fun)
-    return LPResult(status="optimal", x=list(res.x), value=value)
+
+    def duals(marginals):
+        return (0.0 - marginals if maximize else marginals).tolist()  # 0.0 - m: a zero stays +0.0
+
+    y_eq = duals(res.eqlin.marginals) if A_eq else []
+    y_ub = duals(res.ineqlin.marginals) if A_ub else []
+    return LPResult(status="optimal", x=list(res.x), value=value, y_eq=y_eq, y_ub=y_ub)

@@ -4,9 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from robusthedge import oracle_lp
 from robusthedge.dual_dp import one_step_sup
 from robusthedge.market_tree import NEG_INF, build_tree
 from robusthedge.measure_families import Kernel, TreeMeasure
+
+
+@pytest.fixture(autouse=True)
+def fresh_leaf_law_memo():
+    """Every test starts with an empty leaf-law LP memo, so one that
+    intercepts `simplex.solve` sees the solve even when an earlier test
+    solved the same LP."""
+    oracle_lp._solved_leaf_law.cache_clear()
 
 
 @pytest.fixture

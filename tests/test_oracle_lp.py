@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robusthedge import oracle_lp, simplex
+from robusthedge.claims import make_claim
 from robusthedge.dual_dp import backward_value, one_step_sup
 from robusthedge.market_tree import NEG_INF, build_tree
 from robusthedge.measure_families import (
@@ -29,6 +30,7 @@ from robusthedge.oracle_lp import (
     lex_smallest_kernel,
     upper_concave_envelope,
 )
+from robusthedge.primal_hedge import primal_lp
 from robusthedge.random_instances import (
     random_claim,
     random_family,
@@ -335,6 +337,71 @@ def test_restricted_polar_paths_past_the_leaf_limit_build_no_lp(monkeypatch):
     want = [tree.path_to(tree.leaves[0]), tree.path_to(tree.leaves[2])]
     assert polar_paths(tree, fam) == want
     assert polar_paths(tree, fam, xi) == want
+
+
+# -- the leaf-law LP memo -------------------------------------------------
+
+
+def lookback_instance(exact):
+    tree = build_tree({"dim": 1, "depth": 3, "generator": {"kind": "trinomial"}})
+    return tree, make_claim(tree, {"kind": "lookback", "strike": 0.5}, exact=exact), FamilySpec(cls=MARTINGALE)
+
+
+def counting_solves(monkeypatch):
+    calls = []
+    solve = simplex.solve
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["exact"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_oracle_then_primal_on_equal_instances_solve_once(monkeypatch, exact):
+    """The oracle and the primal on two distinct but equal instances (trees,
+    claims and families built twice) share one solve: the second call is a
+    memo hit, and both read the same LPResult."""
+    calls = counting_solves(monkeypatch)
+    lp, _ = global_sup_lp(*lookback_instance(exact), exact=exact)
+    pv, _ = primal_lp(*lookback_instance(exact), exact=exact)
+    assert calls == [exact]
+    info = oracle_lp._solved_leaf_law.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert type(lp) is type(pv) is (RAT if exact else float)
+    assert lp == pv if exact else abs(lp - pv) <= 1e-9
+
+
+def test_mutated_claim_misses_the_memo(monkeypatch):
+    """A claim changed in place between two calls is a new LP: it is solved
+    again, and its value is that of a fresh solve."""
+    calls = counting_solves(monkeypatch)
+    tree, xi, fam = lookback_instance(True)
+    before, _ = global_sup_lp(tree, xi, fam)
+    for leaf in tree.leaves:
+        xi[leaf] += 1
+    after, _ = global_sup_lp(tree, xi, fam)
+    assert len(calls) == 2 and after == before + 1
+    oracle_lp._solved_leaf_law.cache_clear()
+    assert global_sup_lp(tree, xi, fam)[0] == after
+
+
+@pytest.mark.parametrize("exact_first", [True, False])
+def test_float_and_exact_modes_never_share_an_entry(monkeypatch, exact_first):
+    """The same lift in both modes (an int claim, which both modes read as
+    itself) is solved once per mode, each in its own arithmetic, and the
+    memo never holds more than one entry."""
+    calls = counting_solves(monkeypatch)
+    tree = build_tree({"dim": 1, "depth": 2, "generator": {"kind": "trinomial"}})
+    xi = {leaf: abs(tree.spot1(leaf)) for leaf in tree.leaves}
+    fam = FamilySpec(cls=MARTINGALE)
+    for exact in (exact_first, not exact_first):
+        value, _ = global_sup_lp(tree, xi, fam, exact=exact)
+        assert type(value) is (RAT if exact else float) and value == 1
+        assert oracle_lp._solved_leaf_law.cache_info().currsize <= 1
+    assert calls == [exact_first, not exact_first]
 
 
 # -- concave envelope ----------------------------------------------------

@@ -10,11 +10,13 @@ from robusthedge.measure_families import (
     VAR_BOUNDED,
     FamilySpec,
     Kernel,
+    MeasureError,
     TreeMeasure,
 )
 from robusthedge.primal_hedge import (
     HedgeError,
     Strategy,
+    certify_hedge,
     check_admissible,
     doob_meyer,
     extract_strategy,
@@ -22,7 +24,14 @@ from robusthedge.primal_hedge import (
     verify_superhedge,
     wealth,
 )
-from robusthedge.oracle_lp import ORACLE_MAX_LEAVES, OracleScaleError, global_sup_lp
+from robusthedge.oracle_lp import (
+    ORACLE_MAX_LEAVES,
+    OracleScaleError,
+    certify_leaf_law,
+    global_sup_lp,
+    leaf_law_rows,
+    solve_leaf_law,
+)
 from robusthedge.random_instances import random_claim, random_family, random_tree
 from robusthedge.simplex import RAT, rat
 
@@ -184,6 +193,81 @@ def test_primal_value_ignores_polar_leaf(trinomial1):
     base, _ = primal_lp(trinomial1, xi, fam)
     assert base == 1
     assert backward_value(trinomial1, xi, fam)[trinomial1.root] == 1
+
+
+# -- certificates of the leaf-law LP solve --------------------------------
+
+
+def solved_var_bounded(exact):
+    """A depth-2 trinomial VAR_BOUNDED abs instance (mean and variance rows),
+    its lift and its solved leaf-law LP."""
+    tree = build_tree({"dim": 1, "depth": 2, "generator": {"kind": "trinomial"}})
+    xi = {leaf: abs(tree.spot1(leaf)) for leaf in tree.leaves}
+    lo, hi = (RAT(1, 4), RAT(3, 4)) if exact else (0.25, 0.75)
+    fam = FamilySpec(cls=VAR_BOUNDED, var_lo=lo, var_hi=hi)
+    leaves, claim, eq, ub = leaf_law_rows(tree, xi, fam, tree.root)
+    res = solve_leaf_law(claim, eq, ub, exact)
+    assert res.status == "optimal" and ub
+    return claim, eq, ub, res
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_certificates_accept_the_solve(exact):
+    claim, eq, ub, res = solved_var_bounded(exact)
+    certify_hedge(claim, eq, ub, res.y_eq, res.y_ub, res.value, exact)
+    certify_leaf_law(claim, eq, ub, res.x, res.value, exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_hedge_certificate_rejects_a_leaf_below_its_claim(exact):
+    """Moving the root's spot position by 1 lowers the wealth on one side
+    of the root by a whole step, far below the claim there."""
+    claim, eq, ub, res = solved_var_bounded(exact)
+    y_eq = list(res.y_eq)
+    y_eq[1] += 1
+    with pytest.raises(HedgeError, match="below the claim"):
+        certify_hedge(claim, eq, ub, y_eq, res.y_ub, res.value, exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_hedge_certificate_rejects_a_negative_position(exact):
+    claim, eq, ub, res = solved_var_bounded(exact)
+    i = res.y_ub.index(0)  # a variance bound that does not bind
+    for y in (-1, -RAT(1, 10**30)) if exact else (-1.0, -1e-6):
+        y_ub = list(res.y_ub)
+        y_ub[i] = y
+        with pytest.raises(HedgeError, match="negative position"):
+            certify_hedge(claim, eq, ub, res.y_eq, y_ub, res.value, exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("row", ["=", "<="])
+def test_leaf_law_certificate_rejects_a_violated_row(row, exact):
+    """Mass moved between leaves keeps the total and the signs but breaks
+    one of the root's lifted rows: the first leaf's mass moved below the
+    root's middle child breaks its mean row; the mass of the middle
+    child's middle leaf spread over the outer children's middle leaves
+    keeps every mean row and raises the root's variance past var_hi."""
+    claim, eq, ub, res = solved_var_bounded(exact)
+    q = list(res.x)
+    assert claim == [2, 1, 0, 1, 0, 1, 0, 1, 2] and min(q) > 0
+    if row == "=":
+        q[3], q[0] = q[3] + q[0], 0 * q[0]
+    else:
+        q[1], q[7], q[4] = q[1] + q[4] / 2, q[7] + q[4] / 2, 0 * q[4]
+    with pytest.raises(MeasureError, match=f"fails a lifted {row} row of node 0"):
+        certify_leaf_law(claim, eq, ub, q, res.value, exact)
+
+
+def test_float_certificates_allow_rounding_and_exact_ones_do_not():
+    claim, eq, ub, res = solved_var_bounded(True)
+    y_ub = list(res.y_ub)
+    y_ub[y_ub.index(0)] = -1e-12
+    certify_hedge(claim, eq, ub, res.y_eq, y_ub, res.value, exact=False)
+    with pytest.raises(HedgeError, match="is not the LP value"):
+        certify_hedge(claim, eq, ub, res.y_eq, res.y_ub, res.value + RAT(1, 10**30), exact=True)
+    with pytest.raises(MeasureError, match="mean claim"):
+        certify_leaf_law(claim, eq, ub, res.x, res.value + RAT(1, 10**30), exact=True)
 
 
 # -- compensator ---------------------------------------------------------

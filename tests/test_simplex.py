@@ -155,19 +155,66 @@ def seam_cases():
     yield [0, 1], None, None, [[1, 1]], [2], False, (1,)
 
 
+def dual_ranges(c, A_eq, b_eq, A_ub, b_ub, maximize, free, value):
+    """(min, max) of each row dual over the optimal duals of the LP, in
+    `solve_lp`'s convention, by exact LPs over the dual optimal face.  With
+    s = 1 when maximizing and -1 when minimizing, y = s w where w_ub >= 0,
+    A_j . w >= s c_j for x_j >= 0 (== for a free x_j) and b . w = s value."""
+    s = 1 if maximize else -1
+    rows = list(A_eq or []) + list(A_ub or [])
+    b = list(b_eq or []) + list(b_ub or [])
+    n_eq = len(A_eq or [])
+    face_eq = [[row[j] for row in rows] for j in free] + [b]
+    face_rhs = [s * c[j] for j in free] + [s * value]
+    face_ub = [[-row[j] for row in rows] for j in range(len(c)) if j not in free]
+    face_ub_rhs = [-s * c[j] for j in range(len(c)) if j not in free]
+    out = []
+    for i in range(len(rows)):
+        e = [1 if k == i else 0 for k in range(len(rows))]
+        lo, hi = (solve_lp(e, face_eq, face_rhs, face_ub, face_ub_rhs, maximize=m, free_vars=range(n_eq)) for m in (False, True))
+        assert lo.status == hi.status == "optimal" or "unbounded" in (lo.status, hi.status)
+        lo, hi = (r.value if r.status == "optimal" else None for r in (lo, hi))
+        out.append((lo, hi) if s == 1 else (None if hi is None else -hi, None if lo is None else -lo))
+    return out
+
+
 def test_float_solve_matches_exact():
-    statuses = set()
+    """Same status and value as the exact solve.  The float row duals are
+    optimal duals (sign, dual feasibility, y . b = value, within 1e-9), and
+    they are the exact ones, within 1e-9, wherever the optimal dual is
+    unique."""
+    statuses, unique = set(), 0
     for c, A_eq, b_eq, A_ub, b_ub, maximize, free in seam_cases():
         ex = solve(c, A_eq, b_eq, A_ub, b_ub, maximize=maximize, free_vars=free, exact=True)
         fl = solve(c, A_eq, b_eq, A_ub, b_ub, maximize=maximize, free_vars=free, exact=False)
         assert fl.status == ex.status
         statuses.add(ex.status)
-        assert fl.y_eq is None and fl.y_ub is None
-        if ex.status == "optimal":
-            assert isinstance(fl.value, float)
-            assert fl.value == pytest.approx(float(ex.value), abs=1e-9)
-            assert len(fl.x) == len(c)
+        if ex.status != "optimal":
+            continue
+        assert isinstance(fl.value, float)
+        assert fl.value == pytest.approx(float(ex.value), abs=1e-9)
+        assert len(fl.x) == len(c)
+        rows = list(A_eq or []) + list(A_ub or [])
+        b = list(b_eq or []) + list(b_ub or [])
+        y = fl.y_eq + fl.y_ub
+        assert len(fl.y_eq) == len(A_eq or []) and len(fl.y_ub) == len(A_ub or [])
+        assert all(type(v) is float for v in y)
+        s = 1 if maximize else -1
+        assert all(s * v >= -1e-9 for v in fl.y_ub)
+        for j in range(len(c)):
+            aty = sum(float(row[j]) * v for row, v in zip(rows, y))
+            if j in free:
+                assert aty == pytest.approx(float(c[j]), abs=1e-9)
+            else:
+                assert s * (aty - float(c[j])) >= -1e-9
+        assert sum(float(bi) * v for bi, v in zip(b, y)) == pytest.approx(fl.value, abs=1e-9)
+        for v, want, (lo, hi) in zip(y, ex.y_eq + ex.y_ub, dual_ranges(c, A_eq, b_eq, A_ub, b_ub, maximize, free, ex.value)):
+            assert (lo is None or lo <= want) and (hi is None or want <= hi)
+            if lo is not None and lo == hi:
+                unique += 1
+                assert v == pytest.approx(float(want), abs=1e-9)
     assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert unique >= 100
 
 
 def test_solve_needs_explicit_mode():

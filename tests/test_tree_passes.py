@@ -6,9 +6,10 @@ the breadth-first ids; the hedge oracle solves every node's one-step problem
 a second time, as extraction did before the DP kept its multipliers; the LP
 references write each family class's rows out in leaf space, and the
 primal LP over wealth paths and over node values, as the LP builders did
-before both LP cross-checks read one lift of `one_step_rows`.  The passes
-must reproduce them exactly: `==` on floats and on rationals, not a
-tolerance.
+before both LP cross-checks read one lift of `one_step_rows`, and over
+that lift, as `primal_lp` solved it before it read the leaf-law LP's
+duals.  The passes must reproduce them exactly: `==` on floats and on
+rationals, not a tolerance.
 """
 
 import random
@@ -282,6 +283,39 @@ def reference_primal_lp_paths(tree, xi, fam, exact):
             h[n] = zero
             flagged.add(n)
     return x[0], Strategy(h=h, flagged=flagged)
+
+
+def reference_primal_lp_lifted(tree, xi, fam, exact):
+    """The primal LP over the lift, solved as an LP of its own: minimize X0
+    such that X0 + sum_r y_r (a_c - b) >= xi_l at every leaf l whose claim
+    is finite, one row per leaf and one variable per row of
+    `oracle_lp.leaf_law_rows` (free for an equality row, >= 0 for a `<=`
+    row), the leaf-law LP's matrix transposed and negated.  An unbounded
+    LP (no family measure avoids the -inf leaves) gives -inf; otherwise the
+    hedge is the mean rows' variables at the `alive_nodes`, 0 elsewhere."""
+    leaves, claim, eq, ub = oracle_lp.leaf_law_rows(tree, xi, fam, tree.root)
+    nv = 1 + len(eq) + len(ub)
+    A_ub = [[-1] + [0] * (nv - 1) for _ in leaves]
+    for j, (_, blocks) in enumerate(eq + ub, 1):
+        for lo, hi, v in blocks:
+            v = 0 - v  # not -v: a float 0.0 stays +0.0
+            for row in A_ub[lo:hi]:
+                row[j] = v
+    c_obj = [1] + [0] * (nv - 1)
+    free = range(1 + len(eq))  # X0 and the equality rows' variables
+    res = simplex.solve(c_obj, None, None, A_ub, [-v for v in claim], maximize=False, free_vars=free, exact=exact)
+    internal, zero = tree.internal_nodes, tuple([0.0] * tree.dim)
+    if res.status == "unbounded":
+        return NEG_INF, Strategy(h=dict.fromkeys(internal, zero), flagged=set(internal))
+    if res.status != "optimal":
+        raise HedgeError(f"primal LP status {res.status}")
+    alive = alive_nodes(tree, fam, xi)
+    hedge = {n: [] for n in internal if alive[n]}
+    for (n, _), y in zip(eq, res.x[1:]):
+        if n in hedge:
+            hedge[n].append(y)  # the node's mean rows come first, one per coordinate
+    h = {n: tuple(hedge[n][: tree.dim]) if hedge.get(n) else zero for n in internal}
+    return res.x[0], Strategy(h=h, flagged={n for n in internal if not alive[n]})
 
 
 def leaf_chargeable(tree, fam, leaf):
@@ -898,11 +932,12 @@ def test_lp_cases_cover_classes_modes_and_shapes():
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("label,tree,xi,fam", LP_CASES, ids=LP_IDS)
 def test_primal_matrix_is_the_negated_transpose_of_the_lifted_rows(label, tree, xi, fam, exact):
-    """Both LP cross-checks read one lift.  The primal's row of a leaf is
-    -1 for X0, then minus the leaf-law LP's column of that leaf over its
-    rows after the mass row, entry by entry; its rhs is minus the leaf-law
+    """The reference primal LP is the LP dual of the leaf-law LP that
+    `global_sup_lp` hands the solver.  The primal's row of a leaf is -1 for
+    X0, then minus the leaf-law LP's column of that leaf over its rows
+    after the mass row, entry by entry; its rhs is minus the leaf-law
     objective, and X0 and the equality rows' variables are free."""
-    primal = handed_lp(primal_lp, tree, xi, fam, exact=exact)
+    primal = handed_lp(reference_primal_lp_lifted, tree, xi, fam, exact=exact)
     oracle = handed_lp(oracle_lp.global_sup_lp, tree, xi, fam, exact=exact)
     c, A_eq, b_eq, A_ub, b_ub, kw = primal
     assert A_eq is None and b_eq is None
@@ -940,16 +975,20 @@ PRIMAL_VALUE_CASES = [
     ids=[f"{c.values[0]}-{'exact' if c.values[4] else 'float'}" for c in PRIMAL_VALUE_CASES],
 )
 def test_primal_value_equals_the_dp_and_the_references(label, tree, xi, fam, exact):
-    """The primal meets the DP, the oracle and the reference primal of its
-    class (over wealth paths, or over node values for VAR_BOUNDED): `==` in
-    exact mode, within 1e-9 in float mode.  It flags the nodes where the DP
-    is -inf, every internal node when the root is."""
+    """The primal, read from the leaf-law LP's duals, meets the DP, the
+    oracle, the primal LP over the lift solved as an LP of its own, and the
+    reference primal of its class (over wealth paths, or over node values
+    for VAR_BOUNDED): `==` in exact mode, within 1e-9 in float mode.  It
+    flags the nodes where the DP is -inf, every internal node when the root
+    is, as the lifted primal LP does."""
     Y = backward_value(tree, xi, fam)
     pv, H = primal_lp(tree, xi, fam, exact=exact)
     reference = reference_primal_lp_var_bounded if fam.cls == VAR_BOUNDED else reference_primal_lp_paths
-    values = (Y[tree.root], oracle_lp.global_sup_lp(tree, xi, fam, exact=exact)[0], reference(tree, xi, fam, exact)[0])
+    lifted, H_lifted = reference_primal_lp_lifted(tree, xi, fam, exact)
+    values = (Y[tree.root], oracle_lp.global_sup_lp(tree, xi, fam, exact=exact)[0], lifted, reference(tree, xi, fam, exact)[0])
+    assert H.flagged == H_lifted.flagged
     if pv == NEG_INF:
-        assert values == (NEG_INF,) * 3
+        assert values == (NEG_INF,) * 4
         assert H.flagged == set(tree.internal_nodes)
         return
     for v in values:
@@ -985,9 +1024,9 @@ FULL_MARTINGALE_CASES = [
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("label,tree,xi,fam", FULL_MARTINGALE_CASES, ids=[c[0] for c in FULL_MARTINGALE_CASES])
 def test_full_martingale_primal_is_the_path_lp(label, tree, xi, fam, exact):
-    """Without -inf and polar leaves the lifted primal hands the solver the
-    path LP itself: `repr`-equal matrices, rhs, objective and keywords."""
-    got = handed_lp(primal_lp, tree, xi, fam, exact=exact)
+    """Without -inf and polar leaves the primal LP over the lift is the path
+    LP itself: `repr`-equal matrices, rhs, objective and keywords."""
+    got = handed_lp(reference_primal_lp_lifted, tree, xi, fam, exact=exact)
     want = handed_lp(reference_primal_lp_paths, tree, xi, fam, exact=exact)
     assert repr(got) == repr(want)
 
