@@ -7,7 +7,9 @@ go to a separate timings.json for that reason: per-stage seconds for
 write), plus their total.  Exit status is zero iff every gap, tolerance,
 and verification check passes.  When an oracle scale limit refuses one of
 `solve`'s LP cross-checks (the oracle, or the primal LP), `solve` skips it,
-warns with the limit's message and says so in its report.  When a limit
+warns with the limit's message and says so in its report.  Past
+ORACLE_MAX_LEAVES leaves only `--exact` skips, and it skips both LPs, which
+read one leaf-law LP.  When a limit
 refuses a step that `solve` or `hedge` cannot skip (the vertex enumeration
 behind a polar set past ORACLE_MAX_CHILDREN children), or one of `solve`'s
 float LPs fails, the run prints one `error: <message>` line to stderr and

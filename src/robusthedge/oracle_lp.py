@@ -1,18 +1,15 @@
-"""Independent brute-force oracles: vertex enumeration and the global path LP.
+"""Independent brute-force oracles: vertex enumeration and the leaf-law LP.
 
-These deliberately avoid the backward recursion in dual_dp.  The global LP
-optimizes directly over leaf probabilities subject to the linear rows that
-characterize induced laws of family measures (each node's
+These deliberately avoid the backward recursion in dual_dp.  The leaf-law
+LP optimizes directly over leaf probabilities subject to the linear rows
+that characterize induced laws of family measures (each node's
 `measure_families.one_step_rows`, lifted into leaf space), and vertex
 enumeration solves square subsystems exactly in rationals.  Agreement
 between the two routes is the main acceptance gate.
 
-The leaf-law LP is solved once per instance (`solve_leaf_law`, a one-entry
-memo keyed on the lift's exact content): its optimal law is the oracle's
-measure and its row duals are `primal_hedge.primal_lp`'s hedge.  Neither is
-taken on the solver's word: `certify_leaf_law` checks the law against the
-lifted rows here, and `primal_hedge.certify_hedge` the hedge leaf by leaf,
-in rationals in exact mode.
+`leaf_law_lp` solves the leaf-law LP for both LP cross-checks and certifies
+its optimum: the law is the oracle's measure, and the row duals are
+`primal_hedge.primal_lp`'s hedge.
 
 Vertex enumeration is memoised: one module-level LRU cache of 256 entries
 is keyed on the polytope's rows as the caller gives them, as tuples of native
@@ -55,6 +52,10 @@ ORACLE_MAX_LEAVES = 2000
 
 
 class OracleScaleError(MeasureError):
+    pass
+
+
+class HedgeError(MeasureError):
     pass
 
 
@@ -215,7 +216,7 @@ def lex_smallest_kernel(tree: MarketTree, nid: int, fam: FamilySpec) -> Kernel:
     return verts[0]
 
 
-# -- global path LP ------------------------------------------------------
+# -- the leaf-law LP -----------------------------------------------------
 
 
 def leaf_law_rows(tree, xi, fam, start):
@@ -231,12 +232,8 @@ def leaf_law_rows(tree, xi, fam, start):
     and so are their positions, so a lifted row is (n, blocks) with one
     block (lo, hi, a_c - b) per child: the entry at positions lo..hi-1.
     `eq` holds the equality rows and `ub` the `<=` rows, nodes breadth-first
-    and each node's rows in the order `one_step_rows` gives them.
-
-    Both LP cross-checks read the LP these rows make, solved once by
-    `solve_leaf_law`: `global_sup_lp` its optimal law, and
-    `primal_hedge.primal_lp`, its LP dual over the same rows read as
-    columns, its row duals.
+    and each node's rows in the order `one_step_rows` gives them, all as
+    tuples, so the rows themselves key the memo of `leaf_law_lp`.
     """
     ranges = tree._ranges_below(start)
     all_leaves = ranges[-1]
@@ -254,34 +251,56 @@ def leaf_law_rows(tree, xi, fam, start):
             blocks = [(pos[i], pos[i + width]) for i in range(first, first + len(children) * width, width)]
             for rows, rhs, out in ((A_eq[1:], b_eq[1:], eq), (A_ub, b_ub, ub)):
                 for a, b in zip(rows, rhs):
-                    out.append((n, [(lo, hi, a_c - b) for (lo, hi), a_c in zip(blocks, a)]))
-    return leaves, claim, eq, ub
+                    out.append((n, tuple((lo, hi, a_c - b) for (lo, hi), a_c in zip(blocks, a))))
+    return leaves, claim, tuple(eq), tuple(ub)
 
 
-def solve_leaf_law(claim, eq, ub, exact: bool) -> simplex.LPResult:
-    """The leaf-law LP of `leaf_law_rows`'s output (claim, eq, ub), solved:
-    maximize sum_l q_l claim_l over q >= 0 with total mass 1, the lifted
-    `eq` rows = 0 and the `ub` rows <= 0.  Its row duals are the primal
-    hedge: y_eq[0] is the initial capital and y_eq[1:] + y_ub the positions
-    on the lifted rows, in their order.
+def leaf_law_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: int, exact: bool):
+    """(leaves, eq, LPResult): the certified optimum of the leaf-law LP
+    below `start`, or None when its value is -inf.
 
-    Memoised in one entry keyed on the exact content (the mode, the claim
-    values and every row's (lo, hi, v) blocks, compared by value), so
-    `global_sup_lp` and `primal_lp` on one instance, in either order, solve
-    it once.  The LPResult is shared between the callers, which only read it.
+    The LP maximizes sum_l q_l claim_l over leaf laws q >= 0 of mass 1 with
+    the `leaf_law_rows` rows `eq` = 0 and `ub` <= 0.  `global_sup_lp` reads
+    its optimal law x; `primal_hedge.primal_lp`, its LP dual, reads the row
+    duals: y_eq[0] is the initial capital and y_eq[1:] + y_ub the positions
+    on the lifted rows, in their order.  `certify_leaf_law` and
+    `certify_hedge` prove both optimal by weak duality (Applegate, Cook,
+    Dash & Espinoza, 2007); a failed check raises.
+
+    The value is -inf exactly when `alive_nodes` does not mark `start` (no
+    family measure avoids the -inf leaves).  An "infeasible" at a start it
+    marks raises HedgeError in both modes, as does a status other than
+    optimal or infeasible.  Exact mode raises OracleScaleError, before it
+    builds a row, past ORACLE_MAX_LEAVES leaves: its dense rational tableau
+    grows with leaves times lifted rows (about 0.7 s of CPU time at 729
+    trinomial lookback leaves, one core of an Intel Xeon, Python 3.11,
+    Fraction arithmetic).  Float mode has no limit.
+
+    The solve and both certificates are memoised in one entry keyed on the
+    mode, the claim and the lifted rows (node ids included, compared by
+    value), so `global_sup_lp` and `primal_lp` on one instance, in either
+    order, solve and certify once; they only read the shared LPResult.
     """
-    return _solved_leaf_law(exact, tuple(claim), _content(eq), _content(ub))
-
-
-def _content(rows) -> tuple:
-    return tuple(tuple(blocks) for _, blocks in rows)
+    n_leaves = len(tree._ranges_below(start)[-1])
+    if exact and n_leaves > ORACLE_MAX_LEAVES:
+        raise OracleScaleError(f"{n_leaves} leaves exceed the oracle leaf limit {ORACLE_MAX_LEAVES}")
+    leaves, claim, eq, ub = leaf_law_rows(tree, xi, fam, start)
+    if not leaves:
+        return None
+    res = _solved_leaf_law(exact, tuple(claim), eq, ub)
+    if res.status == "infeasible":
+        if alive_nodes(tree, fam, xi)[start]:
+            mode = "exact" if exact else "float"
+            raise HedgeError(f"{mode} path LP infeasible, but a family measure below node {start} avoids the -inf leaves")
+        return None
+    return leaves, eq, res
 
 
 @functools.lru_cache(maxsize=1)
 def _solved_leaf_law(exact: bool, claim: tuple, eq: tuple, ub: tuple) -> simplex.LPResult:
     def dense(rows):
         out = []
-        for blocks in rows:
+        for _, blocks in rows:
             row = [0] * len(claim)
             for lo, hi, v in blocks:
                 row[lo:hi] = [v] * (hi - lo)
@@ -289,7 +308,13 @@ def _solved_leaf_law(exact: bool, claim: tuple, eq: tuple, ub: tuple) -> simplex
         return out
 
     A_eq, b_eq = [[1] * len(claim), *dense(eq)], [1] + [0] * len(eq)
-    return simplex.solve(list(claim), A_eq, b_eq, dense(ub), [0] * len(ub), exact=exact)
+    res = simplex.solve(list(claim), A_eq, b_eq, dense(ub), [0] * len(ub), exact=exact)
+    if res.status == "optimal":
+        certify_leaf_law(claim, eq, ub, res.x, res.value, exact)
+        certify_hedge(claim, eq, ub, res.y_eq, res.y_ub, res.value, exact)
+    elif res.status != "infeasible":
+        raise HedgeError(f"leaf-law LP status {res.status}")
+    return res
 
 
 def scaled(values, exact: bool):
@@ -331,6 +356,39 @@ def certify_leaf_law(claim, eq, ub, q, value, exact: bool) -> None:
         raise MeasureError(f"leaf law has mean claim {mean / (dq * dc)}, not the LP value {value}")
 
 
+def certify_hedge(claim, eq, ub, y_eq, y_ub, value, exact: bool) -> None:
+    """Raise HedgeError unless X0 = y_eq[0] with the positions
+    y_eq[1:] + y_ub on the lifted rows (claim, eq, ub) of `leaf_law_rows`
+    is a superhedge at cost `value`: y_ub >= 0, X0 + sum_r y_r (a_c - b)
+    >= claim_l at every leaf position l, and X0 == value.  With a feasible
+    leaf law of mean `value` (which `certify_leaf_law` checks) weak duality
+    then proves both optimal.  Exact mode compares rationals with `==` and
+    `<=` (a float entry is read as its exact binary value), as integers
+    over common denominators (`scaled`); float mode allows 1e-9.  No solver
+    runs: each row adds its constant y_r (a_c - b) over each block of leaf
+    positions."""
+    tol = 0 if exact else 1e-9
+    ys, dy = scaled([*y_eq, *y_ub], exact)
+    if min(ys[len(y_eq) :], default=0) < -tol:
+        raise HedgeError("negative position on a lifted <= row")
+    rows = eq + ub
+    vs, dv = scaled([v for _, blocks in rows for _, _, v in blocks], exact)
+    cs, dc = scaled(claim, exact)
+    # wealth times dy * dv, so that each gain is one product of numerators
+    wealth = [ys[0] * dv] * len(claim)
+    v = iter(vs)
+    for (_, blocks), y in zip(rows, ys[1:]):
+        for lo, hi, _ in blocks:
+            gain = y * next(v)
+            wealth[lo:hi] = [w + gain for w in wealth[lo:hi]]
+    scale = dy * dv
+    short = next((l for l, (w, c) in enumerate(zip(wealth, cs)) if w * dc < c * scale - tol), None)
+    if short is not None:
+        raise HedgeError(f"wealth {wealth[short] / scale} below the claim {claim[short]} at leaf position {short}")
+    if abs(ys[0] - value * dy) > tol:
+        raise HedgeError(f"initial capital {y_eq[0]} is not the LP value {value}")
+
+
 def _factorize_leaf_law(tree, fam, leaves, q, start):
     """Conditional kernels from a leaf law; deterministic completion at
     uncharged nodes.  Node masses are summed bottom-up, one level of the
@@ -360,26 +418,16 @@ def _factorize_leaf_law(tree, fam, leaves, q, start):
 def global_sup_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: Optional[int] = None, exact: bool = True):
     """sup of E[xi] over the family below `start` plus an optimal measure.
 
-    Returns (value, TreeMeasure); (-inf, None) when no family measure avoids
-    the -inf leaves.  Exact mode solves in rationals; float mode uses HiGHS
-    and raises MeasureError on an "infeasible" that `alive_nodes` refutes.
-    The optimal law is certified (`certify_leaf_law`) before it is read.
+    Returns (value, TreeMeasure), read from the certified optimum of the
+    leaf-law LP (`leaf_law_lp`, whose limits and errors apply): the value
+    is the LP's, and the measure is its optimal law factorized into
+    kernels.  (-inf, None) when no family measure avoids the -inf leaves.
     """
     start = tree.root if start is None else start
-    n_leaves = len(tree._ranges_below(start)[-1])
-    if n_leaves > ORACLE_MAX_LEAVES:
-        raise OracleScaleError(f"{n_leaves} leaves exceed the oracle leaf limit {ORACLE_MAX_LEAVES}")
-    leaves, c_obj, eq, ub = leaf_law_rows(tree, xi, fam, start)
-    if not leaves:
+    lp = leaf_law_lp(tree, xi, fam, start, exact)
+    if lp is None:
         return NEG_INF, None
-    res = solve_leaf_law(c_obj, eq, ub, exact)
-    if res.status == "infeasible":
-        if not exact and alive_nodes(tree, fam, xi)[start]:
-            raise MeasureError(f"float path LP infeasible, but a family measure below node {start} avoids the -inf leaves")
-        return NEG_INF, None
-    if res.status != "optimal":  # pragma: no cover
-        raise MeasureError(f"path LP status {res.status}")
-    certify_leaf_law(c_obj, eq, ub, res.x, res.value, exact)
+    leaves, _, res = lp
     q, value = res.x, res.value
     if not exact:
         # clamp solver noise so the factorized kernels stay well conditioned

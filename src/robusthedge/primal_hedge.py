@@ -5,13 +5,15 @@ dominating the claim on every leaf whose claim is finite.  It is the LP
 dual of the leaf-law LP of `oracle_lp.global_sup_lp`, over the one
 leaf-space lift of the family's rows (`oracle_lp.leaf_law_rows`) read as
 columns, one variable per lifted row.  So it solves no LP of its own: its
-optimum is read from the row duals of the one leaf-law LP solve
-(`oracle_lp.solve_leaf_law`) and certified leaf by leaf without a solver
-(`certify_hedge`), after Applegate, Cook, Dash & Espinoza (2007).  The
-optimum matches the dual DP value (strong duality on finite trees).  The
-extracted strategy is read from the one-step dual multipliers
-that the DP keeps in its value field, so the hedge comes from the same
-backward pass as the value, and it achieves that optimum path by path.
+optimum is read from the row duals of the certified leaf-law LP optimum
+(`oracle_lp.leaf_law_lp`), which `certify_hedge` checks leaf by leaf
+without a solver, after Applegate, Cook, Dash & Espinoza (2007);
+`certify_hedge` and `HedgeError` live in `oracle_lp`, and are imported
+here.  The optimum matches the dual DP value (strong duality on finite
+trees).  The extracted strategy is read from the one-step dual
+multipliers that the DP keeps in its value field, so the hedge comes from
+the same backward pass as the value, and it achieves that optimum path by
+path.
 """
 
 from __future__ import annotations
@@ -22,14 +24,10 @@ from typing import Mapping, Optional, Sequence
 
 from .dual_dp import ValueField
 from .market_tree import NEG_INF, MarketTree, NodeValues, NodeVectors, node_array
-from .measure_families import FamilySpec, MeasureError, TreeMeasure, alive_nodes, polar_paths
-from .oracle_lp import ORACLE_MAX_LEAVES, OracleScaleError, enumerate_vertex_kernels, leaf_law_rows, scaled, solve_leaf_law
+from .measure_families import FamilySpec, TreeMeasure, alive_nodes, polar_paths
+from .oracle_lp import HedgeError, certify_hedge, enumerate_vertex_kernels, leaf_law_lp  # noqa: F401 (certify_hedge is re-exported)
 
 HEDGE_TOL = 1e-9
-
-
-class HedgeError(MeasureError):
-    pass
 
 
 @dataclass
@@ -179,77 +177,25 @@ def primal_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, exact: bool = True
     and c n's child on l's path.  y_r is free for an equality row and >= 0
     for a `<=` row; a mean row's y_r is the hedge at its node, and for
     VAR_BOUNDED the `<=` rows' y_r are the variance positions.  No LP of
-    its own is solved: (X0, y) are the row duals of the leaf-law LP
-    (`oracle_lp.solve_leaf_law`, shared with `global_sup_lp`), and
-    `certify_hedge` proves them optimal before they are read; a failed
-    check raises HedgeError.  The value is -inf, with every node flagged,
-    exactly when no family measure avoids the -inf leaves (the leaf-law LP
-    is infeasible and `alive_nodes` does not mark the root; an
-    "infeasible" at an alive root raises HedgeError).  Otherwise the
-    flagged nodes are those that `alive_nodes` does not mark, where the DP
-    value is -inf, and their hedge is 0.
-
-    The exact LP raises OracleScaleError, before it builds a row, on trees
-    of more than ORACLE_MAX_LEAVES leaves: its dense rational tableau grows
-    with leaves times lifted rows.  On trinomial lookback trees the exact
-    leaf-law LP took about 0.7 s of CPU time at 729 leaves (one core of an
-    Intel Xeon, Python 3.11, Fraction arithmetic).
+    its own is solved: X0 = y_eq[0] and the positions are the row duals of
+    the certified leaf-law LP optimum (`oracle_lp.leaf_law_lp`, shared with
+    `global_sup_lp`, whose limits and errors apply).  The value is -inf,
+    with every node flagged, exactly when no family measure avoids the -inf
+    leaves.  Otherwise the flagged nodes are those that `alive_nodes` does
+    not mark, where the DP value is -inf, and their hedge is 0.
     """
-    if exact and len(tree.leaves) > ORACLE_MAX_LEAVES:
-        raise OracleScaleError(
-            f"{len(tree.leaves)} paths exceed the exact primal LP limit {ORACLE_MAX_LEAVES}"
-        )
-    leaves, claim, eq, ub = leaf_law_rows(tree, xi, fam, tree.root)
+    lp = leaf_law_lp(tree, xi, fam, tree.root, exact)
     internal, zero = tree.internal_nodes, tuple([0.0] * tree.dim)
-    if not leaves:
+    if lp is None:
         return NEG_INF, Strategy(h=dict.fromkeys(internal, zero), flagged=set(internal))
-    res = solve_leaf_law(claim, eq, ub, exact)
+    _, eq, res = lp
     alive = alive_nodes(tree, fam, xi)
-    if res.status == "infeasible" and not alive[tree.root]:
-        return NEG_INF, Strategy(h=dict.fromkeys(internal, zero), flagged=set(internal))
-    if res.status != "optimal":
-        raise HedgeError(f"leaf-law LP status {res.status}")
-    certify_hedge(claim, eq, ub, res.y_eq, res.y_ub, res.value, exact)
     hedge = {n: [] for n in internal if alive[n]}
     for (n, _), y in zip(eq, res.y_eq[1:]):
         if n in hedge:
             hedge[n].append(y)  # the node's mean rows come first, one per coordinate
     h = {n: tuple(hedge[n][: tree.dim]) if hedge.get(n) else zero for n in internal}
     return res.y_eq[0], Strategy(h=h, flagged={n for n in internal if not alive[n]})
-
-
-def certify_hedge(claim, eq, ub, y_eq, y_ub, value, exact: bool) -> None:
-    """Raise HedgeError unless X0 = y_eq[0] with the positions
-    y_eq[1:] + y_ub on the lifted rows (claim, eq, ub) of
-    `oracle_lp.leaf_law_rows` is a superhedge at cost `value`: y_ub >= 0,
-    X0 + sum_r y_r (a_c - b) >= claim_l at every leaf position l, and
-    X0 == value.  With a feasible leaf law of mean `value` (which
-    `oracle_lp.certify_leaf_law` checks) weak duality then proves both
-    optimal.  Exact mode compares rationals with `==` and `<=` (a float
-    entry is read as its exact binary value), as integers over common
-    denominators (`oracle_lp.scaled`); float mode allows HEDGE_TOL.  No
-    solver runs: each row adds its constant y_r (a_c - b) over each block
-    of leaf positions."""
-    tol = 0 if exact else HEDGE_TOL
-    ys, dy = scaled([*y_eq, *y_ub], exact)
-    if min(ys[len(y_eq) :], default=0) < -tol:
-        raise HedgeError("negative position on a lifted <= row")
-    rows = eq + ub
-    vs, dv = scaled([v for _, blocks in rows for _, _, v in blocks], exact)
-    cs, dc = scaled(claim, exact)
-    # wealth times dy * dv, so that each gain is one product of numerators
-    wealth = [ys[0] * dv] * len(claim)
-    v = iter(vs)
-    for (_, blocks), y in zip(rows, ys[1:]):
-        for lo, hi, _ in blocks:
-            gain = y * next(v)
-            wealth[lo:hi] = [w + gain for w in wealth[lo:hi]]
-    scale = dy * dv
-    short = next((l for l, (w, c) in enumerate(zip(wealth, cs)) if w * dc < c * scale - tol), None)
-    if short is not None:
-        raise HedgeError(f"wealth {wealth[short] / scale} below the claim {claim[short]} at leaf position {short}")
-    if abs(ys[0] - value * dy) > tol:
-        raise HedgeError(f"initial capital {y_eq[0]} is not the LP value {value}")
 
 
 # -- Doob-Meyer and admissibility ----------------------------------------

@@ -72,30 +72,39 @@ def test_solve_reports_polar_path(tmp_path):
     assert report["polar_path_count"] == 1
 
 
-def test_solve_skips_the_oracle_beyond_its_leaf_limit(tmp_path, capsys):
+def test_float_solve_runs_both_lps_beyond_the_exact_leaf_limit(tmp_path, capsys):
+    """The leaf limit binds the exact leaf-law LP only: on 2,187 leaves the
+    float `solve` reports the dual, oracle and primal values, with no
+    warning."""
     doc = dict(BASE_CONFIG)
     doc["tree"] = {"dim": 1, "depth": 7, "generator": {"kind": "trinomial"}}  # 2,187 leaves
     cfg = write_config(tmp_path, doc)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert "2187 leaves exceed the oracle leaf limit 2000; oracle cross-check skipped" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
     report = json.loads((tmp_path / "solve_report.json").read_text())
-    assert report["oracle_skipped"] and report["oracle_value"] is None
-    assert report["gaps"]["dp_minus_oracle"] is None
+    assert not report["oracle_skipped"] and not report["primal_skipped"]
+    assert report["dual_value"] == pytest.approx(report["oracle_value"], abs=1e-9)
     assert report["dual_value"] == pytest.approx(report["primal_value"], abs=1e-9)
     assert report["verification"]["ok"]
-    assert not report["primal_skipped"]  # HiGHS solves the float primal LP
+
+
+LEAF_LIMIT = "2187 leaves exceed the oracle leaf limit 2000"
 
 
 def test_exact_solve_skips_the_primal_lp_beyond_its_leaf_limit(tmp_path, capsys):
+    """`--exact` past the leaf limit skips both LP cross-checks, each
+    warning with the one limit message."""
     doc = dict(BASE_CONFIG)
     doc["tree"] = {"dim": 1, "depth": 7, "generator": {"kind": "trinomial"}}  # 2,187 leaves
     doc["claim"] = {"kind": "lookback", "strike": 0.5}
     cfg = write_config(tmp_path, doc)
     assert main(["solve", "--config", str(cfg), "--exact", "--out", str(tmp_path)]) == 0
-    err = capsys.readouterr().err
-    assert "2187 leaves exceed the oracle leaf limit 2000; oracle cross-check skipped" in err
-    assert "2187 paths exceed the exact primal LP limit 2000; primal cross-check skipped" in err
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {LEAF_LIMIT}; oracle cross-check skipped",
+        f"warning: {LEAF_LIMIT}; primal cross-check skipped",
+    ]
     report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["oracle_skipped"] and report["oracle_value"] is None
     assert report["primal_skipped"] and report["primal_value"] is None
     assert report["gaps"] == {"dp_minus_oracle": None, "dp_minus_primal": None}
     # the exact primal LP, run past its limit, reaches 339/256 too
@@ -137,8 +146,8 @@ def restricted_past_oracle_limit():
 @pytest.mark.parametrize("command", ["hedge", "solve"])
 def test_restricted_polar_past_oracle_limit_is_verified(tmp_path, capsys, command):
     """The -inf leaf and its down sibling are polar; every other path is
-    hedged.  `solve` skips only the oracle, which the leaf limit refuses;
-    the float primal LP runs and meets the DP."""
+    hedged.  The leaf limit binds exact LPs only, so the float `solve` runs
+    the oracle and the primal, and both meet the DP."""
     cfg = write_config(tmp_path, restricted_past_oracle_limit())
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
     line = capsys.readouterr().out.splitlines()[-1]
@@ -148,9 +157,9 @@ def test_restricted_polar_past_oracle_limit_is_verified(tmp_path, capsys, comman
         assert verification["polar_paths"] == 2
     else:
         report = json.loads((tmp_path / "solve_report.json").read_text())
-        assert report["oracle_skipped"] and not report["primal_skipped"]
+        assert not report["oracle_skipped"] and not report["primal_skipped"]
         assert report["polar_path_count"] == 2
-        assert report["gaps"]["dp_minus_primal"] == 0
+        assert report["gaps"] == {"dp_minus_oracle": 0, "dp_minus_primal": 0}
         verification = report["verification"]
         assert verification["ok"]
     assert verification["min_slack"] >= -1e-9

@@ -13,6 +13,7 @@ from robusthedge.measure_families import (
     VAR_BOUNDED,
     FamilySpec,
     Kernel,
+    TreeMeasure,
     in_family,
     one_step_rows,
     polar_paths,
@@ -20,6 +21,7 @@ from robusthedge.measure_families import (
 from robusthedge.oracle_lp import (
     ORACLE_MAX_CHILDREN,
     ORACLE_MAX_LEAVES,
+    HedgeError,
     OracleScaleError,
     _polytope_vertices,
     _solve_unique,
@@ -311,11 +313,15 @@ def test_oracle_scale_guard():
 
 
 def test_oracle_leaf_limit():
+    """The leaf limit binds the exact leaf-law LP only; the float one runs
+    past it and meets the DP."""
     tree = build_tree({"dim": 1, "depth": 7, "generator": {"kind": "trinomial"}})
     assert len(tree.leaves) == 2187 > ORACLE_MAX_LEAVES
     xi = {leaf: abs(tree.spot1(leaf)) for leaf in tree.leaves}
-    with pytest.raises(OracleScaleError):
-        global_sup_lp(tree, xi, MART, exact=False)
+    with pytest.raises(OracleScaleError, match="2187 leaves exceed the oracle leaf limit 2000"):
+        global_sup_lp(tree, xi, MART, exact=True)
+    value, _ = global_sup_lp(tree, xi, MART, exact=False)
+    assert abs(value - backward_value(tree, xi, MART)[tree.root]) <= 1e-9
 
 
 def test_restricted_polar_paths_past_the_leaf_limit_build_no_lp(monkeypatch):
@@ -359,19 +365,81 @@ def counting_solves(monkeypatch):
     return calls
 
 
+def counting_calls(monkeypatch, module, name):
+    calls = []
+    f = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("exact", [False, True])
 def test_oracle_then_primal_on_equal_instances_solve_once(monkeypatch, exact):
     """The oracle and the primal on two distinct but equal instances (trees,
-    claims and families built twice) share one solve: the second call is a
-    memo hit, and both read the same LPResult."""
+    claims and families built twice) share one solve and one run of each
+    certificate: the second call is a memo hit, and both read the same
+    LPResult."""
     calls = counting_solves(monkeypatch)
+    laws = counting_calls(monkeypatch, oracle_lp, "certify_leaf_law")
+    hedges = counting_calls(monkeypatch, oracle_lp, "certify_hedge")
     lp, _ = global_sup_lp(*lookback_instance(exact), exact=exact)
     pv, _ = primal_lp(*lookback_instance(exact), exact=exact)
     assert calls == [exact]
+    assert len(laws) == len(hedges) == 1
     info = oracle_lp._solved_leaf_law.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     assert type(lp) is type(pv) is (RAT if exact else float)
     assert lp == pv if exact else abs(lp - pv) <= 1e-9
+
+
+def lex_smallest_law(tree, xi, fam, exact):
+    """The leaf law and mean claim of the measure made of the
+    lexicographically smallest vertex kernel at every node."""
+    P = TreeMeasure({n: lex_smallest_kernel(tree, n, fam) for n in tree.internal_nodes})
+    law = P.leaf_law(tree)
+    q = [law[leaf] if exact else float(law[leaf]) for leaf in tree.leaves]
+    return q, P.expectation(tree, xi) if exact else float(P.expectation(tree, xi))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_feasible_but_suboptimal_law_is_refused(monkeypatch, exact):
+    """A solver that hands back a feasible law below the optimum, with its
+    mean as the value and the true row duals, passes the law's certificate
+    but not the hedge's: weak duality needs both, so the oracle and the
+    primal raise instead of reporting the lower value."""
+    tree, xi, fam = lookback_instance(exact)
+    q, mean = lex_smallest_law(tree, xi, fam, exact)
+    solve = simplex.solve
+
+    def suboptimal(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        assert mean < res.value
+        return simplex.LPResult(status="optimal", x=q, value=mean, y_eq=res.y_eq, y_ub=res.y_ub)
+
+    monkeypatch.setattr(simplex, "solve", suboptimal)
+    laws = counting_calls(monkeypatch, oracle_lp, "certify_leaf_law")
+    for cross_check in (lambda: global_sup_lp(tree, xi, fam, exact=exact), lambda: primal_lp(tree, xi, fam, exact=exact)):
+        with pytest.raises(HedgeError, match="is not the LP value"):
+            cross_check()
+    assert len(laws) == 2  # the law passed its certificate both times
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_an_infeasible_lp_at_an_alive_start_raises(monkeypatch, exact):
+    """An "infeasible" from the solver while a family measure avoids the
+    -inf leaves is a solver failure, not the value -inf, in both modes."""
+    monkeypatch.setattr(simplex, "solve", lambda *args, **kwargs: simplex.LPResult(status="infeasible"))
+    tree, xi, fam = lookback_instance(exact)
+    mode = "exact" if exact else "float"
+    want = f"{mode} path LP infeasible, but a family measure below node 0 avoids the -inf leaves"
+    with pytest.raises(HedgeError, match=want):
+        global_sup_lp(tree, xi, fam, exact=exact)
+    with pytest.raises(HedgeError, match=want):
+        primal_lp(tree, xi, fam, exact=exact)
 
 
 def test_mutated_claim_misses_the_memo(monkeypatch):

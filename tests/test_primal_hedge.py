@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robusthedge import dual_dp, primal_hedge, simplex
+from robusthedge import dual_dp, oracle_lp, simplex
 from robusthedge.dual_dp import backward_value, optimizer_measure
 from robusthedge.market_tree import NEG_INF, build_tree
 from robusthedge.measure_families import (
@@ -30,7 +30,6 @@ from robusthedge.oracle_lp import (
     certify_leaf_law,
     global_sup_lp,
     leaf_law_rows,
-    solve_leaf_law,
 )
 from robusthedge.random_instances import random_claim, random_family, random_tree
 from robusthedge.simplex import RAT, rat
@@ -206,7 +205,7 @@ def solved_var_bounded(exact):
     lo, hi = (RAT(1, 4), RAT(3, 4)) if exact else (0.25, 0.75)
     fam = FamilySpec(cls=VAR_BOUNDED, var_lo=lo, var_hi=hi)
     leaves, claim, eq, ub = leaf_law_rows(tree, xi, fam, tree.root)
-    res = solve_leaf_law(claim, eq, ub, exact)
+    res = oracle_lp._solved_leaf_law(exact, tuple(claim), eq, ub)
     assert res.status == "optimal" and ub
     return claim, eq, ub, res
 
@@ -404,6 +403,6 @@ def test_exact_primal_lp_refuses_trees_past_the_leaf_limit(monkeypatch, fam):
         raise AssertionError("the LP was built")
 
     monkeypatch.setattr(simplex, "solve", no_rows)
-    monkeypatch.setattr(primal_hedge, "leaf_law_rows", no_rows)
+    monkeypatch.setattr(oracle_lp, "leaf_law_rows", no_rows)
     with pytest.raises(OracleScaleError):
         primal_lp(tree, xi, fam, exact=True)
