@@ -2,7 +2,9 @@
 
 A claim maps each leaf id to a value in [-inf, +inf); +inf never occurs.
 Named payoffs read the first spot coordinate; explicit tables may contain
-"-inf" entries to exercise the claim-restricted family.
+"-inf" entries (or the number -inf, the same in both modes) to exercise the
+claim-restricted family.  `make_claim` refuses a NaN or +inf table value
+and a non-finite strike with a ClaimError, in both modes.
 
 `make_claim` returns a `NodeValues` over the leaf id range: the values in
 one Python list in leaf order, plus, in float mode, the float64 array they
@@ -70,8 +72,10 @@ def make_claim(tree: MarketTree, spec: Mapping, exact: bool = False) -> NodeValu
             if key not in values and leaf not in values:
                 raise ClaimError(f"table claim misses leaf {leaf}")
             v = values.get(key, values.get(leaf))
-            if v == "-inf":
+            if v == "-inf" or v == NEG_INF:
                 out.append(NEG_INF)
+            elif v != v or v == float("inf"):
+                raise ClaimError(f"table value {v} at leaf {leaf} is neither finite nor -inf")
             else:
                 out.append(rat(v) if exact else float(v))
         return NodeValues(leaves, out, None if exact else np.array(out))
@@ -79,6 +83,8 @@ def make_claim(tree: MarketTree, spec: Mapping, exact: bool = False) -> NodeValu
         raise ClaimError(f"unknown claim kind {kind!r}")
 
     strike = spec.get("strike", 0)
+    if strike != strike or strike in (NEG_INF, float("inf")):
+        raise ClaimError(f"strike {strike} is not finite")
     k = rat(strike) if exact else float(strike)
     levels = tree.levels
     if kind in ("lookback", "asian"):

@@ -5,17 +5,20 @@ rerun with the same config and seed is byte-identical.  Wall-clock timings
 go to a separate timings.json for that reason: per-stage seconds for
 `solve` (dp, oracle, primal) and `hedge` (tree, claim, dp, extract, verify,
 write), plus their total.  Exit status is zero iff every gap, tolerance,
-and verification check passes.  When an oracle scale limit refuses one of
-`solve`'s LP cross-checks (the oracle, or the primal LP), `solve` skips it,
-warns with the limit's message and says so in its report.  Past
+and verification check passes.  `solve` formats the result of
+`suites.check_duality`, the check that criterion 1 runs on every instance:
+gaps must be literally zero under `--exact` and within `market_tree.TOL` in
+float mode.  When an oracle scale limit refuses one of `solve`'s LP
+cross-checks (the oracle, or the primal LP), the check skips it and warns
+with the limit's message, and `solve` says so in its report.  Past
 ORACLE_MAX_LEAVES leaves only `--exact` skips, and it skips both LPs, which
-read one leaf-law LP.  When a limit
-refuses a step that `solve` or `hedge` cannot skip (the vertex enumeration
-behind a polar set past ORACLE_MAX_CHILDREN children), or one of `solve`'s
-float LPs fails, the run prints one `error: <message>` line to stderr and
-exits 2.  A config that cannot be read or that the builders reject ends
-with one `config ...` line, exit 1.  `--exact` reads a config's numbers as
-the decimals they spell (0.1 is 1/10), not as doubles.
+read one leaf-law LP.  When a limit refuses a step that `solve` or `hedge`
+cannot skip (the vertex enumeration behind a polar set past
+ORACLE_MAX_CHILDREN children), or one of `solve`'s float LPs fails, the run
+prints one `error: <message>` line to stderr and exits 2.  A config that
+cannot be read or that the builders reject (a non-finite strike or a NaN or
++inf claim value among them) ends with one `config ...` line, exit 1.  `--exact` reads a config's
+numbers as the decimals they spell (0.1 is 1/10), not as doubles.
 """
 
 from __future__ import annotations
@@ -33,15 +36,13 @@ from pathlib import Path
 from .claims import ClaimError, make_claim
 from .counterexample import divergence_demo, phi_limit, phi_trunc
 from .dual_dp import backward_value
-from .market_tree import NEG_INF, TreeError, build_tree
+from .market_tree import NEG_INF, TOL, TreeError, build_tree, value_gap
 from .measure_families import MeasureError, family_from_doc, polar_paths
-from .oracle_lp import OracleScaleError, global_sup_lp
-from .primal_hedge import extract_strategy, primal_lp, verify_superhedge
+from .primal_hedge import extract_strategy, verify_superhedge
 from .simplex import RAT
 from . import suites as suites_mod
 
 SCHEMA_VERSION = 1
-GAP_TOL = 1e-9
 DEFAULT_SEED = 0
 
 
@@ -91,12 +92,6 @@ def _dump_json(path, doc):
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_timings(out, timings):
-    with open(out / "timings.json", "w") as fh:
-        json.dump(timings, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _strategy_digest(H):
     doc = {str(n): [repr(float(v)) for v in h] for n, h in sorted(H.h.items())}
     blob = json.dumps(doc, sort_keys=True).encode()
@@ -110,76 +105,42 @@ def run_solve(cfg, path, out, exact):
     t0 = time.perf_counter()
     tree, xi, fam = _instance_from_config(cfg, path, exact)
     timings = {}
-    t = time.perf_counter()
-    Y = backward_value(tree, xi, fam)
-    dp = Y[tree.root]
-    timings["dp"] = time.perf_counter() - t
-    t = time.perf_counter()
-    oracle_skipped = False
-    lp = None
-    try:
-        lp, _ = global_sup_lp(tree, xi, fam, exact=exact)
-    except OracleScaleError as exc:
-        oracle_skipped = True
-        print(f"warning: {exc}; oracle cross-check skipped", file=sys.stderr)
-    timings["oracle"] = time.perf_counter() - t
-    t = time.perf_counter()
-    primal_skipped = False
-    pv = None
-    try:
-        pv, _strategy = primal_lp(tree, xi, fam, exact=exact)
-    except OracleScaleError as exc:
-        primal_skipped = True
-        print(f"warning: {exc}; primal cross-check skipped", file=sys.stderr)
-    timings["primal"] = time.perf_counter() - t
-
-    ok = True
-    gaps = {}
-    if dp == NEG_INF or pv == NEG_INF or lp == NEG_INF:
-        finite = [v for v in (dp, lp, pv) if v is not None]
-        ok = all(v == NEG_INF for v in finite)
+    check = suites_mod.check_duality(tree, xi, fam, exact, timings)
+    dp, lp, pv, rep = check.Y[tree.root], check.lp, check.pv, check.hedge
+    if rep is None:  # the value is -inf
         gaps = {"dp_minus_oracle": None, "dp_minus_primal": None}
-        report_hedge = None
-        digest = None
-        X0 = "-inf"
+        X0, digest, verification = "-inf", None, None
         polar = polar_paths(tree, fam, xi)
     else:
-        gaps["dp_minus_oracle"] = None if oracle_skipped else float(dp - lp)
-        gaps["dp_minus_primal"] = None if primal_skipped else float(dp - pv)
-        ok = all(abs(g) <= GAP_TOL for g in gaps.values() if g is not None)
-        H = extract_strategy(tree, Y, fam)
-        digest = _strategy_digest(H)
-        X0 = _value_doc(dp, exact)
-        rep = verify_superhedge(tree, dp, H, xi, fam)
-        polar = rep.polar
-        hedge_ok = rep.ok and (rep.min_slack is None or rep.min_slack >= -GAP_TOL)
-        report_hedge = {
-            "ok": hedge_ok,
+        gaps = {
+            "dp_minus_oracle": None if lp is None else float(dp - lp),
+            "dp_minus_primal": None if pv is None else float(dp - pv),
+        }
+        X0, digest = _value_doc(dp, exact), _strategy_digest(check.H)
+        verification = {
+            "ok": rep.ok,
             "min_slack": None if rep.min_slack is None else float(rep.min_slack),
         }
-        if fam.cls != "var_bounded":
-            # pathwise domination by the spot hedge alone is a martingale-cone
-            # statement; the var-bounded value also needs variance positions,
-            # which `primal_lp` reads as the leaf-law LP's `<=` row duals (`y_ub`)
-            ok = ok and hedge_ok
+        polar = rep.polar
+    ok = check.failure is None
     report = {
         "schema_version": SCHEMA_VERSION,
         "exact": exact,
         "dual_value": _value_doc(dp, exact),
-        "oracle_value": None if oracle_skipped else _value_doc(lp, exact),
-        "oracle_skipped": oracle_skipped,
-        "primal_value": None if primal_skipped else _value_doc(pv, exact),
-        "primal_skipped": primal_skipped,
+        "oracle_value": None if lp is None else _value_doc(lp, exact),
+        "oracle_skipped": lp is None,
+        "primal_value": None if pv is None else _value_doc(pv, exact),
+        "primal_skipped": pv is None,
         "gaps": gaps,
         "X0": X0,
         "strategy_digest": digest,
         "polar_path_count": len(polar),
-        "verification": report_hedge,
+        "verification": verification,
         "ok": ok,
     }
     _dump_json(out / "solve_report.json", report)
     timings["total"] = time.perf_counter() - t0
-    _write_timings(out, timings)
+    _dump_json(out / "timings.json", timings)
     print(f"dual={report['dual_value']} oracle={report['oracle_value']} "
           f"primal={report['primal_value']} polar={len(polar)} ok={ok}")
     return 0 if ok else 1
@@ -206,16 +167,12 @@ def run_oracle(cfg, out, exact, seed, threads):
     with open(out / "oracle.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["seed", "dp_value", "lp_value", "gap"])
-        for s, (tree, _xi, _fam, Y, lp) in zip(seeds, results):
-            dp = Y[tree.root]
-            if dp == NEG_INF or lp == NEG_INF:
-                gap = 0.0 if dp == lp else float("inf")
-            else:
-                gap = float(abs(dp - lp))
+        for s, (dp, lp) in zip(seeds, results):
+            gap = float(value_gap(dp, lp))
             w.writerow([s, _oracle_value(dp), _oracle_value(lp), repr(gap)])
             worst = max(worst, gap)
-    _write_timings(out, {"oracle_suite": time.perf_counter() - t0, "instances": n})
-    ok = worst <= (0.0 if exact else GAP_TOL)
+    _dump_json(out / "timings.json", {"oracle_suite": time.perf_counter() - t0, "instances": n})
+    ok = worst <= (0.0 if exact else TOL)
     print(f"oracle: {n} instances, worst gap {worst!r}, ok={ok}")
     return 0 if ok else 1
 
@@ -242,7 +199,7 @@ def run_hedge(cfg, path, out, exact):
         })
         timings["write"] = time.perf_counter() - t
         timings["total"] = time.perf_counter() - t0
-        _write_timings(out, timings)
+        _dump_json(out / "timings.json", timings)
         print(f"value is -inf: no hedge; polar={polar}")
         return 0
     t = time.perf_counter()
@@ -270,11 +227,10 @@ def run_hedge(cfg, path, out, exact):
         w.writerows(zip(rep.slacks, map(repr, map(float, rep.slacks.values()))))
     timings["write"] = time.perf_counter() - t
     timings["total"] = time.perf_counter() - t0
-    _write_timings(out, timings)
-    ok = rep.ok and (rep.min_slack is None or rep.min_slack >= -GAP_TOL)
+    _dump_json(out / "timings.json", timings)
     print(f"X0={doc['X0']} min_slack={doc['verification']['min_slack']} "
-          f"polar={len(rep.polar)} ok={ok}")
-    return 0 if ok else 1
+          f"polar={len(rep.polar)} ok={rep.ok}")
+    return 0 if rep.ok else 1
 
 
 # -- counterexample ------------------------------------------------------

@@ -49,12 +49,14 @@ from typing import Mapping, Optional
 from . import simplex
 from .market_tree import (
     NEG_INF,
+    TOL,
     MarketTree,
     NodeValues,
     NodeVectors,
     node_array,
     stopping_time_below,
     validate_stopping_time,
+    value_gap,
 )
 from .measure_families import (
     ALL,
@@ -69,7 +71,6 @@ from .measure_families import (
 )
 
 OPT_TOL = 1e-10
-PROP_TOL = 1e-9
 # narrowest level that `backward_value` solves in one array pass (see the
 # module docstring for how it was chosen)
 LEVEL_BATCH_MIN = 64
@@ -352,7 +353,7 @@ def optimizer_measure(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> Optiona
     return TreeMeasure(kernels)
 
 
-def check_supermartingale(tree: MarketTree, Y: Mapping, P: TreeMeasure, fam: FamilySpec, tol: float = PROP_TOL) -> tuple:
+def check_supermartingale(tree: MarketTree, Y: Mapping, P: TreeMeasure, fam: FamilySpec, tol: float = TOL) -> tuple:
     """Is Y a P-supermartingale?  Returns (ok, worst_node)."""
     ok_mem, why = in_family(tree, P, fam)
     if not ok_mem:
@@ -403,9 +404,6 @@ def check_tower(tree: MarketTree, xi: Mapping, fam: FamilySpec, sigma, tau, tol:
 
     for m in sigma:
         lhs, rhs = val(m), Y[m]
-        if lhs == NEG_INF or rhs == NEG_INF:
-            if lhs != rhs:
-                return False
-        elif abs(lhs - rhs) > tol:
+        if value_gap(lhs, rhs) > tol:
             return False
     return True

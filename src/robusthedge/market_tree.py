@@ -48,6 +48,17 @@ from itertools import compress
 from typing import Iterable, Optional
 
 NEG_INF = float("-inf")
+# the float-mode tolerance of every gap, slack and property check
+TOL = 1e-9
+
+
+def value_gap(a, b):
+    """|a - b| over [-inf, inf): 0 when both are -inf, inf when only one is."""
+    if a == NEG_INF or b == NEG_INF:
+        return 0.0 if a == b else float("inf")
+    return abs(a - b)
+
+
 # int spots up to this size make every step and every difference of two
 # steps an exact double, so float64 passes compute what Python computes
 INT_SPOT_BOUND = 2**51

@@ -33,7 +33,7 @@ import itertools
 from typing import Mapping, Optional
 
 from . import simplex
-from .market_tree import NEG_INF, MarketTree
+from .market_tree import NEG_INF, TOL, MarketTree, value_gap
 from .measure_families import (
     MARTINGALE,
     FamilySpec,
@@ -333,9 +333,9 @@ def certify_leaf_law(claim, eq, ub, q, value, exact: bool) -> None:
     rows and E_q[claim] is `value`: q >= 0, total mass 1, every `eq` row
     = 0 and every `ub` row <= 0.  Exact mode compares rationals with `==`
     and `<=` (as integers over common denominators, `scaled`); float mode
-    allows 1e-9.  No solver runs: each row is summed over its blocks from
+    allows TOL.  No solver runs: each row is summed over its blocks from
     the prefix sums of q."""
-    tol = 0 if exact else 1e-9
+    tol = 0 if exact else TOL
     qs, dq = scaled(q, exact)
     if min(qs, default=0) < -tol:
         raise MeasureError("leaf law has a negative probability")
@@ -364,10 +364,10 @@ def certify_hedge(claim, eq, ub, y_eq, y_ub, value, exact: bool) -> None:
     leaf law of mean `value` (which `certify_leaf_law` checks) weak duality
     then proves both optimal.  Exact mode compares rationals with `==` and
     `<=` (a float entry is read as its exact binary value), as integers
-    over common denominators (`scaled`); float mode allows 1e-9.  No solver
+    over common denominators (`scaled`); float mode allows TOL.  No solver
     runs: each row adds its constant y_r (a_c - b) over each block of leaf
     positions."""
-    tol = 0 if exact else 1e-9
+    tol = 0 if exact else TOL
     ys, dy = scaled([*y_eq, *y_ub], exact)
     if min(ys[len(y_eq) :], default=0) < -tol:
         raise HedgeError("negative position on a lifted <= row")
@@ -488,7 +488,7 @@ def upper_concave_envelope(points, x0):
 # -- ess-sup and upward directedness -------------------------------------
 
 
-def ess_sup_check(tree: MarketTree, xi: Mapping, fam: FamilySpec, tau, P: TreeMeasure, tol: float = 1e-9) -> bool:
+def ess_sup_check(tree: MarketTree, xi: Mapping, fam: FamilySpec, tau, P: TreeMeasure, tol: float = TOL) -> bool:
     """At every tau-node charged by P, the DP value equals the subtree LP sup."""
     from .dual_dp import backward_value
 
@@ -500,12 +500,8 @@ def ess_sup_check(tree: MarketTree, xi: Mapping, fam: FamilySpec, tau, P: TreeMe
     for m in sorted(set(tau)):
         if mass[m] == 0:
             continue
-        dp = Y[m]
         lp, _ = global_sup_lp(tree, xi, fam, start=m)
-        if dp == NEG_INF or lp == NEG_INF:
-            if dp != lp:
-                return False
-        elif abs(dp - lp) > tol:
+        if value_gap(Y[m], lp) > tol:
             return False
     return True
 
@@ -516,30 +512,13 @@ def upward_directed_check(tree: MarketTree, xi: Mapping, fam: FamilySpec, nid: i
     tau = tree.nodes_at(level)
     e1 = {m: P1.expectation(tree, xi, start=m) for m in tau}
     e2 = {m: P2.expectation(tree, xi, start=m) for m in tau}
-    A = {m for m in tau if _le_ext(e2[m], e1[m])}
+    A = {m for m in tau if e2[m] <= e1[m]}  # -inf is a float: <= orders [-inf, inf)
     Pbar = bifurcate(tree, P1, P2, tau, A)
     mass = Pbar.node_mass(tree)
     for m in tau:
         if mass[m] == 0:
             continue
-        eb = Pbar.expectation(tree, xi, start=m)
-        target = e1[m] if m in A else e2[m]
-        best = max(
-            (v for v in (e1[m], e2[m]) if v != NEG_INF), default=NEG_INF
-        )
-        if e1[m] == NEG_INF and e2[m] == NEG_INF:
-            best = NEG_INF
-        if eb == NEG_INF or best == NEG_INF:
-            if eb != best:
-                return False
-        elif abs(eb - best) > tol or abs(eb - target) > tol:
+        # A picks the larger expectation, so the target is the best of the two
+        if value_gap(Pbar.expectation(tree, xi, start=m), max(e1[m], e2[m])) > tol:
             return False
     return True
-
-
-def _le_ext(a, b):
-    if a == NEG_INF:
-        return True
-    if b == NEG_INF:
-        return False
-    return a <= b

@@ -23,11 +23,9 @@ from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .dual_dp import ValueField
-from .market_tree import NEG_INF, MarketTree, NodeValues, NodeVectors, node_array
+from .market_tree import NEG_INF, TOL, MarketTree, NodeValues, NodeVectors, node_array
 from .measure_families import FamilySpec, TreeMeasure, alive_nodes, polar_paths
 from .oracle_lp import HedgeError, certify_hedge, enumerate_vertex_kernels, leaf_law_lp  # noqa: F401 (certify_hedge is re-exported)
-
-HEDGE_TOL = 1e-9
 
 
 @dataclass
@@ -92,7 +90,7 @@ def wealth(tree: MarketTree, X0, H: Strategy, path: Sequence[int]):
     return total
 
 
-def verify_superhedge(tree: MarketTree, X0, H: Strategy, xi: Mapping, fam: FamilySpec, tol: float = HEDGE_TOL) -> HedgeReport:
+def verify_superhedge(tree: MarketTree, X0, H: Strategy, xi: Mapping, fam: FamilySpec, tol: float = TOL) -> HedgeReport:
     """Wealth >= claim on every non-polar path (the quasi-sure inequality).
 
     Polar paths are excluded from the check and listed in the report.  The
@@ -149,7 +147,7 @@ def verify_superhedge(tree: MarketTree, X0, H: Strategy, xi: Mapping, fam: Famil
         W, claim = W.astype(object), claim.astype(object)
     slack = W[keep] - claim[keep]
     del W, claim
-    bad = slack < -tol
+    bad = ~(slack >= -tol)  # a NaN slack is a violation too
     values = slack.tolist()
     if keep.all():
         slacks = NodeValues(leaves, values, slack if slack.dtype == float else None)
@@ -201,7 +199,7 @@ def primal_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, exact: bool = True
 # -- Doob-Meyer and admissibility ----------------------------------------
 
 
-def doob_meyer(tree: MarketTree, Y: Mapping, H: Strategy, P: TreeMeasure, tol: float = HEDGE_TOL) -> dict:
+def doob_meyer(tree: MarketTree, Y: Mapping, H: Strategy, P: TreeMeasure, tol: float = TOL) -> dict:
     """Cumulative compensator K along P-charged edges; K(root) = 0.
 
     An increment below -tol means the hedge fails its one-step inequality

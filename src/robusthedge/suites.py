@@ -3,16 +3,21 @@
 Every suite is a pure function of its seed and instance count; each returns
 a SuiteResult whose failures carry a replayable instance descriptor, so a
 red run can be reproduced from the summary alone.
+
+`check_duality` is the one per-instance duality check, which criterion 1
+(`duality_suite`) and the CLI's `solve` share.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dual_dp import backward_value, check_supermartingale, check_tower, one_step_sup
-from .market_tree import NEG_INF, build_tree
+from .dual_dp import ValueField, backward_value, check_supermartingale, check_tower, one_step_sup
+from .market_tree import NEG_INF, TOL, build_tree, value_gap
 from .measure_families import (
     ALL,
     MARTINGALE,
@@ -29,12 +34,13 @@ from .measure_families import (
     truncate_kernels,
 )
 from .oracle_lp import (
+    OracleScaleError,
     ess_sup_check,
     global_sup_lp,
     upper_concave_envelope,
     upward_directed_check,
 )
-from .primal_hedge import extract_strategy, primal_lp, verify_superhedge
+from .primal_hedge import HedgeReport, Strategy, extract_strategy, primal_lp, verify_superhedge
 from .random_instances import (
     random_claim,
     random_family,
@@ -43,10 +49,6 @@ from .random_instances import (
     random_stopping_time,
     random_tree,
 )
-
-DUALITY_TOL = 1e-9
-PROP_TOL = 1e-9
-
 
 @dataclass
 class SuiteResult:
@@ -74,46 +76,86 @@ def _record(result, instance, detail):
 # -- duality / oracle agreement ------------------------------------------
 
 
-def duality_instance(seed: int, exact: bool) -> tuple:
-    """The random instance drawn from `seed`, with its DP value field and
-    its global-LP value: (tree, xi, fam, Y, lp)."""
+def _draw_instance(seed: int, exact: bool) -> tuple:
+    """(tree, xi, fam): the random instance drawn from `seed`."""
     rng = random.Random(seed)
     tree = random_tree(rng)
     xi = random_claim(tree, rng, exact=exact)
     fam = random_family(tree, rng, exact=exact)
-    Y = backward_value(tree, xi, fam)
+    return tree, xi, fam
+
+
+def duality_instance(seed: int, exact: bool) -> tuple:
+    """(DP root value, global-LP value) of the instance drawn from `seed`."""
+    tree, xi, fam = _draw_instance(seed, exact)
     lp, _ = global_sup_lp(tree, xi, fam, exact=exact)
-    return tree, xi, fam, Y, lp
+    return backward_value(tree, xi, fam)[tree.root], lp
+
+
+@dataclass
+class DualityCheck:
+    """One instance's three-way duality check.  `lp` and `pv` are None when
+    an oracle scale limit skipped that LP; `H` and `hedge` are None when
+    the value is -inf.  `failure` is None when the check passes, else a
+    one-line reason."""
+
+    Y: ValueField
+    lp: object
+    pv: object
+    H: Optional[Strategy]
+    hedge: Optional[HedgeReport]
+    failure: Optional[str]
+
+
+def check_duality(tree, xi, fam: FamilySpec, exact: bool, timings: Optional[dict] = None) -> DualityCheck:
+    """DP root value == global leaf-law LP == primal hedging LP, and the
+    DP's hedge superhedges at X0 = Y(root).
+
+    The DP, the oracle and the primal run in that order; `timings`, when
+    given, receives their seconds.  An LP that an oracle scale limit
+    refuses is skipped with one `warning:` line on stderr, printed at once.
+    The values that ran are -inf all together or not at all, and their gap
+    is 0 in exact mode, at most TOL in float mode.  A finite value's hedge
+    is verified path by path, and must pass for every class but
+    VAR_BOUNDED, whose value also needs the variance positions that
+    `primal_lp` reads as the leaf-law LP's `<=` row duals (`y_ub`).
+    """
+    timings = {} if timings is None else timings
+    t = time.perf_counter()
+    Y = backward_value(tree, xi, fam)
+    dp = Y[tree.root]
+    timings["dp"] = time.perf_counter() - t
+    values = []
+    for stage, solve in (("oracle", global_sup_lp), ("primal", primal_lp)):
+        t = time.perf_counter()
+        try:
+            values.append(solve(tree, xi, fam, exact=exact)[0])
+        except OracleScaleError as exc:
+            values.append(None)
+            print(f"warning: {exc}; {stage} cross-check skipped", file=sys.stderr)
+        timings[stage] = time.perf_counter() - t
+    lp, pv = values
+    ran = [v for v in (dp, lp, pv) if v is not None]
+    if NEG_INF in ran:
+        failure = None if all(v == NEG_INF for v in ran) else f"-inf mismatch dp={dp} lp={lp} primal={pv}"
+        return DualityCheck(Y, lp, pv, None, None, failure)
+    tol = 0 if exact else TOL
+    failure = None if all(abs(dp - v) <= tol for v in ran) else f"gap above {tol}: dp={dp} lp={lp} primal={pv}"
+    H = extract_strategy(tree, Y, fam)
+    hedge = verify_superhedge(tree, dp, H, xi, fam)
+    if failure is None and not hedge.ok and fam.cls != VAR_BOUNDED:
+        failure = f"superhedge failed, min slack {hedge.min_slack}"
+    return DualityCheck(Y, lp, pv, H, hedge, failure)
 
 
 def duality_suite(seed: int, n: int = 100, exact: bool = False) -> SuiteResult:
-    """DP root value == global measure LP == primal hedging LP.
-
-    Float mode at DUALITY_TOL; exact mode demands literal equality.  On
-    MARTINGALE instances with finite value the extracted strategy must
-    superhedge at X0 = Y(root).
-    """
+    """`check_duality` on n instances drawn from consecutive seeds."""
     res = SuiteResult("duality", n)
     for i in range(n):
-        tree, xi, fam, Y, lp = duality_instance(seed + i, exact)
-        inst = {"seed": seed + i, "family": fam.cls, "exact": exact}
-        dp = Y[tree.root]
-        pv, _ = primal_lp(tree, xi, fam, exact=exact)
-        vals = (dp, lp, pv)
-        if NEG_INF in vals:
-            if not dp == lp == pv:
-                _record(res, inst, f"-inf mismatch dp={dp} lp={lp} primal={pv}")
-            continue
-        gap = max(abs(dp - lp), abs(dp - pv))
-        tol = 0 if exact else DUALITY_TOL
-        if gap > tol:
-            _record(res, inst, f"gap {gap}: dp={dp} lp={lp} primal={pv}")
-            continue
-        if fam.cls == MARTINGALE:
-            H = extract_strategy(tree, Y, fam)
-            rep = verify_superhedge(tree, dp, H, xi, fam)
-            if not rep.ok or (rep.min_slack is not None and rep.min_slack < -DUALITY_TOL):
-                _record(res, inst, f"superhedge failed, min slack {rep.min_slack}")
+        tree, xi, fam = _draw_instance(seed + i, exact)
+        failure = check_duality(tree, xi, fam, exact).failure
+        if failure is not None:
+            _record(res, {"seed": seed + i, "family": fam.cls, "exact": exact}, failure)
     return res
 
 
@@ -143,7 +185,7 @@ def pasting_closure_suite(seed: int, n: int = 200, cls: str = MARTINGALE) -> Sui
             if not tree.is_leaf(m)
         }
         glued = paste(tree, P, tau, nu)
-        ok, why = in_family(tree, glued, fam, tol=1e-9)
+        ok, why = in_family(tree, glued, fam, tol=TOL)
         if not ok:
             _record(res, {"seed": seed + i, "family": cls}, why)
     return res
@@ -163,7 +205,7 @@ def conditioning_closure_suite(seed: int, n: int = 200, cls: str = MARTINGALE) -
         for nid in tree.internal_nodes:
             piece = rcpd(tree, P, nid)
             for sub_nid, k in piece.kernels.items():
-                ok, why = kernel_in_class(tree, k, fam, tol=1e-9)
+                ok, why = kernel_in_class(tree, k, fam, tol=TOL)
                 if not ok:
                     bad = (nid, why)
                     break
@@ -195,7 +237,7 @@ def bifurcation_closure_suite(seed: int, n: int = 200, cls: str = MARTINGALE) ->
         )
         A = {m for m in tau if rng.random() < 0.5}
         glued = bifurcate(tree, P1, P2, tau, A)
-        ok, why = in_family(tree, glued, fam, tol=1e-9)
+        ok, why = in_family(tree, glued, fam, tol=TOL)
         if not ok:
             _record(res, {"seed": seed + i, "family": cls}, why)
     return res
@@ -231,7 +273,7 @@ def truncation_suite(seed: int, n: int = 100) -> SuiteResult:
                 break
             prev = E_n
             glued = paste(tree, P, tau, nu_n)
-            ok, why = in_family(tree, glued, fam, tol=1e-9)
+            ok, why = in_family(tree, glued, fam, tol=TOL)
             if not ok:
                 _record(res, inst, f"threshold {thr}: {why}")
                 bad = True
@@ -266,7 +308,7 @@ def supermartingale_suite(seed: int, n: int = 500) -> SuiteResult:
         fam = random_family(tree, rng)
         P = random_measure(tree, rng, fam)
         Y = backward_value(tree, xi, fam)
-        ok, worst = check_supermartingale(tree, Y, P, fam, tol=PROP_TOL)
+        ok, worst = check_supermartingale(tree, Y, P, fam)
         if not ok:
             _record(res, {"seed": seed + i, "family": fam.cls}, f"worst node {worst}")
     return res
@@ -281,7 +323,7 @@ def ess_sup_suite(seed: int, n: int = 100) -> SuiteResult:
         fam = random_family(tree, rng)
         tau = random_stopping_time(tree, rng)
         P = random_measure(tree, rng, fam)
-        if not ess_sup_check(tree, xi, fam, tau, P, tol=PROP_TOL):
+        if not ess_sup_check(tree, xi, fam, tau, P):
             _record(res, {"seed": seed + i, "family": fam.cls}, "ess-sup mismatch")
     return res
 
@@ -306,7 +348,7 @@ def upward_directed_suite(seed: int, n: int = 200) -> SuiteResult:
                 for k in P1.kernels
             }
         )
-        if not upward_directed_check(tree, xi, fam, nid, P1, P2, tol=1e-9):
+        if not upward_directed_check(tree, xi, fam, nid, P1, P2, tol=TOL):
             _record(res, {"seed": seed + i, "family": fam.cls}, "max identity failed")
     return res
 
@@ -329,11 +371,9 @@ def envelope_suite(seed: int, n: int = 1000) -> SuiteResult:
         env = upper_concave_envelope(
             [(tree.spot1(leaf), V[leaf]) for leaf in tree.leaves], 0.0
         )
-        if sol.value == NEG_INF or env == NEG_INF:
-            if sol.value != env:
-                _record(res, {"seed": seed + i}, f"{sol.value} != {env}")
-        elif abs(sol.value - env) > 1e-10:
-            _record(res, {"seed": seed + i}, f"gap {abs(sol.value - env)}")
+        gap = value_gap(sol.value, env)
+        if gap > 1e-10:
+            _record(res, {"seed": seed + i}, f"gap {gap}: {sol.value} vs {env}")
     return res
 
 

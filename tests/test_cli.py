@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,10 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from robusthedge import oracle_lp, primal_hedge, suites
 from robusthedge.cli import main
+from robusthedge.market_tree import NEG_INF
+from robusthedge.simplex import RAT
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -215,6 +219,47 @@ def test_oracle_cross_check_past_the_child_limit(tmp_path, capsys, exact):
     assert report["ok"]
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_a_nonzero_exact_gap_fails_solve(tmp_path, monkeypatch, exact):
+    """The leaf-law optimum and its capital dual raised by 10**-12: float
+    `solve` is within its tolerance, `--exact` demands literally zero gaps."""
+    solve = oracle_lp.leaf_law_lp
+    eps = RAT(1, 10**12) if exact else 1e-12
+
+    def raised(*args, **kwargs):
+        leaves, eq, res = solve(*args, **kwargs)
+        y_eq = [res.y_eq[0] + eps, *res.y_eq[1:]]
+        return leaves, eq, dataclasses.replace(res, value=res.value + eps, y_eq=y_eq)
+
+    monkeypatch.setattr(oracle_lp, "leaf_law_lp", raised)
+    monkeypatch.setattr(primal_hedge, "leaf_law_lp", raised)
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    status = main(["solve", "--config", str(cfg), *(["--exact"] if exact else []), "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["gaps"]["dp_minus_oracle"] == report["gaps"]["dp_minus_primal"] == pytest.approx(-1e-12, abs=1e-15)
+    assert (status, report["ok"]) == ((1, False) if exact else (0, True))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_check_duality_is_what_solve_and_oracle_report(exact):
+    """`solve`'s and criterion 1's one check and the `oracle` sweep read the
+    same DP and LP values, and in exact mode all three values are equal."""
+    for seed in range(20260823, 20260833):
+        tree, xi, fam = suites._draw_instance(seed, exact)
+        check = suites.check_duality(tree, xi, fam, exact)
+        assert check.failure is None
+        assert suites.duality_instance(seed, exact) == (check.Y[tree.root], check.lp)
+        if exact:
+            assert check.lp == check.pv == check.Y[tree.root]
+
+
+def test_check_duality_fails_on_a_lone_neg_inf(monkeypatch):
+    tree, xi, fam = suites._draw_instance(20260823, False)
+    monkeypatch.setattr(suites, "global_sup_lp", lambda *args, **kwargs: (NEG_INF, None))
+    check = suites.check_duality(tree, xi, fam, False)
+    assert check.failure.startswith("-inf mismatch") and check.hedge is None
+
+
 D2_FLOAT_OFFSETS_CONFIG = {
     "tree": {
         "dim": 2,
@@ -415,22 +460,45 @@ def with_field(section, **fields):
     return dict(BASE_CONFIG, **{section: dict(BASE_CONFIG[section], **fields)})
 
 
+def with_table_value(value, leaf=5):
+    """BASE_CONFIG with a table claim: 1.0 at every leaf but `leaf`."""
+    values = {str(l): value if l == leaf else 1.0 for l in range(4, 13)}
+    return dict(BASE_CONFIG, claim={"kind": "table", "values": values})
+
+
+# JSON's NaN and Infinity reach the claim as floats in both modes
 BAD_CONFIGS = [
     (with_field("tree", generator={"kind": "pentanomial"}), "unknown generator kind 'pentanomial'"),
     (with_field("tree", depth=0), "depth must be >= 1"),
     (with_field("claim", kind="put"), "unknown claim kind 'put'"),
     (with_field("family", **{"class": "mart"}), "unknown family class 'mart'"),
+    (with_table_value(float("nan")), "table value nan at leaf 5 is neither finite nor -inf"),
+    (with_table_value(float("inf")), "table value inf at leaf 5 is neither finite nor -inf"),
+    (with_field("claim", kind="call", strike=float("nan")), "strike nan is not finite"),
+    (with_field("claim", kind="call", strike=float("inf")), "strike inf is not finite"),
 ]
+BAD_CONFIG_IDS = ["generator", "depth", "claim", "family", "nan-value", "inf-value", "nan-strike", "inf-strike"]
 
 
 @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["float", "exact"])
 @pytest.mark.parametrize("command", ["solve", "hedge"])
-@pytest.mark.parametrize("doc,message", BAD_CONFIGS, ids=["generator", "depth", "claim", "family"])
+@pytest.mark.parametrize("doc,message", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
 def test_rejected_config_ends_with_one_config_line(tmp_path, doc, message, command, exact):
     cfg = write_config(tmp_path, doc)
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *exact])
     assert exc.value.code == f"config {cfg}: {message}"
+
+
+@pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["float", "exact"])
+def test_neg_infinity_number_is_the_neg_inf_string(tmp_path, exact):
+    """A table's -Infinity means what "-inf" means, in both modes."""
+    values = dict(NEG_INF_CONFIG["claim"]["values"])
+    number = dict(NEG_INF_CONFIG, claim={"kind": "table", "values": {k: float(v) for k, v in values.items()}})
+    for name, doc in (("string", NEG_INF_CONFIG), ("number", number)):
+        cfg = write_config(tmp_path, doc, f"{name}.json")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / name), *exact]) == 0
+    assert (tmp_path / "string" / "solve_report.json").read_bytes() == (tmp_path / "number" / "solve_report.json").read_bytes()
 
 
 def test_missing_config_file_ends_with_one_config_line(tmp_path):

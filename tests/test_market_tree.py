@@ -23,6 +23,7 @@ from robusthedge.market_tree import (
     build_tree,
     stopping_time_below,
     validate_stopping_time,
+    value_gap,
 )
 from robusthedge.measure_families import MARTINGALE, FamilySpec, polar_paths
 from robusthedge.primal_hedge import extract_strategy, verify_superhedge
@@ -431,3 +432,28 @@ def test_float_deep_path_reads_no_value_id_by_id(monkeypatch):
     H = extract_strategy(tree, Y, fam)
     rep = verify_superhedge(tree, 0.25, H, xi, fam)
     assert read == [tree.root, tree.root] and len(rep.slacks) == len(tree.leaves)
+
+
+# -- the gap of two values over [-inf, inf) --------------------------------
+
+INF = float("inf")
+VALUE_GAPS = [
+    (NEG_INF, NEG_INF, 0.0),
+    (NEG_INF, 1.0, INF),
+    (NEG_INF, 0, INF),
+    (Fraction(1, 3), NEG_INF, INF),
+    (1.5, 1.0, 0.5),
+    (3, Fraction(7, 2), Fraction(1, 2)),
+    (Fraction(1, 10), Fraction(1, 10), Fraction(0)),
+    (Fraction(1, 2), 0.25, 0.25),
+    (0.1, Fraction(1, 10), abs(0.1 - Fraction(1, 10))),  # a float result, not 0
+]
+
+
+@pytest.mark.parametrize("a,b,gap", VALUE_GAPS)
+def test_value_gap_over_the_extended_reals(a, b, gap):
+    """Both -inf is no gap, one -inf an infinite one; otherwise |a - b| in
+    the numbers' own arithmetic, exact between ints and Fractions."""
+    assert value_gap(a, b) == gap and value_gap(b, a) == gap
+    if not any(isinstance(v, float) for v in (a, b)):
+        assert type(value_gap(a, b)) is type(gap)

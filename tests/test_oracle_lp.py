@@ -31,6 +31,7 @@ from robusthedge.oracle_lp import (
     global_sup_lp,
     lex_smallest_kernel,
     upper_concave_envelope,
+    upward_directed_check,
 )
 from robusthedge.primal_hedge import primal_lp
 from robusthedge.random_instances import (
@@ -42,7 +43,7 @@ from robusthedge.random_instances import (
 )
 from robusthedge.simplex import RAT, rat
 
-from conftest import seeded
+from conftest import fair_measure, seeded
 
 MART = FamilySpec(cls=MARTINGALE)
 
@@ -526,6 +527,24 @@ def test_ess_sup_random_pairs():
         tau = random_stopping_time(tree, rng)
         P = random_measure(tree, rng, fam)
         assert ess_sup_check(tree, xi, fam, tau, P)
+
+
+@pytest.mark.parametrize("avoid", [True, False], ids=["one-neg-inf", "both-neg-inf"])
+def test_upward_directed_with_neg_inf_expectations(trinomial2, avoid):
+    """P1 charges a -inf leaf below node 1.  When P2 avoids it (a point mass
+    on the flat step) the bifurcation takes P2 there and meets the finite
+    expectation; when P2 charges it too, both sides are -inf."""
+    low = trinomial2.children(1)[0]
+    xi = {leaf: (NEG_INF if leaf == low else abs(trinomial2.spot1(leaf))) for leaf in trinomial2.leaves}
+    P1 = fair_measure(trinomial2)
+    P2 = P1
+    if avoid:
+        flat = next(c for c in trinomial2.children(1) if trinomial2.step(1, c) == (0,))
+        P2 = TreeMeasure({**P1.kernels, 1: Kernel(1, {flat: 1.0})})
+    assert P1.expectation(trinomial2, xi, start=1) == NEG_INF
+    assert (P2.expectation(trinomial2, xi, start=1) == NEG_INF) is not avoid
+    assert upward_directed_check(trinomial2, xi, MART, 1, P1, P2)
+    assert upward_directed_check(trinomial2, xi, MART, 1, P2, P1)
 
 
 # -- dp vs lp agreement --------------------------------------------------

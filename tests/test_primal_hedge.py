@@ -108,6 +108,17 @@ def test_underfunded_hedge_fails(trinomial1):
     assert not rep.ok and rep.violations
 
 
+def test_nan_claim_value_is_a_violation(trinomial1):
+    """A NaN slack is not >= -tol, so its path is a violation, not a pass."""
+    xi = {leaf: float(abs(trinomial1.spot1(leaf))) for leaf in trinomial1.leaves}
+    Y = backward_value(trinomial1, xi, MART)
+    H = extract_strategy(trinomial1, Y, MART)
+    mid = next(l for l in trinomial1.leaves if trinomial1.spot1(l) == 0)
+    rep = verify_superhedge(trinomial1, Y[trinomial1.root], H, {**xi, mid: float("nan")}, MART)
+    assert not rep.ok
+    assert rep.violations == [trinomial1.path_to(mid)]
+
+
 def test_extract_strategy_requires_finite_root():
     tree = one_step_tree([1, 2])
     Y = backward_value(tree, {leaf: 1.0 for leaf in tree.leaves}, MART)
