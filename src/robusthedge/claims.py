@@ -3,8 +3,10 @@
 A claim maps each leaf id to a value in [-inf, +inf); +inf never occurs.
 Named payoffs read the first spot coordinate; explicit tables may contain
 "-inf" entries (or the number -inf, the same in both modes) to exercise the
-claim-restricted family.  `make_claim` refuses a NaN or +inf table value
-and a non-finite strike with a ClaimError, in both modes.
+claim-restricted family.  `make_claim` refuses, with a ClaimError in both
+modes, a table value that is neither a finite real number nor -inf and a
+strike that is not a finite real number; a bool is not a number, as in
+JSON.
 
 `make_claim` returns a `NodeValues` over the leaf id range: the values in
 one Python list in leaf order, plus, in float mode, the float64 array they
@@ -21,6 +23,8 @@ and additions as max() and sum() over the root-to-leaf spot list.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Mapping
 
 from .market_tree import NEG_INF, MarketTree, NodeValues
@@ -31,6 +35,11 @@ NAMED_KINDS = ("call", "abs", "lookback", "asian", "digital", "linear")
 
 class ClaimError(ValueError):
     pass
+
+
+def _finite(v) -> bool:
+    """v is a finite real number, and not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and -math.inf < v < math.inf
 
 
 def _pos(v):
@@ -74,8 +83,8 @@ def make_claim(tree: MarketTree, spec: Mapping, exact: bool = False) -> NodeValu
             v = values.get(key, values.get(leaf))
             if v == "-inf" or v == NEG_INF:
                 out.append(NEG_INF)
-            elif v != v or v == float("inf"):
-                raise ClaimError(f"table value {v} at leaf {leaf} is neither finite nor -inf")
+            elif not _finite(v):
+                raise ClaimError(f"table value {v!r} at leaf {leaf} is neither finite nor -inf")
             else:
                 out.append(rat(v) if exact else float(v))
         return NodeValues(leaves, out, None if exact else np.array(out))
@@ -83,8 +92,8 @@ def make_claim(tree: MarketTree, spec: Mapping, exact: bool = False) -> NodeValu
         raise ClaimError(f"unknown claim kind {kind!r}")
 
     strike = spec.get("strike", 0)
-    if strike != strike or strike in (NEG_INF, float("inf")):
-        raise ClaimError(f"strike {strike} is not finite")
+    if not _finite(strike):
+        raise ClaimError(f"strike {strike!r} is not finite")
     k = rat(strike) if exact else float(strike)
     levels = tree.levels
     if kind in ("lookback", "asian"):

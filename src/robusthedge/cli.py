@@ -12,13 +12,16 @@ float mode.  When an oracle scale limit refuses one of `solve`'s LP
 cross-checks (the oracle, or the primal LP), the check skips it and warns
 with the limit's message, and `solve` says so in its report.  Past
 ORACLE_MAX_LEAVES leaves only `--exact` skips, and it skips both LPs, which
-read one leaf-law LP.  When a limit refuses a step that `solve` or `hedge`
-cannot skip (the vertex enumeration behind a polar set past
+read one leaf-law LP.  ORACLE_MAX_CHILDREN reaches the oracle only through
+`alive_nodes` after an infeasible LP, and the primal through the
+`alive_nodes` flags of its hedge.  When a limit refuses a step that `solve`
+or `hedge` cannot skip (the vertex enumeration behind a polar set past
 ORACLE_MAX_CHILDREN children), or one of `solve`'s float LPs fails, the run
 prints one `error: <message>` line to stderr and exits 2.  A config that
-cannot be read or that the builders reject (a non-finite strike or a NaN or
-+inf claim value among them) ends with one `config ...` line, exit 1.  `--exact` reads a config's
-numbers as the decimals they spell (0.1 is 1/10), not as doubles.
+cannot be read or that the builders reject (a strike or a claim value that
+is not a finite number, -inf claim values aside, among them) ends with one
+`config ...` line, exit 1.  `--exact` reads a config's numbers as the
+decimals they spell (0.1 is 1/10), not as doubles.
 """
 
 from __future__ import annotations

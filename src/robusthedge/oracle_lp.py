@@ -8,8 +8,8 @@ enumeration solves square subsystems exactly in rationals.  Agreement
 between the two routes is the main acceptance gate.
 
 `leaf_law_lp` solves the leaf-law LP for both LP cross-checks and certifies
-its optimum: the law is the oracle's measure, and the row duals are
-`primal_hedge.primal_lp`'s hedge.
+its optimum: the law and its mean are `global_sup_lp`'s, and the row duals
+are `primal_hedge.primal_lp`'s hedge.
 
 Vertex enumeration is memoised: one module-level LRU cache of 256 entries
 is keyed on the polytope's rows as the caller gives them, as tuples of native
@@ -35,7 +35,6 @@ from typing import Mapping, Optional
 from . import simplex
 from .market_tree import NEG_INF, TOL, MarketTree, value_gap
 from .measure_families import (
-    MARTINGALE,
     FamilySpec,
     Kernel,
     MeasureError,
@@ -177,43 +176,6 @@ def enumerate_vertex_kernels(tree: MarketTree, nid: int, fam: FamilySpec) -> lis
         Kernel(nid, {children[i]: p for i, p in pairs})
         for _, pairs in _polytope_vertices(*_row_key(len(children), *rows))
     ]
-
-
-def lex_smallest_kernel(tree: MarketTree, nid: int, fam: FamilySpec) -> Kernel:
-    """Deterministic completion kernel for uncharged nodes: the vertex
-    kernel whose probability vector over child-id order is lexicographically
-    smallest.
-
-    For the d = 1 martingale family the vertices are known in closed form,
-    so no enumeration runs and ORACLE_MAX_CHILDREN does not apply: a point
-    mass on a child with step 0, or the two-point kernel of a negative and
-    a positive step D_a < 0 < D_b (p_a = D_b / (D_b - D_a)).  A vertex whose
-    first charged child comes later is smaller, so the smallest one charges
-    first the last child that some vertex charges first; there a point mass,
-    or the least mass, which the partner step closest to 0 gives (the last
-    such partner on ties).  Steps are those of `one_step_rows`; the two
-    masses are exact rationals."""
-    if fam.cls == MARTINGALE and tree.dim == 1:
-        children = tree.children(nid)
-        if not children:
-            raise MeasureError(f"node {nid} is a leaf")
-        steps = one_step_rows(tree, nid, children, fam)[0][1]
-        for i in reversed(range(len(steps))):
-            d = steps[i]
-            partners = [j for j in range(i + 1, len(steps)) if (steps[j] > 0 if d < 0 else steps[j] < 0)]
-            if d == 0 or partners:
-                break
-        else:
-            raise MeasureError(f"no feasible family kernel at node {nid}")
-        if d == 0:
-            return Kernel(nid, {children[i]: RAT(1)})
-        j = max(partners, key=lambda j: (-abs(steps[j]), j))
-        di, dj = rat(d), rat(steps[j])
-        return Kernel(nid, {children[i]: dj / (dj - di), children[j]: di / (di - dj)})
-    verts = enumerate_vertex_kernels(tree, nid, fam)
-    if not verts:
-        raise MeasureError(f"no feasible family kernel at node {nid}")
-    return verts[0]
 
 
 # -- the leaf-law LP -----------------------------------------------------
@@ -389,60 +351,24 @@ def certify_hedge(claim, eq, ub, y_eq, y_ub, value, exact: bool) -> None:
         raise HedgeError(f"initial capital {y_eq[0]} is not the LP value {value}")
 
 
-def _factorize_leaf_law(tree, fam, leaves, q, start):
-    """Conditional kernels from a leaf law; deterministic completion at
-    uncharged nodes.  Node masses are summed bottom-up, one level of the
-    subtree at a time; they are exact rationals, so the order of the sums
-    does not matter."""
-    ranges = tree._ranges_below(start)
-    mass = dict.fromkeys(ranges[-1], RAT(0))
-    mass.update(zip(leaves, q))
-    for level in reversed(ranges[:-1]):
-        for n in level:
-            mass[n] = sum(map(mass.__getitem__, tree.children(n)), RAT(0))
-    kernels = {}
-    for level in ranges[:-1]:
-        for n in level:
-            if mass[n] > 0:
-                probs = {}
-                for c in tree.children(n):
-                    p = mass[c] / mass[n]
-                    if p > 0:
-                        probs[c] = p
-                kernels[n] = Kernel(n, probs)
-            else:
-                kernels[n] = lex_smallest_kernel(tree, n, fam.unrestricted())
-    return TreeMeasure(kernels)
-
-
 def global_sup_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: Optional[int] = None, exact: bool = True):
-    """sup of E[xi] over the family below `start` plus an optimal measure.
+    """(value, law): the sup of E[xi] over the family below `start` and an
+    optimal leaf law, read from the certified optimum of the leaf-law LP
+    (`leaf_law_lp`, whose limits and errors apply).
 
-    Returns (value, TreeMeasure), read from the certified optimum of the
-    leaf-law LP (`leaf_law_lp`, whose limits and errors apply): the value
-    is the LP's, and the measure is its optimal law factorized into
-    kernels.  (-inf, None) when no family measure avoids the -inf leaves.
+    `law` maps every leaf below `start` to its probability, 0 at the -inf
+    leaves, as `TreeMeasure.leaf_law` does; `certify_leaf_law` has proved
+    it a family law whose mean claim is the value.  (-inf, None) when no
+    family measure avoids the -inf leaves.
     """
     start = tree.root if start is None else start
     lp = leaf_law_lp(tree, xi, fam, start, exact)
     if lp is None:
         return NEG_INF, None
     leaves, _, res = lp
-    q, value = res.x, res.value
-    if not exact:
-        # clamp solver noise so the factorized kernels stay well conditioned
-        q = [rat(v) if v > 1e-11 else RAT(0) for v in q]
-        total = sum(q)
-        q = [v / total for v in q]
-    measure = _factorize_leaf_law(tree, fam, leaves, q, start)
-    if not exact:
-        measure = TreeMeasure(
-            {
-                n: Kernel(n, {c: float(p) for c, p in k.probs.items()})
-                for n, k in measure.kernels.items()
-            }
-        )
-    return value, measure
+    law = dict.fromkeys(tree.leaves_below(start), 0)
+    law.update(zip(leaves, res.x))
+    return res.value, law
 
 
 # -- concave envelope (d = 1 cross-check) --------------------------------

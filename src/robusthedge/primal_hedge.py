@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 from .dual_dp import ValueField
 from .market_tree import NEG_INF, TOL, MarketTree, NodeValues, NodeVectors, node_array
 from .measure_families import FamilySpec, TreeMeasure, alive_nodes, polar_paths
-from .oracle_lp import HedgeError, certify_hedge, enumerate_vertex_kernels, leaf_law_lp  # noqa: F401 (certify_hedge is re-exported)
+from .oracle_lp import HedgeError, certify_hedge, leaf_law_lp  # noqa: F401 (certify_hedge is re-exported)
 
 
 @dataclass
@@ -196,7 +196,7 @@ def primal_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, exact: bool = True
     return res.y_eq[0], Strategy(h=h, flagged={n for n in internal if not alive[n]})
 
 
-# -- Doob-Meyer and admissibility ----------------------------------------
+# -- Doob-Meyer ----------------------------------------------------------
 
 
 def doob_meyer(tree: MarketTree, Y: Mapping, H: Strategy, P: TreeMeasure, tol: float = TOL) -> dict:
@@ -227,37 +227,3 @@ def doob_meyer(tree: MarketTree, Y: Mapping, H: Strategy, P: TreeMeasure, tol: f
                 )
             K[c] = K[nid] + inc
     return K
-
-
-def check_admissible(tree: MarketTree, H: Strategy, fam: FamilySpec, xi: Optional[Mapping] = None, tol: float = 1e-12) -> bool:
-    """Conditional hedge gains are non-positive under a vertex-generated set
-    of family measures (the supermartingale requirement on wealth)."""
-    verts = {
-        n: enumerate_vertex_kernels(tree, n, fam.unrestricted())
-        for n in tree.internal_nodes
-    }
-    if any(not v for v in verts.values()):
-        return True  # empty family: nothing to check
-    width = max(len(v) for v in verts.values())
-    for k in range(width):
-        P = TreeMeasure({n: verts[n][k % len(verts[n])] for n in verts})
-        if fam.claim is not None or xi is not None:
-            claim = fam.claim if fam.claim is not None else xi
-            law = P.leaf_law(tree)
-            if any(law[l] > 0 and claim.get(l) == NEG_INF for l in law):
-                continue
-        mass = P.node_mass(tree)
-        for n in tree.internal_nodes:
-            if mass[n] == 0:
-                continue
-            gain = 0
-            for c in tree.children(n):
-                p = P.prob(n, c)
-                if p == 0:
-                    continue
-                step = tree.step(n, c)
-                for kk in range(tree.dim):
-                    gain += p * H.h[n][kk] * step[kk]
-            if gain > tol:
-                return False
-    return True

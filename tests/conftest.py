@@ -7,7 +7,9 @@ import pytest
 from robusthedge import oracle_lp
 from robusthedge.dual_dp import one_step_sup
 from robusthedge.market_tree import NEG_INF, build_tree
-from robusthedge.measure_families import Kernel, TreeMeasure
+from robusthedge.measure_families import MARTINGALE, VAR_BOUNDED, Kernel, TreeMeasure
+from robusthedge.oracle_lp import enumerate_vertex_kernels
+from robusthedge.simplex import RAT
 
 
 @pytest.fixture(autouse=True)
@@ -95,3 +97,75 @@ def in_id_order(values):
     """`repr` of a dict as the dict of its items in id order, the order in
     which a `NodeValues` lists them."""
     return repr(dict(sorted(values.items())))
+
+
+def reference_path_lp(tree, xi, fam, start):
+    """Rows of the leaf-law LP below `start`, written out per family class
+    in leaf space, with one `below` set per internal node and the child on
+    every (node, leaf) path.  -inf leaves are dropped (their probability is
+    forced to zero)."""
+    xi = {leaf: xi[leaf] for leaf in tree.leaves_below(start)}
+    all_leaves = tree.leaves_below(start)
+    leaves = [l for l in all_leaves if xi.get(l, 0) != NEG_INF]
+    d = tree.dim
+    internal = [n for n in tree.subtree_nodes(start) if not tree.is_leaf(n)]
+    below = {n: set(tree.leaves_below(n)) for n in internal}
+    # step taken at node n on the way to leaf l: spot(child on path) - spot(n)
+    child_on_path = {}
+    for l in all_leaves:
+        path = tree.path_to(l)
+        for i, n in enumerate(path[:-1]):
+            child_on_path[(n, l)] = path[i + 1]
+    A_eq = [[1] * len(leaves)]
+    b_eq = [1]
+    A_ub, b_ub = [], []
+    for n in internal:
+        xn = tree.spot(n)
+        for k in range(d):
+            if fam.cls in (MARTINGALE, VAR_BOUNDED):
+                row = []
+                for l in leaves:
+                    if l in below[n]:
+                        c = child_on_path[(n, l)]
+                        row.append(tree.spot(c)[k] - xn[k])
+                    else:
+                        row.append(0)
+                A_eq.append(row)
+                b_eq.append(0)
+        if fam.cls == VAR_BOUNDED:
+            hi_row, lo_row = [], []
+            for l in leaves:
+                if l in below[n]:
+                    c = child_on_path[(n, l)]
+                    g = (tree.spot1(c) - tree.spot1(n)) ** 2
+                    hi_row.append(g - fam.var_hi)
+                    lo_row.append(fam.var_lo - g)
+                else:
+                    hi_row.append(0)
+                    lo_row.append(0)
+            A_ub.append(hi_row)
+            b_ub.append(0)
+            A_ub.append(lo_row)
+            b_ub.append(0)
+    c_obj = [xi.get(l, 0) for l in leaves]
+    return leaves, A_eq, b_eq, A_ub, b_ub, c_obj
+
+
+def reference_factorize_leaf_law(tree, fam, law, start):
+    """A measure whose leaf law below `start` is `law` (leaf -> exact
+    probability): conditional kernels from node masses summed along each
+    leaf's root path, and at every internal node the law does not charge
+    (every node outside `start`'s subtree among them) the vertex oracle's
+    first kernel of the unrestricted family."""
+    mass = dict.fromkeys(tree.nodes, RAT(0))
+    for l, ql in law.items():
+        path = tree.path_to(l)
+        for n in path[path.index(start) :]:
+            mass[n] += ql
+    kernels = {}
+    for n in tree.internal_nodes:
+        if mass[n] > 0:
+            kernels[n] = Kernel(n, {c: mass[c] / mass[n] for c in tree.children(n) if mass[c] > 0})
+        else:
+            kernels[n] = enumerate_vertex_kernels(tree, n, fam.unrestricted())[0]
+    return TreeMeasure(kernels)

@@ -199,24 +199,26 @@ def test_child_limit_in_a_needed_step_exits_2_with_one_line(tmp_path, capsys, ar
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_oracle_cross_check_past_the_child_limit(tmp_path, capsys, exact):
-    """On 169 leaves the leaf-law LP runs, and completing its measure at an
-    uncharged 13-child node takes the closed-form martingale kernel, not
-    the vertex oracle: `solve` reports the dual, oracle and primal values,
-    with no warning, and in exact mode every gap is 0."""
-    doc = thirteen_offset_config(2, {"class": "martingale", "claim_restricted": False})
-    cfg = write_config(tmp_path, doc)
-    assert main(["solve", "--config", str(cfg), *(["--exact"] if exact else []), "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().err == ""
-    report = json.loads((tmp_path / "solve_report.json").read_text())
-    assert not report["oracle_skipped"] and not report["primal_skipped"]
-    values = [report[key] for key in ("dual_value", "oracle_value", "primal_value")]
-    if exact:
-        assert values == ["6", "6", "6"]
-        assert report["gaps"] == {"dp_minus_oracle": 0.0, "dp_minus_primal": 0.0}
-    else:
-        assert all(abs(v - 6) <= 1e-9 for v in values)
-        assert all(abs(g) <= 1e-9 for g in report["gaps"].values())
-    assert report["ok"]
+    """On 169 leaves the leaf-law LP runs, and the oracle reports its
+    certified value with no vertex enumeration, so no 13-child node stops
+    it: `solve` reports the dual, oracle and primal values, with no
+    warning, for the martingale family and for ALL, and in exact mode
+    every gap is 0."""
+    for family, want in (({"class": "martingale", "claim_restricted": False}, 6), ({"class": "all"}, 12)):
+        cfg = write_config(tmp_path, thirteen_offset_config(2, family))
+        out = tmp_path / family["class"]
+        assert main(["solve", "--config", str(cfg), *(["--exact"] if exact else []), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "solve_report.json").read_text())
+        assert not report["oracle_skipped"] and not report["primal_skipped"]
+        values = [report[key] for key in ("dual_value", "oracle_value", "primal_value")]
+        if exact:
+            assert values == [str(want)] * 3
+            assert report["gaps"] == {"dp_minus_oracle": 0.0, "dp_minus_primal": 0.0}
+        else:
+            assert all(abs(v - want) <= 1e-9 for v in values)
+            assert all(abs(g) <= 1e-9 for g in report["gaps"].values())
+        assert report["ok"]
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -466,7 +468,8 @@ def with_table_value(value, leaf=5):
     return dict(BASE_CONFIG, claim={"kind": "table", "values": values})
 
 
-# JSON's NaN and Infinity reach the claim as floats in both modes
+# JSON's NaN and Infinity reach the claim as floats in both modes; a string
+# other than "-inf", a list or a bool is not a number
 BAD_CONFIGS = [
     (with_field("tree", generator={"kind": "pentanomial"}), "unknown generator kind 'pentanomial'"),
     (with_field("tree", depth=0), "depth must be >= 1"),
@@ -476,8 +479,17 @@ BAD_CONFIGS = [
     (with_table_value(float("inf")), "table value inf at leaf 5 is neither finite nor -inf"),
     (with_field("claim", kind="call", strike=float("nan")), "strike nan is not finite"),
     (with_field("claim", kind="call", strike=float("inf")), "strike inf is not finite"),
+    (with_table_value("nan"), "table value 'nan' at leaf 5 is neither finite nor -inf"),
+    (with_table_value("inf"), "table value 'inf' at leaf 5 is neither finite nor -inf"),
+    (with_table_value("abc"), "table value 'abc' at leaf 5 is neither finite nor -inf"),
+    (with_table_value([1]), "table value [1] at leaf 5 is neither finite nor -inf"),
+    (with_table_value(True), "table value True at leaf 5 is neither finite nor -inf"),
+    (with_field("claim", kind="call", strike="nan"), "strike 'nan' is not finite"),
 ]
-BAD_CONFIG_IDS = ["generator", "depth", "claim", "family", "nan-value", "inf-value", "nan-strike", "inf-strike"]
+BAD_CONFIG_IDS = [
+    "generator", "depth", "claim", "family", "nan-value", "inf-value", "nan-strike", "inf-strike",
+    "nan-string-value", "inf-string-value", "string-value", "list-value", "bool-value", "nan-string-strike",
+]
 
 
 @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["float", "exact"])

@@ -29,7 +29,6 @@ from robusthedge.oracle_lp import (
     enumerate_vertex_kernels,
     ess_sup_check,
     global_sup_lp,
-    lex_smallest_kernel,
     upper_concave_envelope,
     upward_directed_check,
 )
@@ -43,7 +42,7 @@ from robusthedge.random_instances import (
 )
 from robusthedge.simplex import RAT, rat
 
-from conftest import fair_measure, seeded
+from conftest import fair_measure, reference_factorize_leaf_law, reference_path_lp, seeded
 
 MART = FamilySpec(cls=MARTINGALE)
 
@@ -82,13 +81,6 @@ def test_all_family_vertices_are_diracs():
 def test_infeasible_node_has_no_vertices():
     tree = one_step_tree([1, 2])
     assert enumerate_vertex_kernels(tree, 0, MART) == []
-
-
-def test_lex_smallest_kernel_is_deterministic():
-    tree = one_step_tree([-1, 0, 1])
-    k1 = lex_smallest_kernel(tree, 0, MART)
-    k2 = lex_smallest_kernel(tree, 0, MART)
-    assert k1.probs == k2.probs
 
 
 # -- memoised vertex enumeration -----------------------------------------
@@ -256,52 +248,67 @@ def test_float_tree_and_its_exact_twin_keep_separate_entries(float_first):
 
 def test_global_lp_binomial_abs(binomial1):
     xi = {leaf: abs(binomial1.spot1(leaf)) for leaf in binomial1.leaves}
-    val, P = global_sup_lp(binomial1, xi, MART)
+    val, law = global_sup_lp(binomial1, xi, MART)
     assert val == 1
-    assert P.expectation(binomial1, xi) == 1
+    assert sum(q * xi[leaf] for leaf, q in law.items()) == val
 
 
 def test_global_lp_trinomial_abs(trinomial1):
     xi = {leaf: abs(trinomial1.spot1(leaf)) for leaf in trinomial1.leaves}
-    val, P = global_sup_lp(trinomial1, xi, MART)
+    val, law = global_sup_lp(trinomial1, xi, MART)
     assert val == 1
     mid = next(l for l in trinomial1.leaves if trinomial1.spot1(l) == 0)
-    assert P.prob(trinomial1.root, mid) == 0
+    assert law[mid] == 0
+    assert sum(q * xi[leaf] for leaf, q in law.items()) == val
 
 
 def test_global_lp_forces_zero_on_restricted_leaf(trinomial1):
     mid = next(l for l in trinomial1.leaves if trinomial1.spot1(l) == 0)
     xi = {leaf: (NEG_INF if leaf == mid else 1) for leaf in trinomial1.leaves}
     fam = MART.with_claim(xi)
-    val, P = global_sup_lp(trinomial1, xi, fam)
+    val, law = global_sup_lp(trinomial1, xi, fam)
     assert val == 1
-    assert P.prob(trinomial1.root, mid) == 0
+    assert law[mid] == 0
+    assert sum(q * xi[leaf] for leaf, q in law.items() if leaf != mid) == val
 
 
 def test_global_lp_empty_family_is_neg_inf():
     tree = one_step_tree([1, 2])
     xi = {leaf: 1.0 for leaf in tree.leaves}
-    val, P = global_sup_lp(tree, xi, MART)
-    assert val == NEG_INF and P is None
+    val, law = global_sup_lp(tree, xi, MART)
+    assert val == NEG_INF and law is None
 
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_global_lp_optimizer_stays_in_family(exact):
+    """In exact mode the optimal law, factorized by the reference, is a
+    family measure whose mean claim is the value.  In float mode the law
+    meets the reference rows of its family (mass 1 among them), has no
+    entry below 0 and has the value as its mean claim, each within 1e-9.
+    Both modes give the -inf leaves 0."""
     for i in range(15):
         rng = seeded(300 + i)
         tree = random_tree(rng, max_depth=3, max_branch=3)
         xi = random_claim(tree, rng, exact=exact)
         fam = random_family(tree, rng, exact=exact)
-        val, P = global_sup_lp(tree, xi, fam, exact=exact)
+        val, law = global_sup_lp(tree, xi, fam, exact=exact)
         if val == NEG_INF:
             continue
-        # float mode: the measure after the q < 1e-11 clamp is still in the family
-        ok, why = in_family(tree, P, fam.with_claim(xi))
-        assert ok, why
+        assert all(q == 0 for leaf, q in law.items() if xi[leaf] == NEG_INF)
         if exact:
+            P = reference_factorize_leaf_law(tree, fam, law, tree.root)
+            ok, why = in_family(tree, P, fam.with_claim(xi))
+            assert ok, why
             assert P.expectation(tree, xi) == val
-        else:
-            assert abs(P.expectation(tree, xi) - val) <= 1e-9
+            continue
+        leaves, A_eq, b_eq, A_ub, b_ub, c_obj = reference_path_lp(tree, xi, fam, tree.root)
+        q = [law[leaf] for leaf in leaves]
+        assert min(q) >= -1e-9
+        for row, b in zip(A_eq, b_eq):
+            assert abs(sum(a * p for a, p in zip(row, q)) - b) <= 1e-9
+        for row, b in zip(A_ub, b_ub):
+            assert sum(a * p for a, p in zip(row, q)) <= b + 1e-9
+        assert abs(sum(c * p for c, p in zip(c_obj, q)) - val) <= 1e-9
 
 
 def test_oracle_scale_guard():
@@ -398,9 +405,9 @@ def test_oracle_then_primal_on_equal_instances_solve_once(monkeypatch, exact):
 
 
 def lex_smallest_law(tree, xi, fam, exact):
-    """The leaf law and mean claim of the measure made of the
-    lexicographically smallest vertex kernel at every node."""
-    P = TreeMeasure({n: lex_smallest_kernel(tree, n, fam) for n in tree.internal_nodes})
+    """The leaf law and mean claim of the measure made of the vertex
+    oracle's first kernel, the lexicographically smallest, at every node."""
+    P = TreeMeasure({n: enumerate_vertex_kernels(tree, n, fam)[0] for n in tree.internal_nodes})
     law = P.leaf_law(tree)
     q = [law[leaf] if exact else float(law[leaf]) for leaf in tree.leaves]
     return q, P.expectation(tree, xi) if exact else float(P.expectation(tree, xi))

@@ -17,7 +17,6 @@ from robusthedge.primal_hedge import (
     HedgeError,
     Strategy,
     certify_hedge,
-    check_admissible,
     doob_meyer,
     extract_strategy,
     primal_lp,
@@ -334,20 +333,6 @@ def test_compensator_accounting_identity():
         assert ek == pytest.approx(
             Y[tree.root] - P.expectation(tree, xi), abs=1e-9
         )
-
-
-# -- admissibility -------------------------------------------------------
-
-
-def test_any_strategy_admissible_for_martingale(trinomial2):
-    rng = seeded(31)
-    H = Strategy(h={n: (rng.uniform(-2, 2),) for n in trinomial2.internal_nodes})
-    assert check_admissible(trinomial2, H, MART)
-
-
-def test_drifting_dirac_breaks_admissibility_for_all_family(trinomial1):
-    assert not check_admissible(trinomial1, unit_strategy(trinomial1), FamilySpec(cls=ALL))
-    assert check_admissible(trinomial1, zero_strategy(trinomial1), FamilySpec(cls=ALL))
 
 
 # -- three-way agreement -------------------------------------------------

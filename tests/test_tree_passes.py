@@ -32,15 +32,14 @@ from robusthedge.measure_families import (
     MARTINGALE,
     VAR_BOUNDED,
     FamilySpec,
-    Kernel,
     MeasureError,
-    TreeMeasure,
     _martingale_dead_leaves_1d,
     alive_nodes,
     chargeable_children,
+    in_family,
     polar_paths,
 )
-from robusthedge.oracle_lp import enumerate_vertex_kernels, lex_smallest_kernel
+from robusthedge.oracle_lp import enumerate_vertex_kernels
 from robusthedge.primal_hedge import (
     HedgeError,
     Strategy,
@@ -55,9 +54,18 @@ from robusthedge.random_instances import (
     random_stopping_time,
     random_tree,
 )
-from robusthedge.simplex import RAT, rat
+from robusthedge.simplex import rat
 
-from conftest import all_paths, claim_is_exact, exact_spec, in_id_order, per_node_field, seeded
+from conftest import (
+    all_paths,
+    claim_is_exact,
+    exact_spec,
+    in_id_order,
+    per_node_field,
+    reference_factorize_leaf_law,
+    reference_path_lp,
+    seeded,
+)
 
 # -- per-path oracles -------------------------------------------------------
 
@@ -87,82 +95,6 @@ def naive_chargeable(tree, nid, fam, alive=None):
         return chargeable_children(tree, nid, fam)
     supports = [v.support() for v in enumerate_vertex_kernels(tree, nid, fam.unrestricted())]
     return {c for s in supports if set(s) <= alive for c in s}
-
-
-def reference_path_lp(tree, xi, fam, start):
-    """Rows of the leaf-law LP below `start`, written out per family class
-    in leaf space, with one `below` set per internal node and the child on
-    every (node, leaf) path.  -inf leaves are dropped (their probability is
-    forced to zero)."""
-    xi = {leaf: xi[leaf] for leaf in tree.leaves_below(start)}
-    all_leaves = tree.leaves_below(start)
-    leaves = [l for l in all_leaves if xi.get(l, 0) != NEG_INF]
-    d = tree.dim
-    internal = [n for n in tree.subtree_nodes(start) if not tree.is_leaf(n)]
-    below = {n: set(tree.leaves_below(n)) for n in internal}
-    # step taken at node n on the way to leaf l: spot(child on path) - spot(n)
-    child_on_path = {}
-    for l in all_leaves:
-        path = tree.path_to(l)
-        for i, n in enumerate(path[:-1]):
-            child_on_path[(n, l)] = path[i + 1]
-    A_eq = [[1] * len(leaves)]
-    b_eq = [1]
-    A_ub, b_ub = [], []
-    for n in internal:
-        xn = tree.spot(n)
-        for k in range(d):
-            if fam.cls in (MARTINGALE, VAR_BOUNDED):
-                row = []
-                for l in leaves:
-                    if l in below[n]:
-                        c = child_on_path[(n, l)]
-                        row.append(tree.spot(c)[k] - xn[k])
-                    else:
-                        row.append(0)
-                A_eq.append(row)
-                b_eq.append(0)
-        if fam.cls == VAR_BOUNDED:
-            hi_row, lo_row = [], []
-            for l in leaves:
-                if l in below[n]:
-                    c = child_on_path[(n, l)]
-                    g = (tree.spot1(c) - tree.spot1(n)) ** 2
-                    hi_row.append(g - fam.var_hi)
-                    lo_row.append(fam.var_lo - g)
-                else:
-                    hi_row.append(0)
-                    lo_row.append(0)
-            A_ub.append(hi_row)
-            b_ub.append(0)
-            A_ub.append(lo_row)
-            b_ub.append(0)
-    c_obj = [xi.get(l, 0) for l in leaves]
-    return leaves, A_eq, b_eq, A_ub, b_ub, c_obj
-
-
-def reference_factorize_leaf_law(tree, fam, leaves, q, start):
-    """Conditional kernels from a leaf law, node masses summed along each
-    leaf's root path."""
-    mass = {n: RAT(0) for n in tree.subtree_nodes(start)}
-    for l, ql in zip(leaves, q):
-        path = tree.path_to(l)
-        for n in path[path.index(start) :]:
-            mass[n] += ql
-    kernels = {}
-    for n in tree.subtree_nodes(start):
-        if tree.is_leaf(n):
-            continue
-        if mass[n] > 0:
-            probs = {}
-            for c in tree.children(n):
-                p = mass[c] / mass[n]
-                if p > 0:
-                    probs[c] = p
-            kernels[n] = Kernel(n, probs)
-        else:
-            kernels[n] = oracle_lp.lex_smallest_kernel(tree, n, fam.unrestricted())
-    return TreeMeasure(kernels)
 
 
 def reference_primal_lp_var_bounded(tree, xi, fam, exact):
@@ -1048,63 +980,21 @@ def test_primal_cases_cover_classes_modes_and_shapes():
 
 @pytest.mark.parametrize("label,tree,xi,fam", INSTANCES, ids=IDS)
 def test_factorized_kernels_equal_per_path_masses(label, tree, xi, fam):
-    """Kernels from bottom-up level sums equal those from path sums, on
-    exact optimal leaf laws below every start (zero-mass nodes included)."""
+    """Below every start, the exact optimal leaf law of `global_sup_lp`,
+    factorized by the reference (kernels from per-path node masses), is a
+    family measure: every kernel is in the class, it has that law below the
+    start, so it charges no -inf leaf there, and its mean claim there is
+    the value, `==`."""
     for start in lp_starts(tree):
-        leaves, A_eq, b_eq, A_ub, b_ub, c_obj = reference_path_lp(tree, xi, fam, start)
-        if not leaves:
+        value, law = oracle_lp.global_sup_lp(tree, xi, fam, start=start, exact=True)
+        if value == NEG_INF:
+            assert law is None
             continue
-        res = simplex.solve(c_obj, A_eq, b_eq, A_ub, b_ub, exact=True)
-        if res.status != "optimal":
-            continue
-        got = oracle_lp._factorize_leaf_law(tree, fam, leaves, res.x, start)
-        want = reference_factorize_leaf_law(tree, fam, leaves, res.x, start)
-        assert repr(got) == repr(want)
-
-
-def lex_kernel_trees():
-    """d = 1 trees of the tests above and trees of 3 to 12 offsets with
-    int, float and Fraction steps, one-sided ones among them."""
-    trees = {id(tree): tree for _, tree, *_ in INSTANCES + WIDE_INSTANCES + LP_CASES if tree.dim == 1}
-    for offsets in ([-1, 0, 1], [-2, -1, 1, 3], [-2, -1, 0, 1, 2], [0, 1, 2], list(range(-3, 5)), list(range(-6, 6))):
-        for kind in (int, float, lambda v: Fraction(v, 3)):
-            spec = {"dim": 1, "depth": 2, "generator": {"kind": "explicit", "offsets": [kind(v) for v in offsets]}}
-            tree = build_tree(spec)
-            trees[id(tree)] = tree
-    return list(trees.values())
-
-
-def test_closed_form_lex_kernel_equals_the_vertex_oracle():
-    """For the d = 1 martingale family, `lex_smallest_kernel` takes the
-    smallest of the closed-form vertices; on every node of at most 12
-    children it is the vertex oracle's first kernel, bit for bit."""
-    fam = FamilySpec(cls=MARTINGALE)
-    seen = set()
-    for tree in lex_kernel_trees():
-        for nid in tree.internal_nodes[:400]:
-            verts = enumerate_vertex_kernels(tree, nid, fam)
-            if not verts:
-                with pytest.raises(MeasureError):
-                    lex_smallest_kernel(tree, nid, fam)
-                continue
-            got = lex_smallest_kernel(tree, nid, fam)
-            assert repr(got) == repr(verts[0])
-            seen.add((len(tree.offsets), len(got.probs)))
-    assert {k for k, _ in seen} >= {3, 4, 5, 8, 12} and {n for _, n in seen} == {1, 2}
-
-
-def test_closed_form_lex_kernel_past_the_child_limit():
-    """13 offsets: the vertex oracle refuses the node; the closed form
-    gives the lexicographically smallest vertex.  Steps -6..6 in child
-    order: every two-point kernel charges a child before the zero step,
-    so the smallest vertex is the point mass on it; with the zero step
-    first, it is the pair of the two steps closest to 0, -1 and 1, which
-    puts the least mass on the last down step."""
-    fam = FamilySpec(cls=MARTINGALE)
-    for offsets, want in ((list(range(-6, 7)), {6: RAT(1)}), ([0, *range(-6, 0), *range(1, 7)], {6: RAT(1, 2), 7: RAT(1, 2)})):
-        tree = build_tree({"dim": 1, "depth": 1, "generator": {"kind": "explicit", "offsets": offsets}})
-        with pytest.raises(oracle_lp.OracleScaleError):
-            enumerate_vertex_kernels(tree, tree.root, fam)
-        kids = tree.children(tree.root)
-        got = lex_smallest_kernel(tree, tree.root, fam)
-        assert repr(got) == repr(Kernel(tree.root, {kids[i]: p for i, p in want.items()}))
+        P = reference_factorize_leaf_law(tree, fam, law, start)
+        assert P.leaf_law(tree, start) == law
+        # the claim below the start, float values read exactly as the LP
+        # reads them; above the start the tree may be dead
+        below = {leaf: xi[leaf] if xi[leaf] == NEG_INF else rat(xi[leaf]) for leaf in law}
+        ok, why = in_family(tree, P, fam.with_claim(below))
+        assert ok, why
+        assert P.expectation(tree, below, start=start) == value
