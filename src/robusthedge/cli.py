@@ -14,7 +14,9 @@ with the limit's message, and `solve` says so in its report.  Past
 ORACLE_MAX_LEAVES leaves only `--exact` skips, and it skips both LPs, which
 read one leaf-law LP.  ORACLE_MAX_CHILDREN reaches the oracle only through
 `alive_nodes` after an infeasible LP, and the primal through the
-`alive_nodes` flags of its hedge.  When a limit refuses a step that `solve`
+`alive_nodes` flags of its hedge: in float mode at every node that needs a
+vertex enumeration, under `--exact` only at the nodes that the certified
+optimal law does not charge.  When a limit refuses a step that `solve`
 or `hedge` cannot skip (the vertex enumeration behind a polar set past
 ORACLE_MAX_CHILDREN children), or one of `solve`'s float LPs fails, the run
 prints one `error: <message>` line to stderr and exits 2.  A config that

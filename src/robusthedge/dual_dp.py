@@ -131,13 +131,16 @@ def _h_interval_midpoint(deltas, values, value, chargeable):
     return 0
 
 
-def one_step_sup(tree: MarketTree, nid: int, child_values: Mapping, fam: FamilySpec, *, exact: bool) -> OneStepSolution:
+def one_step_sup(
+    tree: MarketTree, nid: int, child_values: Mapping, fam: FamilySpec, *, exact: bool, memo: Optional[dict] = None
+) -> OneStepSolution:
     """Maximize the expected child value over family kernels at `nid`.
 
     Mass is forced to zero on -inf children.  The returned h is a dual
     multiplier: value + h.(x_c - x_n) >= V_c at every chargeable child
     (plus variance-dual terms for VAR_BOUNDED).  `exact` is the claim's
-    numeric mode (see the module docstring).
+    numeric mode (see the module docstring).  `memo` is the phase-1 memo
+    of `simplex.solve_lp` that the one-step LP passes on.
     """
     d = tree.dim
     child_values = _children_values(tree, nid, child_values)
@@ -185,14 +188,14 @@ def one_step_sup(tree: MarketTree, nid: int, child_values: Mapping, fam: FamilyS
         h1 = _h_interval_midpoint(deltas, child_values, value, chargeable)
         return _solution(nid, value, probs, (h1,), exact)
 
-    return _one_step_lp(tree, nid, child_values, fam, fin, exact)
+    return _one_step_lp(tree, nid, child_values, fam, fin, exact, memo)
 
 
-def _one_step_lp(tree, nid, child_values, fam, fin, exact):
+def _one_step_lp(tree, nid, child_values, fam, fin, exact, memo):
     d = tree.dim
     c_obj = [simplex.rat(child_values[c]) for c in fin]
     A_eq, b_eq, A_ub, b_ub = one_step_rows(tree, nid, fin, fam)
-    res = simplex.solve(c_obj, A_eq, b_eq, A_ub, b_ub, exact=True)
+    res = simplex.solve_lp(c_obj, A_eq, b_eq, A_ub, b_ub, memo=memo)
     if res.status == "infeasible":
         return _infeasible(d)
     if res.status != "optimal":  # pragma: no cover
@@ -220,7 +223,9 @@ class ValueField(NodeValues):
 def backward_value(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> ValueField:
     """The dual value field: node id -> sup over the family below that node,
     with the one-step multipliers in `.hedge`.  Walks the levels from the
-    leaves up; see the module docstring for the mode and the array levels."""
+    leaves up; see the module docstring for the mode and the array levels.
+    The one-step LPs share one phase-1 memo for the call: a tree repeats
+    the same rows node after node."""
     leaves = tree.leaves
     # the values of the level below, as a float64 array while they are floats
     vals = node_array(xi, leaves)
@@ -241,13 +246,14 @@ def backward_value(tree: MarketTree, xi: Mapping, fam: FamilySpec) -> ValueField
     )
     if not batch:
         vals = None
+    memo = {}
     for level in reversed(tree.levels[:-1]):
         if vals is not None and len(level) >= LEVEL_BATCH_MIN:
             vals = _martingale_level_1d(tree, level, Y, vals)
         else:
             vals = None
             for nid in reversed(level):
-                sol = one_step_sup(tree, nid, Y, fam, exact=exact)
+                sol = one_step_sup(tree, nid, Y, fam, exact=exact, memo=memo)
                 Y[nid] = sol.value
                 Y.hedge[nid] = sol.h
     return Y

@@ -406,15 +406,18 @@ def chargeable_children(tree: MarketTree, nid: int, fam: FamilySpec, alive=None)
     return out
 
 
-def alive_nodes(tree: MarketTree, fam: FamilySpec, xi: Mapping) -> bytearray:
+def alive_nodes(tree: MarketTree, fam: FamilySpec, xi: Mapping, known: Iterable[int] = ()) -> bytearray:
     """Flags by node id, bottom-up: a leaf is alive when its claim is not
     -inf, an internal node when some family kernel is supported on its alive
     children.  These are the nodes where the DP value is finite, found
-    without the DP."""
+    without the DP.  The internal nodes in `known` are taken as alive
+    without a look at their children (the nodes that a proven family law
+    avoiding the -inf leaves charges, say)."""
+    known = set(known)
     alive = bytearray(len(tree.nodes))
     alive[tree.leaves.start :] = bytes(v != NEG_INF for v in map(xi.get, tree.leaves))
     for n in reversed(tree.internal_nodes):
-        alive[n] = bool(chargeable_children(tree, n, fam, alive))
+        alive[n] = n in known or bool(chargeable_children(tree, n, fam, alive))
     return alive
 
 

@@ -4,32 +4,37 @@ These deliberately avoid the backward recursion in dual_dp.  The leaf-law
 LP optimizes directly over leaf probabilities subject to the linear rows
 that characterize induced laws of family measures (each node's
 `measure_families.one_step_rows`, lifted into leaf space), and vertex
-enumeration solves square subsystems exactly in rationals.  Agreement
-between the two routes is the main acceptance gate.
+enumeration solves square and overdetermined subsystems exactly, by
+fraction-free elimination on integer rows.  Agreement between the two
+routes is the main acceptance gate.
 
 `leaf_law_lp` solves the leaf-law LP for both LP cross-checks and certifies
 its optimum: the law and its mean are `global_sup_lp`'s, and the row duals
-are `primal_hedge.primal_lp`'s hedge.
+are `primal_hedge.primal_lp`'s hedge.  One memo entry holds the last
+instance's lift and certified solve, keyed on the instance: the mode, the
+tree, the start node, the family's class and variance bounds (with the
+types of the tree's and the bounds' numbers) and the claim values below the
+start.
 
 Vertex enumeration is memoised: one module-level LRU cache of 256 entries
 is keyed on the polytope's rows as the caller gives them, as tuples of native
 numbers (int, float, Fraction).  Python compares and hashes these by exact
-value, so two keys are equal exactly when their `rat` images are, and the
-key names the exact polytope without converting anything; `rat` conversion
-and the enumeration run on a miss only.  An entry holds the sorted vertex
-tuples and, per vertex, its positive entries as (position, p) pairs, so
-`enumerate_vertex_kernels` builds each kernel without a comparison.  This is
-safe because the vertices are a pure function of the exact rows and the
-stored values are immutable; callers get fresh lists and fresh kernels.
-Node-local families repeat the same one-step polytope at every node of a
-`build_tree` tree, so nearly every call after the first at a tree shape is a
-hit.
+value, so two keys are equal exactly when the rows are, and the key names
+the exact polytope without converting anything; the enumeration runs on a
+miss only.  An entry holds the sorted vertex tuples and, per vertex, its
+positive entries as (position, p) pairs, so `enumerate_vertex_kernels`
+builds each kernel without a comparison.  This is safe because the vertices
+are a pure function of the exact rows and the stored values are immutable;
+callers get fresh kernels.  Node-local families repeat the same one-step
+polytope at every node of a `build_tree` tree, so nearly every call after
+the first at a tree shape is a hit.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from math import gcd
 from typing import Mapping, Optional
 
 from . import simplex
@@ -44,7 +49,7 @@ from .measure_families import (
     in_family,
     one_step_rows,
 )
-from .simplex import RAT, rat
+from .simplex import RAT
 
 ORACLE_MAX_CHILDREN = 12
 ORACLE_MAX_LEAVES = 2000
@@ -58,53 +63,38 @@ class HedgeError(MeasureError):
     pass
 
 
-# -- exact linear algebra helpers ----------------------------------------
+# -- vertex enumeration ---------------------------------------------------
 
 
-def _solve_unique(A, b):
-    """Unique exact solution of A x = b (possibly overdetermined), or None."""
-    m, n = len(A), len(A[0]) if A else 0
-    M = [[rat(v) for v in row] + [rat(bb)] for row, bb in zip(A, b)]
-    piv_rows = 0
-    piv_cols = []
+def _solve_unique(M, n: int):
+    """(numerators, den) with den > 0 of the unique solution of the integer
+    system M (rows [a_1, ..., a_n, b], possibly overdetermined), or None.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): a pivot p on
+    column col turns every other row into (p row - f prow) / prev, where f
+    is the row's entry in col and prev the previous pivot; each entry stays
+    a minor of M, so the division is exact.  After the last column every
+    pivot row's diagonal entry is the last pivot, the determinant, and its
+    rhs entry the determinant times the solution.  M is overwritten."""
+    prev = 1
     for col in range(n):
-        piv = next((r for r in range(piv_rows, m) if M[r][col] != 0), None)
+        piv = next((r for r in range(col, len(M)) if M[r][col]), None)
         if piv is None:
-            continue
-        M[piv_rows], M[piv] = M[piv], M[piv_rows]
-        inv = 1 / M[piv_rows][col]
-        M[piv_rows] = [v * inv for v in M[piv_rows]]
-        for r in range(m):
-            if r != piv_rows and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * bb for a, bb in zip(M[r], M[piv_rows])]
-        piv_cols.append(col)
-        piv_rows += 1
-    if piv_rows < n:
-        return None  # underdetermined
-    for r in range(piv_rows, m):
-        if M[r][n] != 0:
-            return None  # inconsistent
-    x = [RAT(0)] * n
-    for r, col in enumerate(piv_cols):
-        x[col] = M[r][n]
-    return x
-
-
-def enumerate_polytope_vertices(n: int, A_eq, b_eq, A_ub=(), b_ub=()) -> list:
-    """All vertices of {x >= 0, A_eq x = b_eq, A_ub x <= b_ub}, exact, sorted.
-
-    Enumerates supports and active inequality subsets; intended for small
-    instances only (oracle scale).  Memoised in a 256-entry LRU cache keyed
-    on the rows (n, A_eq, b_eq, A_ub, b_ub) as given, turned into tuples of
-    their native numbers.  int, float and Fraction compare and hash by exact
-    value, so equal keys are exactly equal rows: float rows stand for their
-    exact binary values, steps that differ in the last bit stay apart, and a
-    float row meets the entry of its `rat` image.  Each entry also holds
-    every vertex's positive entries as (position, p) pairs, the supports
-    `enumerate_vertex_kernels` reads.  Each call returns fresh lists.
-    """
-    return [list(v) for v, _ in _polytope_vertices(*_row_key(n, A_eq, b_eq, A_ub, b_ub))]
+            return None  # underdetermined
+        M[col], M[piv] = M[piv], M[col]
+        prow = M[col]
+        p = prow[col]
+        for r, row in enumerate(M):
+            if r != col:
+                f = row[col]
+                M[r] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = p
+    if any(row[n] for row in M[n:]):
+        return None  # inconsistent
+    nums = [row[n] for row in M[:n]]
+    if prev < 0:
+        return [-v for v in nums], -prev
+    return nums, prev
 
 
 def _row_key(n, A_eq, b_eq, A_ub, b_ub) -> tuple:
@@ -120,42 +110,45 @@ def _row_key(n, A_eq, b_eq, A_ub, b_ub) -> tuple:
 @functools.lru_cache(maxsize=256)
 def _polytope_vertices(n: int, A_eq: tuple, b_eq: tuple, A_ub: tuple, b_ub: tuple) -> tuple:
     """((vertex, ((position, p), ...)), ...): the sorted exact vertex tuples
-    of the polytope given by native rows, each with its positive entries.
+    of {x >= 0, A_eq x = b_eq, A_ub x <= b_ub}, given by native rows, each
+    with its positive entries.
 
-    On the trees `build_tree` makes every node has the same child steps, so
-    the same rows recur node after node and tree after tree.  256 entries
-    hold that working set while the one-shot keys of float variance bounds
-    (2**52 denominators) cannot pile up.
+    Enumerates supports and active inequality subsets, so it is meant for
+    oracle-scale polytopes only.  Each row, rhs included, is scaled to
+    integers once (`simplex.over_common_denominator`); each square or
+    overdetermined subsystem is solved fraction-free (`_solve_unique`), and
+    x >= 0 and the `<=` rows are tested on integers.  Rationals are built
+    only for the distinct vertices.
+
+    The memo key is the rows as tuples of their native numbers.  int, float
+    and Fraction compare and hash by exact value, so equal keys are exactly
+    equal rows: float rows stand for their exact binary values, and steps
+    that differ in the last bit stay apart.  On the trees `build_tree` makes
+    every node has the same child steps, so the same rows recur node after
+    node and tree after tree.  256 entries hold that working set while the
+    one-shot keys of float variance bounds (2**52 denominators) cannot pile
+    up.  The stored values are immutable; callers build fresh kernels.
     """
-    A_eq = tuple(tuple(map(rat, row)) for row in A_eq)
-    b_eq = tuple(map(rat, b_eq))
-    A_ub = tuple(tuple(map(rat, row)) for row in A_ub)
-    b_ub = tuple(map(rat, b_ub))
-    n_ub = len(A_ub)
-    verts = set()
-    for k_act in range(n_ub + 1):
-        for act in itertools.combinations(range(n_ub), k_act):
-            rows = A_eq + tuple(A_ub[i] for i in act)
-            rhs = b_eq + tuple(b_ub[i] for i in act)
-            r = len(rows)
-            for size in range(1, min(n, r) + 1):
+    eq = [simplex.over_common_denominator([*row, b])[0] for row, b in zip(A_eq, b_eq)]
+    ub = [simplex.over_common_denominator([*row, b])[0] for row, b in zip(A_ub, b_ub)]
+    verts = set()  # (numerators, den) in lowest terms
+    for k_act in range(len(ub) + 1):
+        for act in itertools.combinations(ub, k_act):
+            rows = eq + list(act)
+            for size in range(1, min(n, len(rows)) + 1):
                 for support in itertools.combinations(range(n), size):
-                    sub = [[row[j] for j in support] for row in rows]
-                    sol = _solve_unique(sub, rhs)
-                    if sol is None or any(v < 0 for v in sol):
+                    sol = _solve_unique([[row[j] for j in support] + [row[-1]] for row in rows], size)
+                    if sol is None or min(sol[0]) < 0:
                         continue
-                    x = [RAT(0)] * n
-                    for j, v in zip(support, sol):
+                    nums, den = sol
+                    x = [0] * n
+                    for j, v in zip(support, nums):
                         x[j] = v
-                    ok = all(
-                        sum(a * xx for a, xx in zip(A_ub[i], x)) <= b_ub[i]
-                        for i in range(n_ub)
-                    )
-                    if ok:
-                        verts.add(tuple(x))
-    return tuple(
-        (v, tuple((i, p) for i, p in enumerate(v) if p > 0)) for v in sorted(verts)
-    )
+                    if all(sum(a * v for a, v in zip(row, x)) <= row[-1] * den for row in ub):
+                        g = gcd(den, *x)
+                        verts.add((tuple(v // g for v in x), den // g))
+    vertices = sorted(tuple(RAT(v, den) for v in x) for x, den in verts)
+    return tuple((v, tuple((i, p) for i, p in enumerate(v) if p > 0)) for v in vertices)
 
 
 # -- one-step vertex oracle ----------------------------------------------
@@ -195,7 +188,7 @@ def leaf_law_rows(tree, xi, fam, start):
     block (lo, hi, a_c - b) per child: the entry at positions lo..hi-1.
     `eq` holds the equality rows and `ub` the `<=` rows, nodes breadth-first
     and each node's rows in the order `one_step_rows` gives them, all as
-    tuples, so the rows themselves key the memo of `leaf_law_lp`.
+    tuples.
     """
     ranges = tree._ranges_below(start)
     all_leaves = ranges[-1]
@@ -238,18 +231,19 @@ def leaf_law_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: int, exac
     trinomial lookback leaves, one core of an Intel Xeon, Python 3.11,
     Fraction arithmetic).  Float mode has no limit.
 
-    The solve and both certificates are memoised in one entry keyed on the
-    mode, the claim and the lifted rows (node ids included, compared by
-    value), so `global_sup_lp` and `primal_lp` on one instance, in either
-    order, solve and certify once; they only read the shared LPResult.
+    The lift, the solve and both certificates are memoised in one entry
+    keyed on the instance (`_solved_leaf_law`), so `global_sup_lp` and
+    `primal_lp` on one instance, in either order, lift, solve and certify
+    once; they only read the shared LPResult.
     """
-    n_leaves = len(tree._ranges_below(start)[-1])
-    if exact and n_leaves > ORACLE_MAX_LEAVES:
-        raise OracleScaleError(f"{n_leaves} leaves exceed the oracle leaf limit {ORACLE_MAX_LEAVES}")
-    leaves, claim, eq, ub = leaf_law_rows(tree, xi, fam, start)
+    all_leaves = tree._ranges_below(start)[-1]
+    if exact and len(all_leaves) > ORACLE_MAX_LEAVES:
+        raise OracleScaleError(f"{len(all_leaves)} leaves exceed the oracle leaf limit {ORACLE_MAX_LEAVES}")
+    claim = tuple([xi.get(l, 0) for l in all_leaves])
+    types = tuple(type(v) for off in tree.offsets for v in off) + (type(fam.var_lo), type(fam.var_hi))
+    leaves, eq, res = _solved_leaf_law(exact, tree, start, fam.unrestricted(), claim, types)
     if not leaves:
         return None
-    res = _solved_leaf_law(exact, tuple(claim), eq, ub)
     if res.status == "infeasible":
         if alive_nodes(tree, fam, xi)[start]:
             mode = "exact" if exact else "float"
@@ -259,7 +253,23 @@ def leaf_law_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, start: int, exac
 
 
 @functools.lru_cache(maxsize=1)
-def _solved_leaf_law(exact: bool, claim: tuple, eq: tuple, ub: tuple) -> simplex.LPResult:
+def _solved_leaf_law(exact: bool, tree: MarketTree, start: int, fam: FamilySpec, claim: tuple, types: tuple) -> tuple:
+    """(leaves, eq, LPResult) of the leaf-law LP below `start`, certified
+    when optimal; (leaves, eq, None) when no leaf has a finite claim.
+
+    The lifted rows and the objective are functions of the arguments, so
+    they key the memo: the mode, the tree and `start`, the family without
+    its claim filter (class and variance bounds), and the claim values of
+    the leaves below `start`.  A tree and a family compare their numbers by
+    value, while the spots and squared steps they give depend on the
+    numbers' types too (a float tree and its exact twin are equal, their
+    spots are not), so `types` adds the types of the offsets' entries and of
+    the variance bounds to the key.  It is read by nothing else.
+    """
+    leaves, claim, eq, ub = leaf_law_rows(tree, dict(zip(tree._ranges_below(start)[-1], claim)), fam, start)
+    if not leaves:
+        return leaves, eq, None
+
     def dense(rows):
         out = []
         for _, blocks in rows:
@@ -276,7 +286,7 @@ def _solved_leaf_law(exact: bool, claim: tuple, eq: tuple, ub: tuple) -> simplex
         certify_hedge(claim, eq, ub, res.y_eq, res.y_ub, res.value, exact)
     elif res.status != "infeasible":
         raise HedgeError(f"leaf-law LP status {res.status}")
-    return res
+    return leaves, eq, res
 
 
 def scaled(values, exact: bool):

@@ -180,14 +180,24 @@ def primal_lp(tree: MarketTree, xi: Mapping, fam: FamilySpec, exact: bool = True
     `global_sup_lp`, whose limits and errors apply).  The value is -inf,
     with every node flagged, exactly when no family measure avoids the -inf
     leaves.  Otherwise the flagged nodes are those that `alive_nodes` does
-    not mark, where the DP value is -inf, and their hedge is 0.
+    not mark, where the DP value is -inf, and their hedge is 0.  In exact
+    mode the certified optimal law is a family law that avoids the -inf
+    leaves, so every node it charges is alive, and `alive_nodes` looks only
+    at the others; a float law is not a proof, so float mode looks at all.
     """
     lp = leaf_law_lp(tree, xi, fam, tree.root, exact)
     internal, zero = tree.internal_nodes, tuple([0.0] * tree.dim)
     if lp is None:
         return NEG_INF, Strategy(h=dict.fromkeys(internal, zero), flagged=set(internal))
-    _, eq, res = lp
-    alive = alive_nodes(tree, fam, xi)
+    leaves, eq, res = lp
+    charged = set()
+    if exact:
+        for leaf, q in zip(leaves, res.x):
+            n = tree.parent(leaf) if q else None
+            while n is not None and n not in charged:
+                charged.add(n)
+                n = tree.parent(n)
+    alive = alive_nodes(tree, fam, xi, charged)
     hedge = {n: [] for n in internal if alive[n]}
     for (n, _), y in zip(eq, res.y_eq[1:]):
         if n in hedge:

@@ -19,13 +19,28 @@ elimination of Edmonds (1967) and Bareiss (1968), this works on integers
 with no per-entry gcds, and it yields the same rationals as a Fraction
 tableau pivoting on the same entries.
 
+Columns: the variables, a negative copy of each free variable, one slack
+per `<=` row, one artificial per equality row and per `<=` row whose rhs
+is not 0, and the rhs.  Phase 1 starts each row on its artificial, except
+that a `<=` row with rhs 0 starts on its slack (every lifted VAR_BOUNDED
+row of the leaf-law LP is one), and drives the artificials to zero.
+
 The reduced-cost row (rhs entry included) is the tableau's last row: it is
 built once per phase and eliminated in each pivot like any other row, and
-at the end of phase 2 its artificial columns hold the row duals and its
-rhs entry minus the objective value.
+at the end of phase 2 its artificial columns hold the equality rows' duals,
+its slack columns the `<=` rows' duals, and its rhs entry minus the
+objective value.
 
-`solve` is the one LP entry point of the package, and its `exact` keyword
-picks the arithmetic.  Exact mode is `solve_lp` above.  Float mode makes the
+Phase 1 reads the rows only.  `solve_lp` takes an optional memo, a dict
+that its caller owns, from the rows to the end of phase 1, and on a hit
+runs phase 2 alone on a copy, with the result of a fresh solve.  The DP
+passes one memo to all one-step LPs of a `backward_value` call, whose rows
+repeat node after node; the leaf-law LP, solved once per instance on a
+tableau that can reach millions of ints, passes none.
+
+`solve` is the LP entry point of the cross-checks, and its `exact` keyword
+picks the arithmetic; the DP's one-step LPs, always exact, call `solve_lp`
+with their memo.  Exact mode is `solve_lp` above.  Float mode makes the
 package's single call to HiGHS (`scipy.optimize.linprog`, looked up when
 called): per-variable bounds from `free_vars`, primal and dual feasibility
 tolerances 1e-10, and the row duals read from HiGHS's `eqlin` and `ineqlin`
@@ -183,36 +198,21 @@ def _run_simplex(T, D, basis, n_enter) -> str:
         iters += 1
 
 
-def solve_lp(
-    c: Sequence,
-    A_eq: Optional[Sequence] = None,
-    b_eq: Optional[Sequence] = None,
-    A_ub: Optional[Sequence] = None,
-    b_ub: Optional[Sequence] = None,
-    maximize: bool = True,
-    free_vars: Sequence[int] = (),
-) -> LPResult:
-    """Solve the LP and return primal solution plus row duals.
-
-    Duals are reported for the stated (maximization) problem: y_eq free,
-    y_ub >= 0, with dual feasibility c_j - y.A_j <= 0 for x_j >= 0.  For
-    minimize the returned value and duals refer to the original problem.
-    """
-    nv = len(c)
-    A_eq = A_eq or []
-    A_ub = A_ub or []
-    free = sorted(set(free_vars))
-
-    # Column layout: nv primary, then one negative copy per free var, then
-    # one slack per ub row, then one artificial per row, then the rhs.
+def _phase1(nv, A_eq, b_eq, A_ub, b_ub, free):
+    """(T, D, basis, art0, flips) at the end of phase 1, in the column
+    layout of the module docstring, or None when the rows are infeasible.
+    art0 is the first artificial column, and flips[i] is -1 where equality
+    row i was negated for a nonnegative rhs, else 1."""
     n_eq = len(A_eq)
     slack0 = nv + len(free)
     art0 = slack0 + len(A_ub)
-    m = n_eq + len(A_ub)
-    ncols = art0 + m
+    rows = list(zip(A_eq, b_eq)) + list(zip(A_ub, b_ub))
+    on_slack = [i >= n_eq and b == 0 for i, (_, b) in enumerate(rows)]
+    ncols = art0 + on_slack.count(False)
 
-    T, D, flips = [], [], []
-    for i, (arow, b) in enumerate(list(zip(A_eq, b_eq or [])) + list(zip(A_ub, b_ub or []))):
+    T, D, flips, basis = [], [], [], []
+    art = art0
+    for i, (arow, b) in enumerate(rows):
         nums, den = over_common_denominator(list(arow) + [b])
         full = [0] * (ncols + 1)
         full[: len(nums) - 1] = nums[:-1]
@@ -221,17 +221,22 @@ def solve_lp(
             full[nv + k] = -full[j]
         if i >= n_eq:
             full[slack0 + i - n_eq] = den
-        flips.append(-1 if full[-1] < 0 else 1)
-        if flips[i] < 0:
-            full = [-v for v in full]
-        full[art0 + i] = den
+        if on_slack[i]:
+            basis.append(slack0 + i - n_eq)
+        else:
+            if full[-1] < 0:
+                full = [-v for v in full]
+            if i < n_eq:
+                flips.append(-1 if nums[-1] < 0 else 1)
+            full[art] = den
+            basis.append(art)
+            art += 1
         row, den = _reduced(full, den)
         T.append(row)
         D.append(den)
-    basis = [art0 + i for i in range(m)]
 
-    # Phase 1: drive artificials to zero.  T[-1] is the reduced-cost row.
-    c1 = [0] * art0 + [-1] * m
+    # T[-1] is the reduced-cost row of -sum(artificials).
+    c1 = [0] * art0 + [-1] * (ncols - art0)
     obj, obj_den = _reduced_costs(T, D, basis, c1, 1)
     T.append(obj)
     D.append(obj_den)
@@ -240,13 +245,54 @@ def solve_lp(
         raise SimplexError("phase 1 did not terminate at an optimum")
     # T[-1][-1] is minus the phase-1 objective: the sum of basic artificials.
     if T[-1][-1] > 0:
+        return None
+    return T, D, basis, art0, flips
+
+
+def solve_lp(
+    c: Sequence,
+    A_eq: Optional[Sequence] = None,
+    b_eq: Optional[Sequence] = None,
+    A_ub: Optional[Sequence] = None,
+    b_ub: Optional[Sequence] = None,
+    maximize: bool = True,
+    free_vars: Sequence[int] = (),
+    memo: Optional[dict] = None,
+) -> LPResult:
+    """Solve the LP and return primal solution plus row duals.
+
+    Duals are reported for the stated (maximization) problem: y_eq free,
+    y_ub >= 0, with dual feasibility c_j - y.A_j <= 0 for x_j >= 0.  For
+    minimize the returned value and duals refer to the original problem.
+
+    `memo`, when given, maps the rows (the number of variables, the free
+    variables and the rows as tuples of their native numbers, which compare
+    by exact value) to the end of phase 1 (see the module docstring).
+    """
+    nv = len(c)
+    A_eq, b_eq = A_eq or [], b_eq or []
+    A_ub, b_ub = A_ub or [], b_ub or []
+    free = sorted(set(free_vars))
+    if memo is None:
+        start = _phase1(nv, A_eq, b_eq, A_ub, b_ub, free)
+    else:
+        key = (nv, tuple(free), tuple(map(tuple, A_eq)), tuple(b_eq), tuple(map(tuple, A_ub)), tuple(b_ub))
+        if key not in memo:
+            memo[key] = _phase1(nv, A_eq, b_eq, A_ub, b_ub, free)
+        start = memo[key]
+        if start is not None:
+            T, D, basis, art0, flips = start
+            start = [row[:] for row in T], D[:], basis[:], art0, flips
+    if start is None:
         return LPResult(status="infeasible")
+    T, D, basis, art0, flips = start
+    slack0 = art0 - len(A_ub)
 
     # Phase 2 on the real objective; artificials may not re-enter.
     cn, c_den = over_common_denominator(c)
     if not maximize:
         cn = [-v for v in cn]
-    c2 = cn + [-cn[j] for j in free] + [0] * (ncols - slack0)
+    c2 = cn + [-cn[j] for j in free] + [0] * (len(T[0]) - 1 - slack0)
     T[-1], D[-1] = _reduced_costs(T, D, basis, c2, c_den)
     status = _run_simplex(T, D, basis, art0)
     if status == "unbounded":
@@ -261,13 +307,16 @@ def solve_lp(
             else:
                 x[free[b - nv]] -= val
     # The rhs entry of the reduced-cost row is minus the objective value.
-    # Row duals y = c_B B^{-1}: artificial i has cost 0 and column e_i in
-    # phase 2, so its reduced cost is -y_i.
+    # Row duals y = c_B B^{-1}: in phase 2 the artificial of equality row i
+    # has cost 0 and, in the stated rows, column flips[i] e_i, so its
+    # reduced cost is -flips[i] y_i; the slack of ub row k has cost 0 and
+    # column e_k, so its reduced cost is -y_k.
     obj, obj_den = T[-1], D[-1]
     sign = 1 if maximize else -1
     value = RAT(-sign * obj[-1], obj_den)
-    y = [RAT(-sign * obj[art0 + i] * flips[i], obj_den) for i in range(m)]
-    return LPResult(status="optimal", x=x, value=value, y_eq=y[:n_eq], y_ub=y[n_eq:])
+    y_eq = [RAT(-sign * obj[art0 + i] * f, obj_den) for i, f in enumerate(flips)]
+    y_ub = [RAT(-sign * obj[slack0 + k], obj_den) for k in range(len(A_ub))]
+    return LPResult(status="optimal", x=x, value=value, y_eq=y_eq, y_ub=y_ub)
 
 
 _HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}

@@ -9,14 +9,15 @@ from robusthedge.dual_dp import one_step_sup
 from robusthedge.market_tree import NEG_INF, build_tree
 from robusthedge.measure_families import MARTINGALE, VAR_BOUNDED, Kernel, TreeMeasure
 from robusthedge.oracle_lp import enumerate_vertex_kernels
-from robusthedge.simplex import RAT
+from robusthedge.simplex import RAT, rat
 
 
 @pytest.fixture(autouse=True)
 def fresh_leaf_law_memo():
-    """Every test starts with an empty leaf-law LP memo, so one that
-    intercepts `simplex.solve` sees the solve even when an earlier test
-    solved the same LP."""
+    """Every test starts with an empty leaf-law LP memo (keyed on the
+    instance), so one that intercepts `simplex.solve` or `leaf_law_rows`
+    sees the lift and the solve even when an earlier test solved the same
+    instance."""
     oracle_lp._solved_leaf_law.cache_clear()
 
 
@@ -169,3 +170,57 @@ def reference_factorize_leaf_law(tree, fam, law, start):
         else:
             kernels[n] = enumerate_vertex_kernels(tree, n, fam.unrestricted())[0]
     return TreeMeasure(kernels)
+
+
+def reference_solve_unique(A, b):
+    """Unique exact solution of A x = b (possibly overdetermined), or None,
+    by Gauss-Jordan elimination on rationals: the reference for the
+    fraction-free elimination of `oracle_lp._solve_unique`."""
+    m, n = len(A), len(A[0]) if A else 0
+    M = [[rat(v) for v in row] + [rat(bb)] for row, bb in zip(A, b)]
+    piv_rows = 0
+    piv_cols = []
+    for col in range(n):
+        piv = next((r for r in range(piv_rows, m) if M[r][col] != 0), None)
+        if piv is None:
+            continue
+        M[piv_rows], M[piv] = M[piv], M[piv_rows]
+        inv = 1 / M[piv_rows][col]
+        M[piv_rows] = [v * inv for v in M[piv_rows]]
+        for r in range(m):
+            if r != piv_rows and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [a - f * bb for a, bb in zip(M[r], M[piv_rows])]
+        piv_cols.append(col)
+        piv_rows += 1
+    if piv_rows < n:
+        return None  # underdetermined
+    for r in range(piv_rows, m):
+        if M[r][n] != 0:
+            return None  # inconsistent
+    x = [RAT(0)] * n
+    for r, col in enumerate(piv_cols):
+        x[col] = M[r][n]
+    return x
+
+
+def enumerate_polytope_vertices(n, A_eq, b_eq, A_ub=(), b_ub=()):
+    """All vertices of {x >= 0, A_eq x = b_eq, A_ub x <= b_ub}, exact and
+    sorted, as fresh lists, through the memo of `oracle_lp`'s enumeration
+    (the rows key it as tuples of their native numbers)."""
+    key = oracle_lp._row_key(n, A_eq, b_eq, A_ub, b_ub)
+    return [list(v) for v, _ in oracle_lp._polytope_vertices(*key)]
+
+
+def counting_calls(monkeypatch, module, name):
+    """Patch `module.name` to record the positional arguments of each call
+    in the returned list."""
+    calls = []
+    f = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -24,8 +24,6 @@ from robusthedge.oracle_lp import (
     HedgeError,
     OracleScaleError,
     _polytope_vertices,
-    _solve_unique,
-    enumerate_polytope_vertices,
     enumerate_vertex_kernels,
     ess_sup_check,
     global_sup_lp,
@@ -42,7 +40,15 @@ from robusthedge.random_instances import (
 )
 from robusthedge.simplex import RAT, rat
 
-from conftest import fair_measure, reference_factorize_leaf_law, reference_path_lp, seeded
+from conftest import (
+    counting_calls,
+    enumerate_polytope_vertices,
+    fair_measure,
+    reference_factorize_leaf_law,
+    reference_path_lp,
+    reference_solve_unique,
+    seeded,
+)
 
 MART = FamilySpec(cls=MARTINGALE)
 
@@ -87,7 +93,8 @@ def test_infeasible_node_has_no_vertices():
 
 
 def uncached_vertices(n, A_eq, b_eq, A_ub=(), b_ub=()):
-    """The enumeration loop as it ran before the memo, solved afresh."""
+    """The enumeration loop as it ran before the memo, solved afresh in
+    rationals (`reference_solve_unique`)."""
     A_eq = [[rat(v) for v in row] for row in A_eq]
     b_eq = [rat(v) for v in b_eq]
     A_ub = [[rat(v) for v in row] for row in A_ub]
@@ -99,7 +106,7 @@ def uncached_vertices(n, A_eq, b_eq, A_ub=(), b_ub=()):
             rhs = b_eq + [b_ub[i] for i in act]
             for size in range(1, min(n, len(rows)) + 1):
                 for support in itertools.combinations(range(n), size):
-                    sol = _solve_unique([[row[j] for j in support] for row in rows], rhs)
+                    sol = reference_solve_unique([[row[j] for j in support] for row in rows], rhs)
                     if sol is None or any(v < 0 for v in sol):
                         continue
                     x = [RAT(0)] * n
@@ -243,6 +250,75 @@ def test_float_tree_and_its_exact_twin_keep_separate_entries(float_first):
     assert roots[0] and roots[0] != roots[1]
 
 
+# -- fraction-free elimination against the rational reference -------------
+
+
+def random_number(rng):
+    """0, a small int, a small-denominator Fraction or a random double
+    (denominators up to 2**52 and beyond)."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-5, 5)
+    if kind == 2:
+        return RAT(rng.randint(-9, 9), rng.randint(1, 8))
+    return rng.uniform(-3, 3)
+
+
+def test_integer_elimination_matches_the_rational_reference():
+    """`_solve_unique` on integer-scaled rows gives the solution of
+    `reference_solve_unique`, or None with it, on square, overdetermined,
+    rank-deficient and inconsistent systems."""
+    rng = seeded(900)
+    outcomes = set()
+    for _ in range(600):
+        n, m = rng.randint(1, 4), rng.randint(1, 5)
+        A = [[random_number(rng) for _ in range(n)] for _ in range(m)]
+        b = [random_number(rng) for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:  # a repeated row: consistent or not
+            A[-1] = list(A[0])
+            b[-1] = b[0] if rng.random() < 0.5 else b[0] + 1
+        rows = [simplex.over_common_denominator([*a, bb])[0] for a, bb in zip(A, b)]
+        got = oracle_lp._solve_unique(rows, n)
+        want = reference_solve_unique(A, b)
+        if got is not None:
+            nums, den = got
+            assert den > 0
+            got = [RAT(v, den) for v in nums]
+        assert got == want
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("bounds", ["fraction", "float", "infeasible"])
+def test_integer_enumeration_matches_the_rational_reference(bounds):
+    """The vertices of VAR_BOUNDED one-step polytopes from the integer
+    enumeration equal those of the rational reference loop: with Fraction
+    variance bounds, with random float bounds (2**52 denominators) and
+    with bounds no kernel meets (no vertex)."""
+    rng = seeded(910)
+    found = 0
+    for _ in range(12):
+        offsets = sorted({rng.choice([-2, -1, -0.5, 0, 0.3, 1, 1.5, 2, RAT(2, 3)]) for _ in range(rng.randint(2, 5))})
+        tree = one_step_tree(offsets)
+        if bounds == "fraction":
+            lo = RAT(rng.randint(1, 8), rng.randint(4, 9))
+            fam = FamilySpec(cls=VAR_BOUNDED, var_lo=lo, var_hi=lo + RAT(rng.randint(0, 9), 7))
+        elif bounds == "float":
+            lo = rng.uniform(0.05, 1.0)
+            fam = FamilySpec(cls=VAR_BOUNDED, var_lo=lo, var_hi=lo + rng.uniform(0, 2))
+        else:
+            fam = FamilySpec(cls=VAR_BOUNDED, var_lo=100, var_hi=200)
+        rows = one_step_rows(tree, tree.root, tree.children(tree.root), fam)
+        _polytope_vertices.cache_clear()
+        got = enumerate_polytope_vertices(len(offsets), *rows)
+        assert got == uncached_vertices(len(offsets), *rows)
+        assert all(type(p) is RAT for v in got for p in v)
+        found += len(got)
+    assert (found == 0) == (bounds == "infeasible")
+
+
 # -- global LP oracle ----------------------------------------------------
 
 
@@ -373,18 +449,6 @@ def counting_solves(monkeypatch):
     return calls
 
 
-def counting_calls(monkeypatch, module, name):
-    calls = []
-    f = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return f(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("exact", [False, True])
 def test_oracle_then_primal_on_equal_instances_solve_once(monkeypatch, exact):
     """The oracle and the primal on two distinct but equal instances (trees,
@@ -402,6 +466,52 @@ def test_oracle_then_primal_on_equal_instances_solve_once(monkeypatch, exact):
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     assert type(lp) is type(pv) is (RAT if exact else float)
     assert lp == pv if exact else abs(lp - pv) <= 1e-9
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_oracle_then_primal_lift_an_instance_once(monkeypatch, exact):
+    """The memo is keyed on the instance, so the primal after the oracle
+    reads the lift and the solve of the oracle: `leaf_law_rows` runs once."""
+    lifts = counting_calls(monkeypatch, oracle_lp, "leaf_law_rows")
+    for build in (lookback_instance, var_bounded_instance):
+        del lifts[:]
+        tree, xi, fam = build(exact)
+        lp, _ = global_sup_lp(tree, xi, fam, exact=exact)
+        pv, _ = primal_lp(tree, xi, fam, exact=exact)
+        assert len(lifts) == 1
+        assert lp == pv if exact else abs(lp - pv) <= 1e-9
+
+
+def var_bounded_instance(exact):
+    tree = build_tree({"dim": 1, "depth": 2, "generator": {"kind": "trinomial"}})
+    lo, hi = (RAT(1, 4), RAT(3, 4)) if exact else (0.25, 0.75)
+    return tree, {leaf: abs(tree.spot1(leaf)) for leaf in tree.leaves}, FamilySpec(cls=VAR_BOUNDED, var_lo=lo, var_hi=hi)
+
+
+def test_a_float_tree_and_its_exact_twin_are_lifted_apart(monkeypatch):
+    """A tree compares its offsets by value, and a family its variance
+    bounds, so a float tree and its exact twin are equal, while their spots
+    and squared steps are not: the memo key holds the numbers' types, so the
+    twin is lifted and solved on its own, to the value of a fresh solve, and
+    a repeat on either is a hit."""
+    offsets = [-0.2, 0.1, 0.3]
+    flt, twin = (
+        build_tree({"dim": 1, "depth": 2, "generator": {"kind": "explicit", "offsets": offs}})
+        for offs in (offsets, [rat(v) for v in offsets])
+    )
+    fam = FamilySpec(cls=VAR_BOUNDED, var_lo=0.02, var_hi=0.04)
+    twin_fam = FamilySpec(cls=VAR_BOUNDED, var_lo=rat(0.02), var_hi=rat(0.04))
+    assert flt == twin and fam == twin_fam
+    xi = {leaf: abs(flt.spot1(leaf)) for leaf in flt.leaves}  # one claim for both
+    fresh = []
+    for tree, f in ((flt, fam), (twin, twin_fam)):
+        oracle_lp._solved_leaf_law.cache_clear()
+        fresh.append(global_sup_lp(tree, xi, f)[0])
+    assert fresh[0] != fresh[1]
+    lifts = counting_calls(monkeypatch, oracle_lp, "leaf_law_rows")
+    for tree, f, want in ((flt, fam, fresh[0]), (twin, twin_fam, fresh[1]), (twin, twin_fam, fresh[1])):
+        assert global_sup_lp(tree, xi, f)[0] == want
+    assert len(lifts) == 2
 
 
 def lex_smallest_law(tree, xi, fam, exact):

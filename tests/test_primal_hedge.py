@@ -12,6 +12,7 @@ from robusthedge.measure_families import (
     Kernel,
     MeasureError,
     TreeMeasure,
+    alive_nodes,
 )
 from robusthedge.primal_hedge import (
     HedgeError,
@@ -33,7 +34,7 @@ from robusthedge.oracle_lp import (
 from robusthedge.random_instances import random_claim, random_family, random_tree
 from robusthedge.simplex import RAT, rat
 
-from conftest import all_paths, seeded
+from conftest import all_paths, counting_calls, seeded
 
 MART = FamilySpec(cls=MARTINGALE)
 
@@ -215,7 +216,7 @@ def solved_var_bounded(exact):
     lo, hi = (RAT(1, 4), RAT(3, 4)) if exact else (0.25, 0.75)
     fam = FamilySpec(cls=VAR_BOUNDED, var_lo=lo, var_hi=hi)
     leaves, claim, eq, ub = leaf_law_rows(tree, xi, fam, tree.root)
-    res = oracle_lp._solved_leaf_law(exact, tuple(claim), eq, ub)
+    _, _, res = oracle_lp.leaf_law_lp(tree, xi, fam, tree.root, exact)
     assert res.status == "optimal" and ub
     return claim, eq, ub, res
 
@@ -355,38 +356,95 @@ def test_primal_matches_dual_value(seed, exact):
         assert dp == pytest.approx(pv, abs=1e-9)
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_var_bounded_primal_lp_with_neg_inf_leaves(exact):
-    """The VAR_BOUNDED primal LP hedges below the alive nodes only (those
-    where some family measure avoids the -inf leaves).  On five-offset
-    trees with -inf table leaves it meets the DP and the oracle, claim
-    filter or not, and it flags exactly the nodes where the DP is -inf."""
+def var_bounded_neg_inf_instances(exact):
+    """(tree, xi, fam): 20 five-offset depth-2 trees with -inf table leaves
+    under a VAR_BOUNDED family, without and with the claim filter."""
     tree = build_tree({"dim": 1, "depth": 2, "generator": {"kind": "explicit", "offsets": [-2, -1, 0, 1, 2]}})
     base = FamilySpec(cls=VAR_BOUNDED, var_lo=0.5, var_hi=2.5)
     if exact:
         base = FamilySpec(cls=VAR_BOUNDED, var_lo=rat(0.5), var_hi=rat(2.5))
-    neg_roots = flagged = 0
     for i in range(20):
         rng = seeded(800 + i)
         xi = random_claim(tree, rng, exact=exact, kind="table")
         for leaf in rng.sample(tree.leaves, rng.randint(1, 12)):
             xi[leaf] = NEG_INF
         for fam in (base, base.with_claim(xi)):
-            Y = backward_value(tree, xi, fam)
-            dp = Y[tree.root]
-            lp, _ = global_sup_lp(tree, xi, fam, exact=exact)
-            pv, H = primal_lp(tree, xi, fam, exact=exact)
-            if dp == NEG_INF:
-                neg_roots += 1
-                assert lp == pv == NEG_INF
-                continue
-            if exact:
-                assert dp == lp == pv
-            else:
-                assert abs(dp - lp) <= 1e-9 and abs(dp - pv) <= 1e-9
-            assert H.flagged == {n for n in tree.internal_nodes if Y[n] == NEG_INF}
-            flagged += bool(H.flagged)
+            yield tree, xi, fam
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_var_bounded_primal_lp_with_neg_inf_leaves(exact):
+    """The VAR_BOUNDED primal LP hedges below the alive nodes only (those
+    where some family measure avoids the -inf leaves).  On five-offset
+    trees with -inf table leaves it meets the DP and the oracle, claim
+    filter or not, and it flags exactly the nodes where the DP is -inf."""
+    neg_roots = flagged = 0
+    for tree, xi, fam in var_bounded_neg_inf_instances(exact):
+        Y = backward_value(tree, xi, fam)
+        dp = Y[tree.root]
+        lp, _ = global_sup_lp(tree, xi, fam, exact=exact)
+        pv, H = primal_lp(tree, xi, fam, exact=exact)
+        if dp == NEG_INF:
+            neg_roots += 1
+            assert lp == pv == NEG_INF
+            continue
+        if exact:
+            assert dp == lp == pv
+        else:
+            assert abs(dp - lp) <= 1e-9 and abs(dp - pv) <= 1e-9
+        assert H.flagged == {n for n in tree.internal_nodes if Y[n] == NEG_INF}
+        flagged += bool(H.flagged)
     assert neg_roots >= 2 and flagged >= 2  # each under both families
+
+
+def test_exact_primal_takes_the_nodes_its_law_charges_as_alive(monkeypatch):
+    """An exact certified leaf law avoids the -inf leaves, so every node it
+    charges is alive: given those nodes, `alive_nodes` returns the flags it
+    finds alone, on the -inf instances above.  When the law charges every
+    internal node (the one martingale kernel of a binomial tree has
+    variance 1), the exact primal enumerates no vertex kernel; the float
+    primal, whose law is no proof, does."""
+    charged_some = 0
+    for tree, xi, fam in var_bounded_neg_inf_instances(True):
+        value, law = global_sup_lp(tree, xi, fam)
+        if law is None:
+            continue
+        charged = {n for leaf, q in law.items() if q for n in tree.path_to(leaf)[:-1]}
+        alive = alive_nodes(tree, fam, xi)
+        assert all(alive[n] for n in charged)
+        assert alive_nodes(tree, fam, xi, charged) == alive
+        charged_some += bool(charged)
+    assert charged_some >= 10
+    tree = build_tree({"dim": 1, "depth": 3, "generator": {"kind": "binomial"}})
+    xi = {leaf: abs(tree.spot1(leaf)) for leaf in tree.leaves}
+    enumerations = counting_calls(monkeypatch, oracle_lp, "enumerate_vertex_kernels")
+    for exact, lo, hi in ((True, RAT(1, 2), RAT(2)), (False, 0.5, 2.0)):
+        del enumerations[:]
+        pv, H = primal_lp(tree, xi, FamilySpec(cls=VAR_BOUNDED, var_lo=lo, var_hi=hi), exact=exact)
+        assert abs(pv - RAT(3, 2)) <= 1e-9 and not H.flagged  # E|S_3| of the symmetric walk
+        assert (len(enumerations) == 0) == exact
+
+
+def test_zero_rhs_rows_start_on_their_slacks_and_their_duals_certify(monkeypatch):
+    """Every lifted VAR_BOUNDED row is a `<=` row with rhs 0: the exact
+    leaf-law LP starts it on its slack, with no artificial column (phase 1
+    has one artificial per equality row), and its dual, read from the
+    slack's reduced cost, passes `certify_hedge`, some of them positive."""
+    starts = []
+    run = simplex._run_simplex
+
+    def recorded(T, D, basis, n_enter):
+        starts.append((list(basis), len(T[0]) - 1))
+        return run(T, D, basis, n_enter)
+
+    monkeypatch.setattr(simplex, "_run_simplex", recorded)
+    claim, eq, ub, res = solved_var_bounded(True)
+    (basis, ncols), _ = starts  # phase 1, phase 2
+    nv, n_eq, n_ub = len(claim), 1 + len(eq), len(ub)
+    assert ncols == nv + n_ub + n_eq
+    assert basis == [*range(nv + n_ub, ncols), *range(nv, nv + n_ub)]
+    certify_hedge(claim, eq, ub, res.y_eq, res.y_ub, res.value, True)
+    assert any(y > 0 for y in res.y_ub)
 
 
 @pytest.mark.parametrize("fam", [MART, FamilySpec(cls=ALL)], ids=["martingale", "all"])

@@ -318,12 +318,19 @@ def ref_solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, maximize=True, f
     slack0 = nv + len(free)
     art0 = slack0 + n_slack
     m = len(A_eq) + len(A_ub)
-    ncols = art0 + m
+    # a <= row with rhs 0 starts on its slack and has no artificial
+    on_slack = [False] * len(A_eq) + [b == 0 for b in b_ub]
+    art_of = {}
+    for i in range(m):
+        if not on_slack[i]:
+            art_of[i] = art0 + len(art_of)
+    ncols = art0 + len(art_of)
     rows, rhs, flips = [], [], []
     for arow, b in list(zip(A_eq, b_eq)) + list(zip(A_ub, b_ub)):
         rows.append(list(arow))
         rhs.append(b)
         flips.append(one)
+    basis = []
     for i, (arow, b) in enumerate(zip(rows, rhs)):
         full = [zero] * ncols
         for j, v in enumerate(arow):
@@ -332,18 +339,21 @@ def ref_solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, maximize=True, f
                 full[neg_of[j]] = -v
         if i >= len(A_eq):
             full[slack0 + (i - len(A_eq))] = one
-        if b < 0:
-            full = [-v for v in full]
-            b = -b
-            flips[i] = -one
-        full[art0 + i] = one
+        if on_slack[i]:
+            basis.append(slack0 + (i - len(A_eq)))
+        else:
+            if b < 0:
+                full = [-v for v in full]
+                b = -b
+                flips[i] = -one
+            full[art_of[i]] = one
+            basis.append(art_of[i])
         rows[i] = full + [b]
         rhs[i] = b
     T = rows
-    basis = [art0 + i for i in range(m)]
     c1 = [zero] * ncols
-    for i in range(m):
-        c1[art0 + i] = -one
+    for col in art_of.values():
+        c1[col] = -one
     obj = ref_reduced_costs(T, basis, c1)
     ref_run_simplex(T, basis, obj, ncols)
     if obj[-1] > 0:
@@ -364,7 +374,9 @@ def ref_solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, maximize=True, f
         elif b < slack0:
             x[free[b - nv]] -= val
     value = sum(ci * xi for ci, xi in zip(c, x))
-    y = [-obj[art0 + i] * flips[i] for i in range(m)]
+    # the dual of a row is minus the reduced cost of its artificial (times
+    # the row's flip) or, for a slack-start row, of its slack
+    y = [-obj[art_of[i]] * flips[i] if i in art_of else -obj[slack0 + i - len(A_eq)] for i in range(m)]
     y_eq = y[: len(A_eq)]
     y_ub = y[len(A_eq):]
     if not maximize:
@@ -504,3 +516,61 @@ def test_bland_fallback_finishes_long_dantzig_runs(monkeypatch):
     assert res.value == 5**n and type(res.value) is RAT
     assert res.x == [0] * (n - 1) + [5**n]
     assert phases == [[1166, 1160], [1265, 1160]]
+
+
+# -- the phase-1 memo ----------------------------------------------------------
+
+
+def recorded_runs(monkeypatch):
+    """Patch the simplex run and the pivot: each `_run_simplex` call appends
+    [pivots, start basis, columns] to the returned list."""
+    runs = []
+    pivot, run = simplex._pivot, simplex._run_simplex
+
+    def counted_pivot(*args):
+        runs[-1][0] += 1
+        return pivot(*args)
+
+    def counted_run(T, D, basis, n_enter):
+        runs.append([0, list(basis), len(T[0]) - 1])
+        return run(T, D, basis, n_enter)
+
+    monkeypatch.setattr(simplex, "_pivot", counted_pivot)
+    monkeypatch.setattr(simplex, "_run_simplex", counted_run)
+    return runs
+
+
+def test_a_phase_1_memo_hit_runs_phase_2_only(monkeypatch):
+    """Phase 1 reads the rows only: after one solve fills the memo, a solve
+    of the same rows with another objective runs no phase-1 pivot (one
+    simplex run, or none when the rows are infeasible), and its result is
+    `repr`-equal to a fresh solve's, whose phase 2 pivots the same."""
+    runs = recorded_runs(monkeypatch)
+    phase1 = 0
+    for c, A_eq, b_eq, A_ub, b_ub, maximize, free in all_lps():
+        other = [-v for v in reversed(c)]
+        memo = {}
+        solve_lp(c, A_eq, b_eq, A_ub, b_ub, maximize=maximize, free_vars=free, memo=memo)
+        del runs[:]
+        fresh = solve_lp(other, A_eq, b_eq, A_ub, b_ub, maximize=maximize, free_vars=free)
+        fresh_runs = runs[:]
+        del runs[:]
+        hit = solve_lp(other, A_eq, b_eq, A_ub, b_ub, maximize=maximize, free_vars=free, memo=memo)
+        assert repr(hit) == repr(fresh)
+        assert len(memo) == 1
+        assert runs == fresh_runs[1:]  # phase 2 only, pivot for pivot
+        phase1 += fresh_runs[0][0]
+    assert phase1 > 500
+
+
+def test_memo_keys_compare_rows_by_exact_value():
+    """Rows spelled with ints, floats or Fractions of equal value share one
+    entry; rows that differ in the last bit of a float do not."""
+    memo = {}
+    c, A_eq, b_eq = [1, 2, 0], [[1, 1, 1], [-1, 0, 1]], [1, 0]
+    for rows in ([[1, 1, 1], [-1, 0, 1]], [[1.0, 1.0, 1.0], [RAT(-1), 0.0, 1]]):
+        res = solve_lp(c, rows, [1.0, RAT(0)], memo=memo)
+        assert repr(res) == repr(solve_lp(c, A_eq, b_eq))
+    assert len(memo) == 1
+    solve_lp(c, [[1, 1, 1], [-1, 0, 1 + 2**-52]], b_eq, memo=memo)
+    assert len(memo) == 2
