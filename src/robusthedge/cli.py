@@ -1,7 +1,9 @@
 """Command-line runner: solve, oracle, hedge, counterexample, proptest.
 
 Reports are JSON with sorted keys and CSVs with repr-formatted floats, so a
-rerun with the same config and seed is byte-identical.  Wall-clock timings
+rerun with the same config and seed is byte-identical; `hedge` writes the
+strategy object of hedge.json and the rows of path_slacks.csv straight from
+the hedge columns and the slacks, in the bytes `json` and `csv` write.  Wall-clock timings
 go to a separate timings.json for that reason: per-stage seconds for
 `solve` (dp, oracle, primal) and `hedge` (tree, claim, dp, extract, verify,
 write), plus their total.  Exit status is zero iff every gap, tolerance,
@@ -95,6 +97,40 @@ def _dump_json(path, doc):
     # one write of the whole text, where json.dump writes it piece by piece
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _json_numbers(values, exact):
+    """The JSON text of `_value_doc(v, exact)` for each of `values`: in
+    float mode `float.__repr__`, which is what `json` writes for a finite
+    float; `json.dumps` of each value in exact mode or when some float is
+    not finite."""
+    if not exact:
+        texts = list(map(float.__repr__, map(float, values)))
+        if {"inf", "-inf", "nan"}.isdisjoint(texts):
+            return texts
+    return [json.dumps(_value_doc(v, exact)) for v in values]
+
+
+def _hedge_report_text(doc, H, exact):
+    """The text of `_dump_json` of `doc` with `H`'s hedge as its "strategy"
+    object (node id -> list of coordinates): `doc` goes through
+    `json.dumps(indent=2, sort_keys=True)`, and the strategy, whose layout
+    is fixed, is written straight from the hedge columns."""
+    columns = [_json_numbers(col.values(), exact) for col in H.h.columns]
+    # json sorts the node ids as strings and puts each coordinate on a line
+    entries = sorted(zip(map(str, H.h), map(",\n      ".join, zip(*columns))))
+    body = ",\n".join([f'    "{n}": [\n      {h}\n    ]' for n, h in entries])
+    strategy = "{\n" + body + "\n  }" if entries else "{}"
+    marker = "\0strategy\0"  # no other value of the report can be this string
+    text = json.dumps({**doc, "strategy": marker}, indent=2, sort_keys=True)
+    return text.replace(json.dumps(marker), strategy, 1) + "\n"
+
+
+def _slacks_csv_text(slacks):
+    """The rows `csv.writer` writes for the header and each (leaf, repr of
+    its slack as a float), ending in \\r\\n: no field needs quoting."""
+    rows = [f"{leaf},{v!r}\r\n" for leaf, v in zip(slacks, map(float, slacks.values()))]
+    return "leaf,slack\r\n" + "".join(rows)
 
 
 def _strategy_digest(H):
@@ -214,22 +250,18 @@ def run_hedge(cfg, path, out, exact):
     rep = verify_superhedge(tree, dp, H, xi, fam)
     timings["verify"] = time.perf_counter() - t
     t = time.perf_counter()
-    # one list per coordinate, read down the hedge columns; json sorts the keys
-    coords = [[_value_doc(v, exact) for v in col.values()] for col in H.h.columns]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "X0": _value_doc(dp, exact),
-        "strategy": dict(zip(map(str, H.h), map(list, zip(*coords)))),
         "verification": {
             "min_slack": None if rep.min_slack is None else float(rep.min_slack),
             "polar_paths": len(rep.polar),
         },
     }
-    _dump_json(out / "hedge.json", doc)
+    with open(out / "hedge.json", "w") as fh:
+        fh.write(_hedge_report_text(doc, H, exact))
     with open(out / "path_slacks.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["leaf", "slack"])
-        w.writerows(zip(rep.slacks, map(repr, map(float, rep.slacks.values()))))
+        fh.write(_slacks_csv_text(rep.slacks))
     timings["write"] = time.perf_counter() - t
     timings["total"] = time.perf_counter() - t0
     _dump_json(out / "timings.json", timings)

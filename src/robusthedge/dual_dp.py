@@ -20,18 +20,22 @@ contiguous block).  The value field is a `NodeValues` over every node id and
 its hedge a `NodeVectors` of d columns over the internal ids, each written
 one level slice at a time.  A level of a MARTINGALE family (claim-restricted
 or not) on a d = 1 tree is solved by numpy array passes over its (n x k)
-block of child values and spot steps when it has at least LEVEL_BATCH_MIN
-nodes, the tree's spot array (`MarketTree.spot_array`) is float64 and the
-claim is in float mode.  Those are checked once per call, not per level: the
-leaf values come as a float64 array (the claim's own, from `make_claim`, or
-read once), and each batched level hands its value array straight to the
-level above.  The field and hedge columns keep those arrays next to their
-Python floats, so `extract_strategy` and `verify_superhedge` read them too.
-The passes repeat the float branch of `one_step_sup` operation for
-operation, so values and h are bitwise equal.  Every other level, and the
-root, goes through `one_step_sup` node by node; so do exact values, ALL, VAR_BOUNDED, d >= 2,
-and Fraction or large int spots.  No level is narrower than the one above
-it, so once a level goes node by node every level above it does too.
+block of child values and its spot steps (`MarketTree.child_steps`: one row
+of k steps shared by every node of a tree with int offsets, else one row
+per node) when it has at least LEVEL_BATCH_MIN nodes, the tree's spot array
+(`MarketTree.spot_array`) is float64 and the claim is in float mode.  Those
+are checked once per call, not per level: the leaf values come as a float64
+array (the claim's own, from `make_claim`, or read once), and each batched
+level hands its value array straight to the level above.  The field and
+hedge columns keep those arrays next to their Python floats, so
+`extract_strategy` and `verify_superhedge` read them too.  The passes repeat
+the float branch of `one_step_sup` operation for operation, so values and h
+are bitwise equal; they build a per-node mask only where the nodes of a
+block can differ (see `_martingale_rows`).  Every other level, and the root,
+goes through `one_step_sup` node by node; so do exact values, ALL,
+VAR_BOUNDED, d >= 2, and Fraction or large int spots.  No level is narrower
+than the one above it, so once a level goes node by node every level above
+it does too.
 
 LEVEL_BATCH_MIN = 64 sits well above the crossover of the two paths, which
 is 13-25 nodes (timed per level on one core of an Intel Xeon, Python 3.11,
@@ -264,15 +268,14 @@ def _martingale_level_1d(tree: MarketTree, level: range, Y: ValueField, vals):
     branch of `one_step_sup` in float mode, in array passes of _BLOCK_ROWS
     nodes, and write the values and multipliers into Y's slices of the
     level.  The level's children are the next level, k per node in order,
-    with the values `vals` (float64, in id order).  Returns the level's
-    values as a float64 array in id order."""
+    with the values `vals` (float64, in id order); each block reads its
+    nodes' steps from `MarketTree.child_steps`.  Returns the level's values
+    as a float64 array in id order."""
     import numpy as np
 
     k = len(tree.offsets)
-    xs = tree.spot_array(0)
-    xp, xc = xs[level.start : level.stop], xs[k * level.start + 1 : k * level.stop + 1]
     blocks = [
-        _martingale_rows(xp[r : r + _BLOCK_ROWS], xc[k * r : k * (r + _BLOCK_ROWS)], vals[k * r : k * (r + _BLOCK_ROWS)], k)
+        _martingale_rows(tree.child_steps(level[r : r + _BLOCK_ROWS]), vals[k * r : k * (r + _BLOCK_ROWS)], k)
         for r in range(0, len(level), _BLOCK_ROWS)
     ]
     values = np.concatenate([v for v, _ in blocks])
@@ -283,61 +286,82 @@ def _martingale_level_1d(tree: MarketTree, level: range, Y: ValueField, vals):
     return values
 
 
-def _martingale_rows(xp, xc, vals, k: int) -> tuple:
-    """Values and multipliers, as float64 arrays, of n nodes with spots `xp`
-    whose k children each have the spots `xc` and values `vals` (float64,
-    row-major, n x k).  Each array operation repeats the per-node one on
-    the same doubles, so the results are bitwise equal: candidates in the
-    same order (flat children, then the pairs (a, b) with D_a < 0 < D_b),
-    the first strict maximum, and the bounds of `_h_interval_midpoint`
-    folded child by child with the keep-unless-strictly-better rule of max()
-    and min()."""
+def _martingale_rows(D, vals, k: int) -> tuple:
+    """Values and multipliers, as float64 arrays, of n nodes whose k
+    children each have the values `vals` (float64, row-major, n x k) and
+    the spot steps `D`: an (n x k) array, or one (1 x k) row that every
+    node shares (`MarketTree.child_steps`).  Each array operation repeats
+    the per-node one on the same doubles, so the results are bitwise
+    equal: candidates in the same order (flat children, then the pairs
+    (a, b) with D_a < 0 < D_b), the first maximum (a NaN counts as the
+    largest value, as in argmax), and the bounds of `_h_interval_midpoint`
+    folded child by child with the keep-unless-strictly-better rule of
+    max() and min().
+
+    Per-node masks are built only where nodes can differ: a pair is first
+    tested on the step signs, the -inf masks only when some child value is
+    -inf, the fold visits only the children some node charges, and the
+    midpoint rule's fallbacks run only where some node lacks a bound on one
+    side.  On a shared row with finite values every mask is one flag."""
     import numpy as np
 
-    n = len(xp)
-    D = xc.reshape(n, k) - xp[:, None]
-    V = vals.reshape(n, k)
+    V = vals.reshape(-1, k)
+    n = len(V)
     fin = V != NEG_INF
-    V0 = np.where(fin, V, 0.0)  # -inf children are masked out of every candidate
+    if fin.all():
+        fin, V0 = fin[:1], V  # one row of flags serves every node
+    else:
+        V0 = np.where(fin, V, 0.0)  # -inf children are masked out of every candidate
     flat, neg, pos = D == 0, D < 0, D > 0
     cands, masks = [], []
     with np.errstate(all="ignore"):
-        for j in range(k):
-            ok = flat[:, j] & fin[:, j]
-            if ok.any():
-                cands.append(V0[:, j])
-                masks.append(ok)
-        for a in range(k):
-            for b in range(k):
-                ok = neg[:, a] & pos[:, b] & fin[:, a] & fin[:, b]
-                if ok.any():
-                    da, db = D[:, a], D[:, b]
-                    cands.append(db / (db - da) * V0[:, a] + -da / (db - da) * V0[:, b])
-                    masks.append(ok)
+        # the candidates that some node has by the step signs alone, in the
+        # per-node order; one that a -inf child takes from every node stays,
+        # masked to -inf, which changes no pick below
+        for j in np.flatnonzero(flat.any(axis=0)).tolist():
+            cands.append(V0[:, j])
+            masks.append(flat[:, j] & fin[:, j])
+        for a, b in np.argwhere((neg[:, :, None] & pos[:, None, :]).any(axis=0)).tolist():
+            da, db = D[:, a], D[:, b]
+            cands.append(db / (db - da) * V0[:, a] + -da / (db - da) * V0[:, b])
+            masks.append(neg[:, a] & pos[:, b] & fin[:, a] & fin[:, b])
         if not cands:  # no node has a martingale kernel
             return np.full(n, NEG_INF), np.zeros(n)
-        C = np.where(np.stack(masks, axis=1), np.stack(cands, axis=1), NEG_INF)
-        has = np.logical_or.reduce(masks)
-        value = np.where(has, C[np.arange(n), C.argmax(axis=1)], NEG_INF)
+        every = all(ok.all() for ok in masks)  # each candidate is every node's
+        value = None
+        for c, ok in zip(cands, masks):
+            if not every:
+                c = np.where(ok, c, NEG_INF)
+            # argmax's pick: c replaces the maximum so far when it is larger,
+            # or a NaN where the maximum so far is not
+            value = c if value is None else np.where(~(c <= value) & (value == value), c, value)
+        use = (flat | (neg & pos.any(axis=1, keepdims=True)) | (pos & neg.any(axis=1, keepdims=True))) & fin
+        if not every:  # a node without a kernel charges no child
+            use = use & np.logical_or.reduce(masks)[:, None]
 
         # _h_interval_midpoint over the chargeable children of
         # martingale_chargeable_1d
-        charge = flat | (neg & pos.any(axis=1, keepdims=True)) | (pos & neg.any(axis=1, keepdims=True))
-        use = charge & fin & has[:, None]
+        up, down = use & pos, use & neg
         lo, hi = np.zeros(n), np.zeros(n)
-        lo_set, hi_set = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        for j in range(k):
+        lo_set, hi_set = np.zeros(1, dtype=bool), np.zeros(1, dtype=bool)
+        for j, (up_any, down_any) in enumerate(zip(up.any(axis=0).tolist(), down.any(axis=0).tolist())):
+            if not (up_any or down_any):
+                continue
             bound = (V[:, j] - value) / D[:, j]
-            up, down = use[:, j] & pos[:, j], use[:, j] & neg[:, j]
-            lo = np.where(up & (~lo_set | (bound > lo)), bound, lo)
-            hi = np.where(down & (~hi_set | (bound < hi)), bound, hi)
-            lo_set |= up
-            hi_set |= down
-        h = np.where(
-            lo_set & hi_set,
-            (lo + hi) / 2,
-            np.where(lo_set, np.where(lo < 0, 0.0, lo), np.where(hi_set & ~(hi > 0), hi, 0.0)),
-        )
+            if up_any:
+                lo = np.where(up[:, j] & (~lo_set | (bound > lo)), bound, lo)
+                lo_set = lo_set | up[:, j]
+            if down_any:
+                hi = np.where(down[:, j] & (~hi_set | (bound < hi)), bound, hi)
+                hi_set = hi_set | down[:, j]
+        both = lo_set & hi_set
+        h = (lo + hi) / 2
+        if not both.all():
+            h = np.where(
+                both,
+                h,
+                np.where(lo_set, np.where(lo < 0, 0.0, lo), np.where(hi_set & ~(hi > 0), hi, 0.0)),
+            )
     return value, h
 
 

@@ -29,6 +29,15 @@ these arrays: on an object array numpy applies the same Python operators in
 the same order, so exact and Fraction trees run the same code.  They take
 O(N) time and build no per-node object.
 
+The wealth, polar and DP passes read a level's spot steps from
+`MarketTree.child_steps`.  When the spot array is float64 and every offset
+of the coordinate is an int, every spot is an integer double within
++-INT_SPOT_BOUND and every node's steps are its offsets bit for bit, so the
+steps are one (1 x k) float64 row, built once per tree, that numpy
+broadcasts over the level.  Otherwise (float offsets, whose steps can
+differ from node to node in the last bit, Fraction offsets, object spots)
+they are the (n x k) per-node differences of the spot array.
+
 Values per node travel between those passes in `NodeValues`: a mapping
 node id -> value over one contiguous id range (the leaves of a claim, every
 node of a value field, the internal nodes of a hedge coordinate), stored as
@@ -158,6 +167,34 @@ class MarketTree:
             else:
                 arrays[j] = np.array(self.coords[j], dtype=object)
         return arrays[j]
+
+    def child_steps(self, ids: range, j: int = 0):
+        """The steps x_c - x_n of coordinate j from each node n of the
+        contiguous internal id range `ids` to its k children, as a 2-d array
+        that broadcasts to (len(ids), k): row i holds the children of
+        ids[i] in order.
+
+        When `spot_array(j)` is float64 and every offset of coordinate j is
+        an int (bool counts as one), every spot is an integer double within
+        +-INT_SPOT_BOUND, so every node's steps are its offsets bit for bit:
+        the answer is then one (1 x k) float64 row of the offsets, built
+        once and kept on the tree (read-only).  Otherwise it is the
+        (len(ids) x k) per-node differences of `spot_array(j)`, with its
+        dtype: float offsets, whose steps can differ from node to node in
+        the last bit (or round to 0), Fraction offsets, object spots."""
+        xs, rows = self.spot_array(j), self.__dict__.setdefault("_step_rows", {})
+        if j not in rows:
+            offs = [off[j] for off in self.offsets]
+            rows[j] = None
+            if xs.dtype != object and all(type(o) in (int, bool) for o in offs):
+                import numpy as np
+
+                rows[j] = np.array([offs], dtype=float)
+                rows[j].flags.writeable = False
+        if rows[j] is not None:
+            return rows[j]
+        k = self._k
+        return xs[k * ids.start + 1 : k * ids.stop + 1].reshape(-1, k) - xs[ids.start : ids.stop, None]
 
     def spot(self, nid: int) -> tuple:
         coords = self._xs

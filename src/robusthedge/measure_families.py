@@ -426,11 +426,12 @@ def polar_paths(tree: MarketTree, fam: FamilySpec, xi: Optional[Mapping] = None)
 
     Chargeability factorizes over steps for node-local families, so a
     "dead" flag (some edge above is not chargeable) is propagated top-down:
-    level by level over the spot array for the d = 1 martingale family, in
-    id order through `chargeable_children` for the others.  A leaf is polar
-    when it is dead or its claim is -inf.  With the claim filter active (a
-    claim-restricted family and a -inf leaf) only kernels supported on the
-    `alive_nodes` count, a bottom-up pass run first.  No LP is solved.
+    level by level over the child steps (`MarketTree.child_steps`) for the
+    d = 1 martingale family, in id order through `chargeable_children` for
+    the others.  A leaf is polar when it is dead or its claim is -inf.  With
+    the claim filter active (a claim-restricted family and a -inf leaf) only
+    kernels supported on the `alive_nodes` count, a bottom-up pass run
+    first.  No LP is solved.
     """
     import numpy as np
 
@@ -464,12 +465,11 @@ def _martingale_dead_leaves_1d(tree: MarketTree, alive=None):
     import numpy as np
 
     k = len(tree.offsets)
-    xs = tree.spot_array(0)
     if alive is not None:
         alive = np.frombuffer(alive, dtype=bool)
     dead = np.zeros(1, dtype=bool)
     for level, below in zip(tree.levels, tree.levels[1:]):
-        steps = xs[below.start : below.stop].reshape(-1, k) - xs[level.start : level.stop, None]
+        steps = tree.child_steps(level)
         up, down = steps > 0, steps < 0
         if alive is not None:
             live = alive[below.start : below.stop].reshape(-1, k)

@@ -99,12 +99,13 @@ def verify_superhedge(tree: MarketTree, X0, H: Strategy, xi: Mapping, fam: Famil
     root-to-leaf path; the slacks, their minimum and the violations are
     masks over the leaves.  The passes run on float64 arrays when X0, every
     hedge entry and every spot is a float (or a spot array is float64 for
-    small int spots), and on object arrays of the values themselves
-    otherwise, so every slack has the value and type Python's arithmetic
-    gives it.  The hedge columns and the claim are read as the float64
-    arrays they keep (`node_array`) when they have them, else id by id; the
-    slacks come back as a `NodeValues` over the leaf ids, with the polar
-    leaves empty.
+    small int spots), reading the steps from `MarketTree.child_steps` (one
+    row per tree for int offsets), and on object arrays of the values
+    themselves otherwise, so every slack has the value and type Python's
+    arithmetic gives it.  The hedge columns and the claim are read as the
+    float64 arrays they keep (`node_array`) when they have them, else id by
+    id; the slacks come back as a `NodeValues` over the leaf ids, with the
+    polar leaves empty.
     """
     import numpy as np
 
@@ -128,13 +129,16 @@ def verify_superhedge(tree: MarketTree, X0, H: Strategy, xi: Mapping, fam: Famil
     W = np.array([X0], dtype=dtype)
     if not floats:
         spots = [np.array(tree.coords[j], dtype=object) for j in range(tree.dim)]
-    # wealth level by level from the root: each parent's wealth, hedge and
-    # spot broadcast over the row of its k children, one pass per coordinate
+    # wealth level by level from the root: each parent's wealth and hedge
+    # broadcast over the steps to its k children, one pass per coordinate
     k = len(tree.offsets)
     for level, below in zip(tree.levels, tree.levels[1:]):
         W = W[:, None]
-        for j, xs in enumerate(spots):
-            steps = xs[below.start : below.stop].reshape(-1, k) - xs[level.start : level.stop, None]
+        for j in range(tree.dim):
+            if floats:
+                steps = tree.child_steps(level, j)
+            else:
+                steps = spots[j][below.start : below.stop].reshape(-1, k) - spots[j][level.start : level.stop, None]
             W = W + hmat[level.start : level.stop, j, None] * steps
         W = W.ravel()
     keep = np.ones(len(leaves), dtype=bool)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from robusthedge import oracle_lp
-from robusthedge.dual_dp import one_step_sup
+from robusthedge.dual_dp import LEVEL_BATCH_MIN, one_step_sup
 from robusthedge.market_tree import NEG_INF, build_tree
 from robusthedge.measure_families import MARTINGALE, VAR_BOUNDED, Kernel, TreeMeasure
 from robusthedge.oracle_lp import enumerate_vertex_kernels
@@ -224,3 +224,28 @@ def counting_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def wide_tree(generator, min_depth=2):
+    """The shallowest tree from `generator` with an internal level at least
+    LEVEL_BATCH_MIN wide."""
+    depth = min_depth
+    while True:
+        tree = build_tree({"dim": 1, "depth": depth, "generator": generator})
+        if len(tree.levels[-2]) >= LEVEL_BATCH_MIN:
+            return tree
+        depth += 1
+
+
+# generators whose trees `wide_tree` grows until a level is batched: int,
+# float, mixed and one-sided offsets
+WIDE_GENERATORS = {
+    "binomial": {"kind": "binomial"},
+    "binomial-up0.1": {"kind": "binomial", "up": 0.1},
+    "trinomial": {"kind": "trinomial"},
+    "five-offset": {"kind": "explicit", "offsets": [-2, -1, 0, 1, 2]},
+    "float-offsets": {"kind": "explicit", "offsets": [-0.3, -0.1, 0, 0.2, 0.7]},
+    "mixed-offsets": {"kind": "explicit", "offsets": [-1, 0.5, 2]},
+    "one-sided": {"kind": "explicit", "offsets": [0, 1, 2]},
+    "one-sided-up": {"kind": "explicit", "offsets": [1, 2]},
+}

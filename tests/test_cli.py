@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,9 +12,10 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from robusthedge import oracle_lp, primal_hedge, suites
+from robusthedge import cli, oracle_lp, primal_hedge, suites
 from robusthedge.cli import main
-from robusthedge.market_tree import NEG_INF
+from robusthedge.dual_dp import backward_value
+from robusthedge.market_tree import NEG_INF, NodeValues, NodeVectors
 from robusthedge.simplex import RAT
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -131,6 +134,76 @@ def test_hedge_outputs(tmp_path):
     timings = json.loads((tmp_path / "timings.json").read_text())
     assert set(timings) == {"tree", "claim", "dp", "extract", "verify", "write", "total"}
     assert all(v >= 0 for v in timings.values())
+
+
+def writer_configs():
+    """d = 1 and d = 2 configs, one with a -inf node whose hedge is flagged
+    (0 by convention) and polar leaves without a slack row."""
+    table = {str(leaf): (leaf % 5) / 4 for leaf in range(13, 40)}
+    for leaf in (13, 14, 15):  # every child of node 4
+        table[str(leaf)] = "-inf"
+    return {
+        "d1": dict(BASE_CONFIG, tree={"dim": 1, "depth": 3, "generator": {"kind": "trinomial"}}, claim={"kind": "lookback", "strike": 0.5}),
+        "d1-flagged": dict(
+            BASE_CONFIG,
+            tree={"dim": 1, "depth": 3, "generator": {"kind": "trinomial"}},
+            claim={"kind": "table", "values": table},
+            family={"class": "martingale", "claim_restricted": True},
+        ),
+        "d2": dict(
+            BASE_CONFIG,
+            tree={"dim": 2, "depth": 2, "generator": {"kind": "explicit", "offsets": [[1, 1], [-1, -1], [2, -1], [-0.5, -0.5]]}},
+            claim={"kind": "call", "strike": 0.5},
+        ),
+    }
+
+
+def reference_hedge_files(doc, H, slacks, exact):
+    """hedge.json and path_slacks.csv as `json.dumps` and `csv.writer`
+    write them, from the report with its strategy object."""
+    strategy = {str(n): [cli._value_doc(v, exact) for v in h] for n, h in H.h.items()}
+    text = json.dumps({**doc, "strategy": strategy}, indent=2, sort_keys=True) + "\n"
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(["leaf", "slack"])
+    w.writerows(zip(slacks, map(repr, map(float, slacks.values()))))
+    return text, fh.getvalue()
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("name", list(writer_configs()))
+def test_hedge_writer_equals_json_and_csv_writer(tmp_path, name, exact):
+    """The hedge report's strategy and slack rows, written from the columns,
+    are the bytes of `json.dumps(indent=2, sort_keys=True)` and `csv.writer`;
+    the files `hedge` writes are those bytes too."""
+    path = write_config(tmp_path, writer_configs()[name])
+    tree, xi, fam = cli._instance_from_config(json.loads(path.read_text(), parse_float=RAT if exact else None), path, exact)
+    Y = backward_value(tree, xi, fam)
+    H = primal_hedge.extract_strategy(tree, Y, fam)
+    rep = primal_hedge.verify_superhedge(tree, Y[tree.root], H, xi, fam)
+    doc = {"schema_version": 1, "X0": cli._value_doc(Y[tree.root], exact), "verification": {"min_slack": 0.0, "polar_paths": len(rep.polar)}}
+    text, rows = reference_hedge_files(doc, H, rep.slacks, exact)
+    assert cli._hedge_report_text(doc, H, exact) == text
+    assert cli._slacks_csv_text(rep.slacks) == rows
+    if name == "d1-flagged":
+        assert H.flagged == {4} and len(rep.polar) == 6
+    out = tmp_path / "out"
+    assert main(["hedge", "--config", str(path), "--out", str(out)] + ["--exact"] * exact) == 0
+    report = json.loads((out / "hedge.json").read_text())
+    text, rows = reference_hedge_files({k: v for k, v in report.items() if k != "strategy"}, H, rep.slacks, exact)
+    assert (out / "hedge.json").read_text() == text
+    assert (out / "path_slacks.csv").read_bytes() == rows.encode()
+
+
+def test_hedge_writer_falls_back_to_json_on_non_finite_floats():
+    """A hedge entry that is not a finite float is written as `json.dumps`
+    writes it: -inf as the string "-inf", +inf and NaN as JSON's tokens."""
+    ids = range(0, 4)
+    H = primal_hedge.Strategy(h=NodeVectors([NodeValues(ids, [0.5, NEG_INF, float("inf"), float("nan")])]))
+    doc = {"schema_version": 1, "X0": 1.0, "verification": {"min_slack": None, "polar_paths": 0}}
+    text, _ = reference_hedge_files(doc, H, NodeValues(range(0)), False)
+    assert cli._hedge_report_text(doc, H, False) == text
+    assert '"-inf"' in text and "Infinity" in text and "NaN" in text
 
 
 def restricted_past_oracle_limit():

@@ -35,7 +35,7 @@ from robusthedge.random_instances import (
 )
 from robusthedge.simplex import RAT
 
-from conftest import claim_is_exact, in_id_order, per_node_field, seeded
+from conftest import WIDE_GENERATORS, claim_is_exact, in_id_order, per_node_field, seeded, wide_tree
 
 MART = FamilySpec(cls=MARTINGALE)
 
@@ -360,29 +360,6 @@ def narrow_internal_nodes(tree):
     return [nid for level in tree.levels[:-1] if len(level) < LEVEL_BATCH_MIN for nid in level]
 
 
-def wide_tree(generator, min_depth=2):
-    """The shallowest tree from `generator` with an internal level at least
-    LEVEL_BATCH_MIN wide."""
-    depth = min_depth
-    while True:
-        tree = build_tree({"dim": 1, "depth": depth, "generator": generator})
-        if len(tree.levels[-2]) >= LEVEL_BATCH_MIN:
-            return tree
-        depth += 1
-
-
-WIDE_GENERATORS = {
-    "binomial": {"kind": "binomial"},
-    "binomial-up0.1": {"kind": "binomial", "up": 0.1},
-    "trinomial": {"kind": "trinomial"},
-    "five-offset": {"kind": "explicit", "offsets": [-2, -1, 0, 1, 2]},
-    "float-offsets": {"kind": "explicit", "offsets": [-0.3, -0.1, 0, 0.2, 0.7]},
-    "mixed-offsets": {"kind": "explicit", "offsets": [-1, 0.5, 2]},
-    "one-sided": {"kind": "explicit", "offsets": [0, 1, 2]},
-    "one-sided-up": {"kind": "explicit", "offsets": [1, 2]},
-}
-
-
 def table_claim(tree, rng, share, values):
     """A float table claim with a `share` of -inf leaves, so that some
     internal nodes have no martingale kernel left, and the other leaves
@@ -422,6 +399,43 @@ def test_level_pass_equals_per_node_solves(name, block_rows, monkeypatch):
             assert_fields_identical(Y, per_node_field(tree, xi, fam))
             neg_inf_nodes += sum(Y[n] == NEG_INF for n in tree.internal_nodes)
     assert neg_inf_nodes > 0
+
+
+def row_block_values(pattern, offsets, rng, n):
+    """n x k child values: finite, with -inf children, signed zeros (with
+    and without -inf), or -inf at every child whose step is not up, so that
+    no node has a martingale kernel."""
+    k = len(offsets)
+    if pattern == "no-kernel":
+        return [rng.uniform(-3, 3) if o > 0 else NEG_INF for _ in range(n) for o in offsets]
+    pools = {
+        "finite": [lambda: rng.uniform(-3, 3)],
+        "neg-inf": [lambda: rng.uniform(-3, 3)] * 3 + [lambda: NEG_INF],
+        "signed-zero": [lambda: -0.0, lambda: 0.0],
+        "signed-zero-neg-inf": [lambda: -0.0, lambda: 0.0, lambda: NEG_INF],
+    }
+    return [rng.choice(pools[pattern])() for _ in range(n * k)]
+
+
+@pytest.mark.parametrize("pattern", ["finite", "neg-inf", "signed-zero", "signed-zero-neg-inf", "no-kernel"])
+@pytest.mark.parametrize("offsets", [[-1, 0, 1], [-2, -1, 0, 1, 2], [-1, 3], [0, 1, 2], [1, 2]], ids=str)
+def test_one_step_row_equals_repeated_rows(offsets, pattern):
+    """`_martingale_rows` on one (1 x k) row of steps gives the values and
+    multipliers of the same block with that row repeated at every node, bit
+    for bit (one-sided rows and blocks without a kernel included)."""
+    import numpy as np
+
+    rng = seeded(820)
+    n, k = 40, len(offsets)
+    row = np.array([offsets], dtype=float)
+    for _ in range(5):
+        vals = np.array(row_block_values(pattern, offsets, rng, n))
+        value, h = dual_dp._martingale_rows(row, vals, k)
+        ref_value, ref_h = dual_dp._martingale_rows(np.repeat(row, n, axis=0), vals, k)
+        assert value.shape == h.shape == (n,)
+        assert value.tobytes() == ref_value.tobytes() and h.tobytes() == ref_h.tobytes()
+    if pattern == "no-kernel":
+        assert (value == NEG_INF).all() and not h.any()
 
 
 D2_WIDE = {"dim": 2, "depth": 4, "generator": {"kind": "explicit", "offsets": [[1, 1], [-1, -1], [2, -1], [-0.5, -0.5]]}}

@@ -57,6 +57,7 @@ from robusthedge.random_instances import (
 from robusthedge.simplex import rat
 
 from conftest import (
+    WIDE_GENERATORS,
     all_paths,
     claim_is_exact,
     exact_spec,
@@ -65,6 +66,7 @@ from conftest import (
     reference_factorize_leaf_law,
     reference_path_lp,
     seeded,
+    wide_tree,
 )
 
 # -- per-path oracles -------------------------------------------------------
@@ -603,6 +605,71 @@ def test_wide_trees_cover_both_spot_dtypes_and_rounded_steps():
     assert trees["fraction"].spot_array(0).dtype == object
     # dead leaves, which the signs of the offsets alone would not give
     assert naive_polar_paths(trees["rounding"], FamilySpec(cls=MARTINGALE))
+
+
+def step_trees():
+    """Every wide tree and wide generator tree, the two deep workload shapes
+    at depth 4, a d = 2 tree with an int and a float coordinate, and bool
+    offsets."""
+    trees = {f"wide-{name}": build_tree(spec) for name, spec in WIDE_TREES.items()}
+    trees.update({f"generator-{name}": wide_tree(gen) for name, gen in WIDE_GENERATORS.items()})
+    trees["deep-trinomial"] = build_tree({"dim": 1, "depth": 4, "generator": {"kind": "trinomial"}})
+    trees["deep-five"] = build_tree({"dim": 1, "depth": 4, "generator": {"kind": "explicit", "offsets": [-2, -1, 0, 1, 2]}})
+    trees["d2-int-float"] = build_tree({"dim": 2, "depth": 4, "generator": {"kind": "explicit", "offsets": [[1, 0.1], [-1, 0.2], [0, -0.3]]}})
+    trees["bool"] = build_tree({"dim": 1, "depth": 4, "generator": {"kind": "explicit", "offsets": [True, False, -1]}})
+    return trees
+
+
+STEP_TREES = step_trees()
+
+
+@pytest.mark.parametrize("name", list(STEP_TREES))
+def test_child_steps_are_the_spot_differences(name):
+    """At every node, `child_steps` holds x_c - x_n of the spot array, with
+    its value (signed zeros included), type and dtype; it is one read-only
+    (1 x k) row, the same object for every id range, exactly when the spot
+    array is float64 and every offset of the coordinate is an int."""
+    tree = STEP_TREES[name]
+    k = len(tree.offsets)
+    for j in range(tree.dim):
+        xs = tree.spot_array(j)
+        one_row = xs.dtype == float and all(type(off[j]) in (int, bool) for off in tree.offsets)
+        rows = set()
+        for level in tree.levels[:-1]:
+            for ids in (level, level[len(level) // 2 :]):
+                steps = tree.child_steps(ids, j)
+                assert steps.dtype == xs.dtype
+                assert steps.shape == ((1, k) if one_row else (len(ids), k))
+                if one_row:
+                    assert not steps.flags.writeable
+                    rows.add(id(steps))
+                for i, n in enumerate(ids):
+                    for step, c in zip(steps[i if len(steps) > 1 else 0], tree.children(n)):
+                        want = xs[c] - xs[n]
+                        assert type(step) is type(want) and repr(step) == repr(want)
+        assert len(rows) == one_row
+
+
+def test_step_trees_cover_one_row_and_per_node_steps():
+    one_row = {
+        (name, j)
+        for name, tree in STEP_TREES.items()
+        for j in range(tree.dim)
+        if len(tree.child_steps(tree.levels[-2], j)) == 1
+    }
+    assert one_row == {
+        ("wide-five", 0),
+        ("wide-one-sided", 0),
+        ("generator-binomial", 0),
+        ("generator-trinomial", 0),
+        ("generator-five-offset", 0),
+        ("generator-one-sided", 0),
+        ("generator-one-sided-up", 0),
+        ("deep-trinomial", 0),
+        ("deep-five", 0),
+        ("d2-int-float", 0),
+        ("bool", 0),
+    }
 
 
 @pytest.mark.parametrize("name", list(WIDE_TREES))
